@@ -168,6 +168,8 @@ func main() {
 		TotalShards: v.ShardCount(),
 		Seconds:     bootTook.Seconds(),
 		Outcome:     "ok",
+
+		RecompiledNodes: len(v.Devices()),
 	})
 
 	// SIGQUIT dumps the flight recorder and keeps serving.

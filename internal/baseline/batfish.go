@@ -304,7 +304,7 @@ func liteRoute(r *route.Route) *route.Route {
 func (b *Batfish) harvestShard() {
 	for name, proc := range b.bgpProcs {
 		rib := proc.LocRIB()
-		rib.Walk(func(p route.Prefix, rs []*route.Route) {
+		rib.Range(func(p route.Prefix, rs []*route.Route) {
 			lites := make([]*route.Route, len(rs))
 			for i, r := range rs {
 				lites[i] = liteRoute(r)

@@ -680,6 +680,27 @@ func (e *Engine) Cube(literals map[int]bool) (Ref, error) {
 	return acc, nil
 }
 
+// PrefixCube builds the conjunction fixing variables offset … offset+n-1 to
+// the n most significant bits of the width-bit value: the shape of every
+// prefix, address and aligned-range match. It is Cube for consecutive
+// variables without the literal map or the sort — one mk per bit, bottom-up
+// — and returns the same canonical node.
+func (e *Engine) PrefixCube(offset, width int, value uint32, n int) (Ref, error) {
+	acc := True
+	for i := n - 1; i >= 0; i-- {
+		var err error
+		if value>>(width-1-i)&1 == 1 {
+			acc, err = e.mk(int32(offset+i), False, acc)
+		} else {
+			acc, err = e.mk(int32(offset+i), acc, False)
+		}
+		if err != nil {
+			return False, err
+		}
+	}
+	return acc, nil
+}
+
 // ClearCache drops the operation cache (the unique table is kept). Workers
 // call this between phases; the table is fixed-size, so this only frees
 // the entries, not the slots. Safe concurrently with operations: slots

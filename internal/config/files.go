@@ -14,6 +14,19 @@ type Snapshot struct {
 	Devices map[string]*Device
 }
 
+// Clone returns a snapshot with its own device map over the same parsed
+// models: the starting point for applying a delta, which then replaces only
+// the devices that changed. Models are immutable once parsed, so sharing
+// them is safe — and DiffSnapshots recognizes a shared model as unchanged
+// without fingerprinting it.
+func (s *Snapshot) Clone() *Snapshot {
+	c := &Snapshot{Devices: make(map[string]*Device, len(s.Devices))}
+	for name, dev := range s.Devices {
+		c.Devices[name] = dev
+	}
+	return c
+}
+
 // DeviceNames returns hostnames in sorted order.
 func (s *Snapshot) DeviceNames() []string {
 	names := make([]string, 0, len(s.Devices))

@@ -383,13 +383,18 @@ func (d *SnapshotDiff) Empty() bool {
 	return len(d.Changed) == 0 && len(d.Added) == 0 && len(d.Removed) == 0
 }
 
-// DiffSnapshots fingerprints both snapshots and classifies every device.
+// DiffSnapshots classifies every device by comparing fingerprints. A device
+// both snapshots hold as the same parsed model (Snapshot.Clone) is unchanged
+// by construction and is not fingerprinted.
 func DiffSnapshots(old, new *Snapshot) *SnapshotDiff {
 	diff := &SnapshotDiff{Changed: map[string]DeltaClass{}}
 	for name, dev := range old.Devices {
 		nd, ok := new.Devices[name]
 		if !ok {
 			diff.Removed = append(diff.Removed, name)
+			continue
+		}
+		if nd == dev {
 			continue
 		}
 		if c := Classify(DeviceFingerprint(dev), DeviceFingerprint(nd)); c != DeltaNone {

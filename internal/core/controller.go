@@ -1105,23 +1105,33 @@ func (c *Controller) ShardMergeLog() []string {
 // first DPO stage, §3.3). FIB resolution problems are returned as warnings.
 func (c *Controller) ComputeDataPlane() ([]string, error) {
 	c.dpWanted = true
-	var warnings []string
+	var sum dpSummary
 	err := c.recoverable(func() error {
 		var err error
-		warnings, err = c.computeDataPlane()
+		sum, err = c.computeDataPlane()
 		return err
 	})
-	return warnings, err
+	return sum.warnings, err
 }
 
-func (c *Controller) computeDataPlane() ([]string, error) {
+// dpSummary is what one data-plane compute did across the fleet: the FIB
+// resolution warnings of the entries it (re)resolved, how many nodes were
+// compiled from scratch, and how many changed prefixes were patched into
+// resident predicates (summed over nodes).
+type dpSummary struct {
+	warnings        []string
+	recompiledNodes int
+	patchedPrefixes int
+}
+
+func (c *Controller) computeDataPlane() (dpSummary, error) {
+	var sum dpSummary
 	if c.cpWanted && !c.cpDone {
 		if err := c.runControlPlane(); err != nil {
-			return nil, err
+			return sum, err
 		}
 	}
 	var mu sync.Mutex
-	var warnings []string
 	err := c.timer.Time("dp-compute", func() error {
 		return c.stage("dp-compute", func() error {
 			_, err := c.eachPhase("dp-compute", func(_ int, w sidecar.WorkerAPI) (bool, error) {
@@ -1130,7 +1140,9 @@ func (c *Controller) computeDataPlane() ([]string, error) {
 					return false, err
 				}
 				mu.Lock()
-				warnings = append(warnings, reply.Errors...)
+				sum.warnings = append(sum.warnings, reply.Errors...)
+				sum.recompiledNodes += reply.RecompiledNodes
+				sum.patchedPrefixes += reply.PatchedPrefixes
 				mu.Unlock()
 				return false, nil
 			})
@@ -1138,13 +1150,19 @@ func (c *Controller) computeDataPlane() ([]string, error) {
 		})
 	})
 	if err != nil {
-		return nil, err
+		return dpSummary{}, err
 	}
 	c.dpDone = true
 	c.bumpEpoch()
 	c.harvestAll()
-	sort.Strings(warnings)
-	return warnings, nil
+	sort.Strings(sum.warnings)
+	if c.reg != nil {
+		c.reg.Counter(MetricDPRecompiled, "Nodes whose data plane was compiled from scratch.").
+			Add(float64(sum.recompiledNodes))
+		c.reg.Counter(MetricDPPatched, "Changed prefixes patched into resident node predicates.").
+			Add(float64(sum.patchedPrefixes))
+	}
+	return sum, nil
 }
 
 // bumpEpoch advances the verified-state epoch and publishes it as a gauge.

@@ -7,13 +7,16 @@
 //	none   — nothing semantic changed (comments, whitespace): adopt the new
 //	         texts and bump the epoch.
 //	dp     — only data-plane filters changed (ACLs, descriptions): ship the
-//	         new device models to their owners and recompute FIBs/predicates;
-//	         the control plane stays resident.
+//	         new device models to their owners, who recompile the nodes whose
+//	         forwarding config differs (none, for a description); the control
+//	         plane stays resident.
 //	shards — origination or routing policy changed: ship models, purge
 //	         globally-retired prefixes, rebuild the prefix shards from the
 //	         new snapshot, and re-run only the dirty shards' dependency
 //	         closure. Clean shards keep their per-prefix resident results —
 //	         sound because every shard round is cold and self-contained.
+//	         The workers then patch, per node, only the prefixes whose
+//	         resolved next hops the re-run actually changed.
 //	full   — topology-class changes (interfaces, OSPF, BGP sessions, device
 //	         add/remove/rename), or no resident state to build on: the
 //	         ordinary re-partition + full pipeline.
@@ -58,8 +61,22 @@ type DeltaResult struct {
 	Stages map[string]time.Duration
 	// Epoch is the verified-state epoch after the delta.
 	Epoch uint64
-	// Warnings are FIB resolution warnings from the data-plane compute.
+	// Warnings are FIB resolution warnings from the data-plane compute; an
+	// incremental compute reports only the entries it re-resolved.
 	Warnings []string
+	// RecompiledNodes is how many nodes had their predicates compiled from
+	// scratch (every node on the full path, the nodes whose forwarding
+	// config changed otherwise); PatchedPrefixes is how many changed
+	// (node, prefix) results were patched into resident predicates.
+	RecompiledNodes int
+	PatchedPrefixes int
+}
+
+// recordDP folds one data-plane compute into the result.
+func (r *DeltaResult) recordDP(sum dpSummary) {
+	r.Warnings = sum.warnings
+	r.RecompiledNodes = sum.recompiledNodes
+	r.PatchedPrefixes = sum.patchedPrefixes
 }
 
 // ApplyDelta applies per-device config changes to the resident verified
@@ -72,15 +89,20 @@ func (c *Controller) ApplyDelta(set map[string]string, remove []string) (*DeltaR
 	if c.closed.Load() {
 		return nil, fmt.Errorf("core: controller is closed")
 	}
+	// Only the texts in set are parsed; every other device keeps its parsed
+	// model, which also lets the diff below skip it by identity — the cost
+	// of a delta does not grow with the size of the network.
 	newTexts := make(map[string]string, len(c.texts))
 	for k, v := range c.texts {
 		newTexts[k] = v
 	}
+	newSnap := c.snap.Clone()
 	for _, name := range remove {
 		if _, ok := newTexts[name]; !ok {
 			return nil, fmt.Errorf("core: delta removes unknown device %q", name)
 		}
 		delete(newTexts, name)
+		delete(newSnap.Devices, name)
 	}
 	for key, text := range set {
 		one, err := config.ParseTexts(map[string]string{key + ".cfg": text})
@@ -92,17 +114,12 @@ func (c *Controller) ApplyDelta(set map[string]string, remove []string) (*DeltaR
 			return nil, fmt.Errorf("core: delta config %q defines %d devices, want 1", key, len(names))
 		}
 		if names[0] != key {
-			delete(newTexts, key) // rename: the parsed hostname wins
+			// Rename: the parsed hostname wins.
+			delete(newTexts, key)
+			delete(newSnap.Devices, key)
 		}
 		newTexts[names[0]] = text
-	}
-	files := make(map[string]string, len(newTexts))
-	for name, text := range newTexts {
-		files[name+".cfg"] = text
-	}
-	newSnap, err := config.ParseTexts(files)
-	if err != nil {
-		return nil, err
+		newSnap.Devices[names[0]] = one.Devices[names[0]]
 	}
 	diff := config.DiffSnapshots(c.snap, newSnap)
 	res := &DeltaResult{
@@ -127,7 +144,7 @@ func (c *Controller) ApplyDelta(set map[string]string, remove []string) (*DeltaR
 		obs.FInt("removed", len(diff.Removed)))
 	started := time.Now()
 	phasesBefore := len(c.timer.Phases())
-	err = c.timer.Time("delta", func() error {
+	err := c.timer.Time("delta", func() error {
 		return c.recoverable(func() error { return c.applyDeltaBody(newSnap, newTexts, diff, res) })
 	})
 	// Attribute per-stage wall time from the phase timer: every stage a
@@ -149,13 +166,15 @@ func (c *Controller) ApplyDelta(set map[string]string, remove []string) (*DeltaR
 		return nil, err
 	}
 	res.Epoch = c.epoch.Load()
-	c.flight.Record("delta", "done mode=%s dirty=%d/%d epoch=%d",
-		res.Mode, res.DirtyShards, res.TotalShards, res.Epoch)
+	c.flight.Record("delta", "done mode=%s dirty=%d/%d recompiled=%d patched=%d epoch=%d",
+		res.Mode, res.DirtyShards, res.TotalShards, res.RecompiledNodes, res.PatchedPrefixes, res.Epoch)
 	c.log.Info("delta applied",
 		obs.FStr("class", res.Class.String()),
 		obs.FStr("mode", res.Mode),
 		obs.FInt("dirty_shards", res.DirtyShards),
 		obs.FInt("total_shards", res.TotalShards),
+		obs.FInt("recompiled_nodes", res.RecompiledNodes),
+		obs.FInt("patched_prefixes", res.PatchedPrefixes),
 		obs.FUint64("epoch", res.Epoch),
 		obs.FDur("took", time.Since(started)))
 	c.recordDeltaMetrics(res)
@@ -166,11 +185,12 @@ func (c *Controller) ApplyDelta(set map[string]string, remove []string) (*DeltaR
 // (wiping resident results), after which Resident() is false and the
 // re-entry falls through to the full path.
 func (c *Controller) applyDeltaBody(newSnap *config.Snapshot, newTexts map[string]string, diff *config.SnapshotDiff, res *DeltaResult) error {
-	res.Mode, res.DirtyShards, res.TotalShards, res.Warnings = "", 0, 0, nil
+	res.Mode, res.DirtyShards, res.TotalShards = "", 0, 0
 	res.DirtyShardIDs = nil
+	res.recordDP(dpSummary{})
 	if diff.Empty() {
 		res.Mode = "noop"
-		if err := c.adopt(newSnap, newTexts); err != nil {
+		if err := c.adopt(newSnap, newTexts, false); err != nil {
 			return err
 		}
 		c.bumpEpoch() // an accepted no-op is still a new verified epoch
@@ -189,11 +209,21 @@ func (c *Controller) applyDeltaBody(newSnap *config.Snapshot, newTexts map[strin
 	return c.deltaShards(newSnap, newTexts, diff, res, class)
 }
 
-// adopt swaps in the new snapshot/texts and rebuilds the derived topology.
-func (c *Controller) adopt(newSnap *config.Snapshot, newTexts map[string]string) error {
-	net, err := topology.Build(newSnap)
-	if err != nil {
-		return err
+// adopt swaps in the new snapshot/texts. The derived topology — adjacencies
+// and BGP sessions — depends only on what the Topo fingerprint covers, so
+// callers ask for a rebuild only when that may have changed; otherwise the
+// current one is re-pointed at the new device models.
+func (c *Controller) adopt(newSnap *config.Snapshot, newTexts map[string]string, rebuildTopology bool) error {
+	var net *topology.Network
+	if rebuildTopology {
+		var err error
+		if net, err = topology.Build(newSnap); err != nil {
+			return err
+		}
+	} else {
+		same := *c.net
+		same.Devices = newSnap.Devices
+		net = &same
 	}
 	c.snap, c.net, c.texts = newSnap, net, newTexts
 	return nil
@@ -202,7 +232,7 @@ func (c *Controller) adopt(newSnap *config.Snapshot, newTexts map[string]string)
 // deltaFull runs the ordinary cold pipeline against the new snapshot:
 // re-partition, re-Setup every worker, control plane, data plane.
 func (c *Controller) deltaFull(newSnap *config.Snapshot, newTexts map[string]string, res *DeltaResult) error {
-	if err := c.adopt(newSnap, newTexts); err != nil {
+	if err := c.adopt(newSnap, newTexts, true); err != nil {
 		return err
 	}
 	if err := c.setup(); err != nil {
@@ -211,11 +241,11 @@ func (c *Controller) deltaFull(newSnap *config.Snapshot, newTexts map[string]str
 	if err := c.runControlPlane(); err != nil {
 		return err
 	}
-	warnings, err := c.computeDataPlane()
+	sum, err := c.computeDataPlane()
 	if err != nil {
 		return err
 	}
-	res.Warnings = warnings
+	res.recordDP(sum)
 	res.TotalShards = len(c.shards)
 	res.DirtyShards = len(c.shards)
 	res.DirtyShardIDs = make([]int, len(c.shards))
@@ -226,10 +256,10 @@ func (c *Controller) deltaFull(newSnap *config.Snapshot, newTexts map[string]str
 }
 
 // deltaDP handles pure data-plane deltas (ACLs, descriptions): update the
-// owners' device models and recompute FIBs/predicates from the resident
-// RIBs. Zero shard rounds re-run.
+// owners' device models; each owner recompiles a node only if its
+// forwarding config differs. Zero shard rounds re-run.
 func (c *Controller) deltaDP(newSnap *config.Snapshot, newTexts map[string]string, diff *config.SnapshotDiff, res *DeltaResult) error {
-	if err := c.adopt(newSnap, newTexts); err != nil {
+	if err := c.adopt(newSnap, newTexts, false); err != nil {
 		return err
 	}
 	if err := c.pushDelta(changedNames(diff), nil); err != nil {
@@ -242,11 +272,11 @@ func (c *Controller) deltaDP(newSnap *config.Snapshot, newTexts map[string]strin
 	}
 	res.TotalShards = len(c.shards)
 	c.dpDone = false
-	warnings, err := c.computeDataPlane()
+	sum, err := c.computeDataPlane()
 	if err != nil {
 		return err
 	}
-	res.Warnings = warnings
+	res.recordDP(sum)
 	return nil
 }
 
@@ -280,7 +310,7 @@ func (c *Controller) deltaShards(newSnap *config.Snapshot, newTexts map[string]s
 		expandComponents(affected, shard.BuildDPDGOpts(newSnap, dpdgOpts).Components())
 	}
 
-	if err := c.adopt(newSnap, newTexts); err != nil {
+	if err := c.adopt(newSnap, newTexts, false); err != nil { // topology-class deltas take deltaFull
 		return err
 	}
 
@@ -365,11 +395,11 @@ func (c *Controller) deltaShards(newSnap *config.Snapshot, newTexts map[string]s
 		return err
 	}
 	c.dpDone = false
-	warnings, err := c.computeDataPlane()
+	sum, err := c.computeDataPlane()
 	if err != nil {
 		return err
 	}
-	res.Warnings = warnings
+	res.recordDP(sum)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -30,11 +31,34 @@ func findLine(t *testing.T, text, prefix string) string {
 	return ""
 }
 
+// predicates serializes every compiled node of the controller's in-process
+// workers (dataplane.NodeDP.Serialize: Local, Drop and each port's
+// Fwd/In/Out). The encoding is canonical, so it is independent of which
+// worker hosts a node and of how its engine's table got to its state.
+func predicates(c *Controller) map[string][]byte {
+	out := map[string][]byte{}
+	for _, w := range c.locals {
+		if w == nil {
+			continue
+		}
+		w.phaseMu.Lock()
+		for name, n := range w.nodesDP {
+			out[name] = n.Serialize(w.engine)
+		}
+		w.phaseMu.Unlock()
+	}
+	return out
+}
+
 // assertColdEquivalent verifies the warm controller's resident state —
-// RIBs, route counts, and all-pair answers — is identical to a cold full
-// verification of the same texts.
+// RIBs, route counts, every node's compiled predicates, and all-pair answers
+// — is identical to a cold full verification of the same texts.
 func assertColdEquivalent(t *testing.T, step string, warm *Controller, texts map[string]string, coldOpts Options) {
 	t.Helper()
+	if coldOpts.SpillDir != "" {
+		coldOpts.SpillDir = t.TempDir() // spill files are named per worker, not per controller
+	}
+	warmPreds := predicates(warm) // before any query: exactly what the delta left behind
 	warmRIBs, err := warm.CollectRIBs()
 	if err != nil {
 		t.Fatalf("%s: warm RIBs: %v", step, err)
@@ -61,6 +85,15 @@ func assertColdEquivalent(t *testing.T, step string, warm *Controller, texts map
 	if err != nil {
 		t.Fatalf("%s: cold all-pairs: %v", step, err)
 	}
+	coldPreds := predicates(cold)
+	if len(warmPreds) != len(coldPreds) || len(coldPreds) != len(texts) {
+		t.Fatalf("%s: %d warm and %d cold compiled nodes for %d devices", step, len(warmPreds), len(coldPreds), len(texts))
+	}
+	for name, want := range coldPreds {
+		if !bytes.Equal(warmPreds[name], want) {
+			t.Fatalf("%s: compiled predicates of %s differ from a cold compile", step, name)
+		}
+	}
 	if len(warmRIBs) != len(coldRIBs) {
 		t.Fatalf("%s: warm has %d RIBs, cold has %d", step, len(warmRIBs), len(coldRIBs))
 	}
@@ -85,14 +118,29 @@ func assertColdEquivalent(t *testing.T, step string, warm *Controller, texts map
 // TestDeltaEquivalence is the serving-mode soundness claim: after any
 // sequence of deltas — semantic no-ops, data-plane-only edits, origination
 // add/remove/revert, policy changes, topology changes, and a device rename
-// — the resident state is identical to a cold full verification of the
-// final configs, at per-worker parallelism 1 and N.
+// — the resident state, down to every node's compiled predicates, is
+// identical to a cold full verification of the final configs: at per-worker
+// parallelism 1 and N, with the BDD collector running at every safe point,
+// and in spill mode (where every data-plane compute is a cold one).
 func TestDeltaEquivalence(t *testing.T) {
-	for _, procs := range []int{1, 4} {
-		procs := procs
-		t.Run(fmt.Sprintf("procs-%d", procs), func(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		procs           int
+		gcStress, spill bool
+	}{
+		{name: "procs-1", procs: 1},
+		{name: "procs-4", procs: 4},
+		{name: "procs-1-gcstress", procs: 1, gcStress: true},
+		{name: "procs-4-gcstress", procs: 4, gcStress: true},
+		{name: "procs-4-spill", procs: 4, spill: true},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
 			snap, texts := fatTreeSnap(t, 4)
-			opts := Options{Workers: 2, Shards: 4, KeepRIBs: true, Seed: 7, Parallelism: procs}
+			opts := Options{Workers: 2, Shards: 4, KeepRIBs: true, Seed: 7, Parallelism: tc.procs, GCStress: tc.gcStress}
+			if tc.spill {
+				opts.SpillDir = t.TempDir()
+			}
 			warm := newS2(t, snap, copyTexts(texts), opts)
 			defer warm.Close()
 			runCP(t, warm)
@@ -120,6 +168,9 @@ func TestDeltaEquivalence(t *testing.T) {
 				if !warm.Resident() {
 					t.Fatalf("%s: state not resident after delta", step)
 				}
+				if tc.spill && res.Mode != "noop" && res.RecompiledNodes != len(cur) {
+					t.Fatalf("%s: spill mode recompiled %d of %d nodes, want all", step, res.RecompiledNodes, len(cur))
+				}
 				assertColdEquivalent(t, step, warm, cur, opts)
 				return res
 			}
@@ -138,12 +189,24 @@ func TestDeltaEquivalence(t *testing.T) {
 				t.Fatalf("dp: dirty shards = %d, want 0", res.DirtyShards)
 			}
 
+			// 2b. A real data-plane edit: an egress ACL on one port recompiles
+			// exactly that node and patches nothing.
+			cur["agg-0-1"] = strings.Replace(cur["agg-0-1"], " description link to", " ip access-group NO_TELNET out\n description link to", 1) +
+				"ip access-list NO_TELNET\n deny tcp any any eq 23\n permit ip any any\n"
+			res = apply("acl", map[string]string{"agg-0-1": cur["agg-0-1"]}, nil, "dp")
+			if !tc.spill && (res.RecompiledNodes != 1 || res.PatchedPrefixes != 0) {
+				t.Fatalf("acl: recompiled %d nodes, patched %d prefixes, want 1 and 0", res.RecompiledNodes, res.PatchedPrefixes)
+			}
+
 			// 3. Withdraw an origination: the retired prefix must be purged
 			// from every worker's resident RIBs.
 			origEdge10 := cur["edge-1-0"]
 			netLine := findLine(t, origEdge10, " network ")
 			cur["edge-1-0"] = strings.Replace(origEdge10, netLine+"\n", "", 1)
-			apply("orig-remove", map[string]string{"edge-1-0": cur["edge-1-0"]}, nil, "shards")
+			res = apply("orig-remove", map[string]string{"edge-1-0": cur["edge-1-0"]}, nil, "shards")
+			if !tc.spill && (res.RecompiledNodes != 0 || res.PatchedPrefixes == 0) {
+				t.Fatalf("orig-remove: recompiled %d nodes, patched %d prefixes, want 0 and > 0", res.RecompiledNodes, res.PatchedPrefixes)
+			}
 
 			// 4. Revert it: only the shard holding the re-announced prefix's
 			// dependency closure re-runs.
@@ -162,13 +225,24 @@ func TestDeltaEquivalence(t *testing.T) {
 				t.Fatalf("policy: dirty=%d total=%d, want all dirty", res.DirtyShards, res.TotalShards)
 			}
 
+			// 5b. A static discard is policy-class for the control plane and a
+			// forwarding-config change for the data plane: that node recompiles.
+			cur["agg-1-0"] = cur["agg-1-0"] + "ip route 10.250.0.0/16 null0\n"
+			res = apply("static", map[string]string{"agg-1-0": cur["agg-1-0"]}, nil, "shards")
+			if !tc.spill && res.RecompiledNodes != 1 {
+				t.Fatalf("static: recompiled %d nodes, want 1", res.RecompiledNodes)
+			}
+
 			// 6. Topology edit (new interface + origination): full pipeline.
 			netLine00 := findLine(t, cur["edge-0-0"], " network ")
 			withIfc := strings.Replace(cur["edge-0-0"],
 				"!\nrouter bgp", "interface vlan90\n ip address 10.202.0.1/24\n!\nrouter bgp", 1)
 			cur["edge-0-0"] = strings.Replace(withIfc,
 				netLine00+"\n", netLine00+"\n network 10.202.0.0/24\n", 1)
-			apply("topo", map[string]string{"edge-0-0": cur["edge-0-0"]}, nil, "full")
+			res = apply("topo", map[string]string{"edge-0-0": cur["edge-0-0"]}, nil, "full")
+			if res.RecompiledNodes != len(cur) || res.PatchedPrefixes != 0 {
+				t.Fatalf("topo: recompiled %d of %d nodes, patched %d prefixes, want all and 0", res.RecompiledNodes, len(cur), res.PatchedPrefixes)
+			}
 
 			// 7. Rename a device: remove + add, full pipeline.
 			renamed := strings.Replace(cur["edge-1-1"], "hostname edge-1-1\n", "hostname edge-9-9\n", 1)
@@ -270,5 +344,98 @@ func TestCloseIdempotentConcurrent(t *testing.T) {
 	}
 	if _, err := c.ApplyDelta(nil, nil); err == nil {
 		t.Error("delta after Close should fail")
+	}
+}
+
+// residentFatTree boots a k=4 fat-tree and converges it once.
+func residentFatTree(t *testing.T, opts Options) (*Controller, map[string]string) {
+	t.Helper()
+	snap, texts := fatTreeSnap(t, 4)
+	c := newS2(t, snap, copyTexts(texts), opts)
+	t.Cleanup(func() { c.Close() })
+	runCP(t, c)
+	if _, err := c.ComputeDataPlane(); err != nil {
+		t.Fatal(err)
+	}
+	return c, texts
+}
+
+// TestDeltaPatchesOnlyWhatChanged pins the size of the incremental
+// data-plane work: withdrawing or restoring one edge's prefix changes
+// exactly one FIB entry on every node — one patched prefix per node, no node
+// recompiled, although restoring re-runs a whole shard — and a description
+// edit changes nothing the data plane compiles.
+func TestDeltaPatchesOnlyWhatChanged(t *testing.T) {
+	c, texts := residentFatTree(t, Options{Workers: 2, Shards: 4, Seed: 7})
+	nodes := len(texts)
+
+	orig := texts["edge-1-0"]
+	withdrawn := strings.Replace(orig, findLine(t, orig, " network ")+"\n", "", 1)
+	for _, step := range []struct{ name, text string }{{"withdraw", withdrawn}, {"restore", orig}} {
+		res, err := c.ApplyDelta(map[string]string{"edge-1-0": step.text}, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if res.Mode != "shards" {
+			t.Fatalf("%s: mode %q, want shards", step.name, res.Mode)
+		}
+		if res.RecompiledNodes != 0 || res.PatchedPrefixes != nodes {
+			t.Fatalf("%s: recompiled %d nodes and patched %d prefixes, want 0 and %d (one per node)",
+				step.name, res.RecompiledNodes, res.PatchedPrefixes, nodes)
+		}
+	}
+
+	described := strings.Replace(orig, "description link to", "description uplink to", 1)
+	res, err := c.ApplyDelta(map[string]string{"edge-1-0": described}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mode != "dp" || res.RecompiledNodes != 0 || res.PatchedPrefixes != 0 {
+		t.Fatalf("description: mode %q recompiled %d nodes and patched %d prefixes, want dp, 0 and 0",
+			res.Mode, res.RecompiledNodes, res.PatchedPrefixes)
+	}
+}
+
+// TestDeltaBDDGaugeTracksEngine is the regression test for the modelled
+// memory leak: the tracker's "bdd" gauge is fed by engine growth deltas, so
+// every engine a recompute dropped used to stay charged forever and a
+// long-lived daemon's peak climbed until it reported a false OOM. After any
+// number of deltas the gauge must be exactly the live engine's footprint —
+// with a resident engine, and in spill mode where each compute replaces it.
+func TestDeltaBDDGaugeTracksEngine(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		spill  bool
+		deltas int
+	}{{"resident", false, 50}, {"spill", true, 12}} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{Workers: 2, Shards: 4, Seed: 7}
+			if tc.spill {
+				opts.SpillDir = t.TempDir()
+			}
+			c, texts := residentFatTree(t, opts)
+			orig := texts["edge-1-0"]
+			variants := []string{
+				strings.Replace(orig, "description link to", "description uplink to", 1),
+				strings.Replace(orig, findLine(t, orig, " network ")+"\n", "", 1),
+				orig,
+			}
+			for i := 0; i < tc.deltas; i++ {
+				if _, err := c.ApplyDelta(map[string]string{"edge-1-0": variants[i%len(variants)]}, nil); err != nil {
+					t.Fatalf("delta %d: %v", i, err)
+				}
+				if i%5 == 0 { // queries grow and collect the engine between deltas
+					if _, err := c.CheckAllPairs(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, w := range c.locals {
+				if got, want := w.tracker.Gauge("bdd"), w.engine.ModelBytes(); got != want {
+					t.Errorf("worker %d: bdd gauge %d, engine holds %d bytes", w.id, got, want)
+				}
+			}
+		})
 	}
 }

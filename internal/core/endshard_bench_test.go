@@ -52,7 +52,7 @@ func BenchmarkEndShardHarvest(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			k := 0
-			rib.Walk(func(p route.Prefix, rs []*route.Route) {
+			rib.Range(func(p route.Prefix, rs []*route.Route) {
 				lites := make([]*route.Route, 0, len(rs))
 				for _, r := range rs {
 					lites = append(lites, liteRoute(r))
@@ -69,7 +69,7 @@ func BenchmarkEndShardHarvest(b *testing.B) {
 			backing := make([]route.Route, total)
 			ptrs := make([]*route.Route, total)
 			off, k := 0, 0
-			rib.Walk(func(p route.Prefix, rs []*route.Route) {
+			rib.Range(func(p route.Prefix, rs []*route.Route) {
 				lites := ptrs[off : off+len(rs) : off+len(rs)]
 				for j, r := range rs {
 					backing[off+j] = route.Route{Prefix: r.Prefix, Protocol: r.Protocol, NextHop: r.NextHop, NextHopNode: r.NextHopNode}
@@ -98,7 +98,7 @@ func BenchmarkEndShardHarvest(b *testing.B) {
 				return s
 			}
 			lites := make([]*route.Route, 0, rib.RouteCount())
-			rib.Walk(func(p route.Prefix, rs []*route.Route) {
+			rib.Range(func(p route.Prefix, rs []*route.Route) {
 				backing := scratch(len(rs))
 				for j, r := range rs {
 					backing[j] = route.Route{Prefix: r.Prefix, Protocol: r.Protocol, NextHop: r.NextHop, NextHopNode: r.NextHopNode}

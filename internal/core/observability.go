@@ -43,6 +43,8 @@ const (
 	MetricDeltaPlans      = "s2_delta_plan_total"
 	MetricDeltaDirty      = "s2_delta_dirty_shards"
 	MetricDeltaTotal      = "s2_delta_total_shards"
+	MetricDPRecompiled    = "s2_dp_nodes_recompiled_total"
+	MetricDPPatched       = "s2_dp_prefixes_patched_total"
 
 	// Query-plane metrics (see queryplane.go).
 	MetricQueryCacheHits     = "s2_query_cache_hits_total"

@@ -91,12 +91,12 @@ func ribsFingerprint(ribs map[string]*route.RIB) string {
 	var b strings.Builder
 	for _, n := range names {
 		fmt.Fprintf(&b, "node %s\n", n)
-		ribs[n].Walk(func(p route.Prefix, rs []*route.Route) {
+		for _, p := range ribs[n].Prefixes() {
 			fmt.Fprintf(&b, "  %s\n", p)
-			for _, r := range rs {
+			for _, r := range ribs[n].Get(p) {
 				fmt.Fprintf(&b, "    %s\n", r)
 			}
-		})
+		}
 	}
 	return b.String()
 }

@@ -128,9 +128,15 @@ type Worker struct {
 	// largest shard's size after the first few harvests).
 	liteScratch []route.Route
 
-	// Data plane.
+	// Data plane. The engine and the compiled nodes stay resident across
+	// ComputeDP calls; dpDirty records, per local node, what changed in the
+	// inputs of its compile since the last one — recorded where the change
+	// happens (EndShard's harvest, ApplyDelta's purge and device swap) — so
+	// the next ComputeDP patches just that. A nil engine means nothing is
+	// compiled yet and everything is dirty.
 	engine   *bdd.Engine
 	nodesDP  map[string]*dataplane.NodeDP
+	dpDirty  map[string]*dirtyNode
 	adjIndex dataplane.AdjacencyIndex
 	query    *dataplane.Query
 	destSet  map[string]bool
@@ -186,6 +192,13 @@ type Worker struct {
 type spillPayload struct {
 	Prefixes []route.Prefix
 	Routes   map[string][]*route.Route
+}
+
+// dirtyNode is one node's pending data-plane work: the prefixes whose
+// resolved routes changed, or the whole node when its forwarding config did.
+type dirtyNode struct {
+	whole    bool
+	prefixes map[route.Prefix]struct{}
 }
 
 type packetSlot struct {
@@ -260,6 +273,7 @@ func (w *Worker) Setup(req sidecar.SetupRequest) error {
 	}
 	w.spills = nil
 	w.engine, w.nodesDP, w.query, w.destSet, w.batchDests = nil, nil, nil, nil, nil
+	w.dpDirty = map[string]*dirtyNode{}
 	w.gcStress, w.gcWipe = req.GCStress, req.GCWipe
 	w.pacer = newGCPacer(req.GCStress, req.MemoryBudget > 0)
 	w.gcPauses = metrics.NewDurationQuantiles(0)
@@ -1081,26 +1095,31 @@ func (w *Worker) EndShard() (sidecar.EndShardReply, error) {
 	reply := sidecar.EndShardReply{}
 	// Drop any previously harvested results for this shard's prefixes: a
 	// merged-shard recompute must replace them wholesale, including
-	// prefixes the recompute decided NOT to install.
-	for _, name := range w.localNames {
+	// prefixes the recompute decided NOT to install. An in-memory run's
+	// FIB-building routes are not dropped but diffed against the new harvest
+	// (harvestFIB below) — the difference is what ComputeDP has to patch.
+	clearShard := func(rib *route.RIB) {
 		for _, p := range w.shardPrefixes {
-			w.fibRIBs[name].Remove(p)
-			if w.keepRIBs {
-				w.finalRIBs[name].Remove(p)
-			}
+			rib.Remove(p)
 		}
 		if w.shardPrefixes == nil {
-			w.fibRIBs[name].Clear()
-			if w.keepRIBs {
-				w.finalRIBs[name].Clear()
-			}
+			rib.Clear()
+		}
+	}
+	for _, name := range w.localNames {
+		if w.spillDir != "" {
+			clearShard(w.fibRIBs[name])
+		}
+		if w.keepRIBs {
+			clearShard(w.finalRIBs[name])
 		}
 	}
 	// Harvest with one backing array of stripped copies per node (plus one
 	// pointer array) instead of a fresh slice per prefix and a fresh Route
 	// per entry — the dominant allocation churn of the shard loop (see
-	// BenchmarkEndShardHarvest). Spill mode reuses w.liteScratch across
-	// shards: the copies are dead once the shard hits disk.
+	// BenchmarkEndShardHarvest; the in-memory side is harvestFIB). Spill mode
+	// reuses w.liteScratch across shards: the copies are dead once the shard
+	// hits disk.
 	shardLite := map[string][]*route.Route{}
 	scratchOff := 0
 	scratch := func(n int) []route.Route {
@@ -1119,6 +1138,9 @@ func (w *Worker) EndShard() (sidecar.EndShardReply, error) {
 	for _, name := range w.localNames {
 		proc, ok := w.bgpProcs[name]
 		if !ok {
+			if w.spillDir == "" {
+				w.harvestFIB(name, nil)
+			}
 			continue
 		}
 		for _, list := range proc.UsedConditions() {
@@ -1129,7 +1151,7 @@ func (w *Worker) EndShard() (sidecar.EndShardReply, error) {
 		reply.Routes += total
 		if w.spillDir != "" {
 			lites := make([]*route.Route, 0, total)
-			rib.Walk(func(p route.Prefix, rs []*route.Route) {
+			rib.Range(func(p route.Prefix, rs []*route.Route) {
 				backing := scratch(len(rs))
 				for i, r := range rs {
 					backing[i] = route.Route{Prefix: r.Prefix, Protocol: r.Protocol, NextHop: r.NextHop, NextHopNode: r.NextHopNode}
@@ -1141,21 +1163,12 @@ func (w *Worker) EndShard() (sidecar.EndShardReply, error) {
 			})
 			shardLite[name] = lites
 		} else {
-			backing := make([]route.Route, total)
-			ptrs := make([]*route.Route, total)
-			off := 0
-			rib.Walk(func(p route.Prefix, rs []*route.Route) {
-				lites := ptrs[off : off+len(rs) : off+len(rs)]
-				for i, r := range rs {
-					backing[off+i] = route.Route{Prefix: r.Prefix, Protocol: r.Protocol, NextHop: r.NextHop, NextHopNode: r.NextHopNode}
-					lites[i] = &backing[off+i]
-				}
-				off += len(rs)
-				w.fibRIBs[name].SetRoutes(p, lites)
-				if w.keepRIBs {
+			w.harvestFIB(name, rib)
+			if w.keepRIBs {
+				rib.Range(func(p route.Prefix, rs []*route.Route) {
 					w.finalRIBs[name].SetRoutes(p, rs)
-				}
-			})
+				})
+			}
 		}
 		// Free the shard's full-attribute state now; the next BeginShard
 		// would do it anyway, but the paper's point is that the peak
@@ -1195,6 +1208,89 @@ func (w *Worker) EndShard() (sidecar.EndShardReply, error) {
 	return reply, w.tracker.CheckBudget()
 }
 
+// harvestFIB replaces node name's FIB-building routes for the current
+// shard's prefixes with attribute-stripped copies of the shard round's
+// Loc-RIB (nil = the node runs no BGP). Only prefixes whose forwarding-
+// relevant content differs from what is resident are rewritten, and exactly
+// those are marked dirty for the next ComputeDP: a re-run shard that
+// converges to the same next hops costs the data plane nothing. The copies
+// share one backing array sized to the changed routes — the whole shard on a
+// cold run, a handful on a delta, so a delta never pins a shard-sized array
+// behind one live route.
+func (w *Worker) harvestFIB(name string, loc *route.RIB) {
+	fib := w.fibRIBs[name]
+	type change struct {
+		p  route.Prefix
+		rs []*route.Route
+	}
+	var changed []change
+	total := 0
+	if loc != nil {
+		loc.Range(func(p route.Prefix, rs []*route.Route) {
+			if !sameNextHops(fib.Get(p), rs) {
+				changed = append(changed, change{p, rs})
+				total += len(rs)
+			}
+		})
+	}
+	backing := make([]route.Route, total)
+	ptrs := make([]*route.Route, total)
+	off := 0
+	for _, c := range changed {
+		lites := ptrs[off : off+len(c.rs) : off+len(c.rs)]
+		for i, r := range c.rs {
+			backing[off+i] = route.Route{Prefix: r.Prefix, Protocol: r.Protocol, NextHop: r.NextHop, NextHopNode: r.NextHopNode}
+			lites[i] = &backing[off+i]
+		}
+		off += len(c.rs)
+		fib.SetRoutes(c.p, lites)
+		w.markDirty(name, c.p)
+	}
+	// Prefixes of this shard the round did not install go away.
+	retire := func(p route.Prefix) {
+		if (loc == nil || len(loc.Get(p)) == 0) && fib.Remove(p) {
+			w.markDirty(name, p)
+		}
+	}
+	if w.shardPrefixes == nil {
+		fib.Range(func(p route.Prefix, _ []*route.Route) { retire(p) })
+	}
+	for _, p := range w.shardPrefixes {
+		retire(p)
+	}
+}
+
+// sameNextHops reports whether two route sets for one prefix resolve to the
+// same FIB entry: pairwise equal protocol and next hop, in RIB order. Sets
+// holding the same routes in a different order compare unequal, which only
+// costs a redundant patch.
+func sameNextHops(a, b []*route.Route) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Protocol != b[i].Protocol || a[i].NextHop != b[i].NextHop || a[i].NextHopNode != b[i].NextHopNode {
+			return false
+		}
+	}
+	return true
+}
+
+// dirty returns node name's pending data-plane work, creating the record.
+func (w *Worker) dirty(name string) *dirtyNode {
+	d := w.dpDirty[name]
+	if d == nil {
+		d = &dirtyNode{prefixes: map[route.Prefix]struct{}{}}
+		w.dpDirty[name] = d
+	}
+	return d
+}
+
+// markDirty records that node name's resolved routes for p changed.
+func (w *Worker) markDirty(name string, p route.Prefix) {
+	w.dirty(name).prefixes[p] = struct{}{}
+}
+
 // ApplyDelta implements sidecar.WorkerAPI: swap changed local device
 // models into resident state after a converged run, without the full reset
 // of Setup. Changed devices get their BGP processes rebuilt (every shard
@@ -1225,8 +1321,15 @@ func (w *Worker) ApplyDelta(req sidecar.DeltaRequest) (sidecar.DeltaReply, error
 			return reply, fmt.Errorf("core: worker %d parsing delta configs: %w", w.id, err)
 		}
 		for name, dev := range snap.Devices {
-			if _, ok := w.devices[name]; !ok {
+			old, ok := w.devices[name]
+			if !ok {
 				return reply, fmt.Errorf("core: worker %d received delta for non-local device %q", w.id, name)
+			}
+			// Most swaps (origination, policy, a description) leave what the
+			// data plane compiles from the model alone; only a change there
+			// recompiles the node rather than patching changed prefixes.
+			if !dataplane.SameForwardingConfig(old, dev) {
+				w.dirty(name).whole = true
 			}
 			w.devices[name] = dev
 			if dev.BGP != nil {
@@ -1240,7 +1343,9 @@ func (w *Worker) ApplyDelta(req sidecar.DeltaRequest) (sidecar.DeltaReply, error
 	if len(req.PurgePrefixes) > 0 {
 		for _, name := range w.localNames {
 			for _, p := range req.PurgePrefixes {
-				w.fibRIBs[name].Remove(p)
+				if w.fibRIBs[name].Remove(p) {
+					w.markDirty(name, p)
+				}
 				if w.keepRIBs {
 					w.finalRIBs[name].Remove(p)
 				}
@@ -1272,8 +1377,15 @@ func (w *Worker) ApplyDelta(req sidecar.DeltaRequest) (sidecar.DeltaReply, error
 	return reply, nil
 }
 
-// ComputeDP implements sidecar.WorkerAPI: build FIBs and per-port
-// predicates for every local node on this worker's private BDD engine.
+// ComputeDP implements sidecar.WorkerAPI: bring every local node's per-port
+// predicates, on this worker's private BDD engine, in line with the current
+// RIBs and device models. The engine and the compiled nodes are resident, so
+// only what dpDirty recorded since the last call is touched: a node whose
+// forwarding config changed is compiled afresh, a node with changed prefixes
+// is patched inside the region they cover (dataplane.NodeDP.Patch), and a
+// clean node is left alone. The first call after Setup, and every call in
+// spill mode (whose replay rebuilds the RIBs wholesale), finds everything
+// dirty: the same code compiles all nodes into a fresh engine.
 func (w *Worker) ComputeDP() (sidecar.ComputeDPReply, error) {
 	w.phaseMu.Lock()
 	defer w.phaseMu.Unlock()
@@ -1320,7 +1432,105 @@ func (w *Worker) ComputeDP() (sidecar.ComputeDPReply, error) {
 		w.tracker.Set("fib.accum", bytes)
 	}
 
+	// A recompute ends whatever query pass came before it: queued packets,
+	// wire tables and delta sessions hold refs to predicates that are about
+	// to change (or, on the cold path, to an engine about to be dropped).
+	w.clearQueryState()
+	cold := w.engine == nil || w.spillDir != ""
+	if cold {
+		w.newEngine()
+		w.nodesDP = map[string]*dataplane.NodeDP{}
+	}
+	// Per-node FIB builds and BDD compiles are independent given the
+	// concurrent engine, so they run on the pool; the reply counters and
+	// error list merge sequentially in name order.
+	type dpRes struct {
+		errs    []string
+		entries int
+		bytes   int64
+		node    *dataplane.NodeDP // set when compiled afresh
+		patched int               // prefixes patched in place
+	}
+	names := w.localNames
+	res := make([]dpRes, len(names))
+	err := runIndexed(w.procs, len(names), func(i int) error {
+		name := names[i]
+		n, d := w.nodesDP[name], w.dpDirty[name]
+		whole := n == nil || (d != nil && d.whole)
+		if !whole && (d == nil || len(d.prefixes) == 0) {
+			return nil
+		}
+		var region *dataplane.Region // nil: the whole destination space
+		if !whole {
+			prefixes := make([]route.Prefix, 0, len(d.prefixes))
+			for p := range d.prefixes {
+				prefixes = append(prefixes, p)
+			}
+			region = dataplane.NewRegion(prefixes)
+			res[i].patched = len(prefixes)
+		}
+		dev := w.devices[name]
+		ribs := []*route.RIB{w.fibRIBs[name]}
+		if op, ok := w.ospfProcs[name]; ok {
+			ribs = append(ribs, op.Routes())
+		}
+		fib, errs := dataplane.BuildFIBIn(dev, region, ribs...)
+		for _, e := range errs {
+			res[i].errs = append(res[i].errs, e.Error())
+		}
+		res[i].entries = len(fib.Entries)
+		res[i].bytes = fib.ModelBytes()
+		if !whole {
+			return n.Patch(w.engine, region, fib)
+		}
+		n, err := dataplane.CompileNode(w.engine, dev, fib)
+		res[i].node = n
+		return err
+	})
+	if err != nil {
+		// dpDirty is kept: a patch reads only current state, so the retry
+		// redoes this call's work over whatever part of it landed.
+		return reply, err
+	}
+	var fibBytes int64
+	for i, name := range names {
+		reply.Errors = append(reply.Errors, res[i].errs...)
+		reply.FIBEntries += res[i].entries
+		reply.PatchedPrefixes += res[i].patched
+		fibBytes += res[i].bytes
+		if res[i].node != nil {
+			w.nodesDP[name] = res[i].node
+			reply.RecompiledNodes++
+		}
+	}
+	w.dpDirty = map[string]*dirtyNode{}
+	if reply.RecompiledNodes == len(names) {
+		// The modelled FIB footprint is taken whenever every node was
+		// compiled from scratch (a cold compute, or its retry after a
+		// failure): a patch moves it by a few entries and no FIB is kept
+		// to re-measure.
+		w.tracker.Set("fib.compiled", fibBytes)
+	}
+	if !cold && w.engine.NodeCount() > w.pacer.postThreshold() {
+		// Replaced predicates are garbage in the resident engine; the
+		// compiled nodes are the only roots left (see clearQueryState).
+		w.gcEngine()
+	}
+	reply.BDDNodes = w.engine.NodeCount()
+	w.vitals.bddNodes.Store(int64(reply.BDDNodes))
+	w.obsBDD(reply.BDDNodes, false)
+	w.flight.Record("phase", "compute-dp: %d nodes recompiled, %d prefixes patched, %d bdd nodes",
+		reply.RecompiledNodes, reply.PatchedPrefixes, reply.BDDNodes)
+	return reply, w.tracker.CheckBudget()
+}
+
+// newEngine replaces the worker's BDD engine with an empty one. The old
+// engine's share of the modelled-memory gauge goes with it: the gauge is fed
+// by growth deltas, so without the reset every replaced engine would stay
+// charged forever and a long-lived daemon would report a false OOM.
+func (w *Worker) newEngine() {
 	w.engine = w.layout.NewEngine(w.maxBDD)
+	w.tracker.Set("bdd", w.engine.ModelBytes())
 	w.engine.SetGrowObserver(func(delta int) {
 		w.tracker.Add("bdd", int64(delta)*bdd.NodeModelBytes)
 	})
@@ -1335,54 +1545,6 @@ func (w *Worker) ComputeDP() (sidecar.ComputeDPReply, error) {
 		w.engine.SetGCParallelism(w.procs)
 		w.engine.SetGCRelocation(true)
 	}
-	// Per-node FIB builds and BDD compiles are independent given the
-	// concurrent engine, so they run on the pool; the reply counters and
-	// error list merge sequentially in name order.
-	w.nodesDP = map[string]*dataplane.NodeDP{}
-	var fibBytes int64
-	type dpRes struct {
-		errs    []string
-		entries int
-		bytes   int64
-		node    *dataplane.NodeDP
-	}
-	names := w.localNames
-	res := make([]dpRes, len(names))
-	err := runIndexed(w.procs, len(names), func(i int) error {
-		name := names[i]
-		dev := w.devices[name]
-		var ribs []*route.RIB
-		ribs = append(ribs, w.fibRIBs[name])
-		if op, ok := w.ospfProcs[name]; ok {
-			ribs = append(ribs, op.Routes())
-		}
-		fib, errs := dataplane.BuildFIB(dev, ribs...)
-		for _, e := range errs {
-			res[i].errs = append(res[i].errs, e.Error())
-		}
-		res[i].entries = len(fib.Entries)
-		res[i].bytes = fib.ModelBytes()
-		n, err := dataplane.CompileNode(w.engine, dev, fib)
-		if err != nil {
-			return err
-		}
-		res[i].node = n
-		return nil
-	})
-	if err != nil {
-		return reply, err
-	}
-	for i, name := range names {
-		reply.Errors = append(reply.Errors, res[i].errs...)
-		reply.FIBEntries += res[i].entries
-		fibBytes += res[i].bytes
-		w.nodesDP[name] = res[i].node
-	}
-	w.tracker.Set("fib.compiled", fibBytes)
-	reply.BDDNodes = w.engine.NodeCount()
-	w.vitals.bddNodes.Store(int64(reply.BDDNodes))
-	w.obsBDD(reply.BDDNodes, false)
-	return reply, w.tracker.CheckBudget()
 }
 
 // BeginQuery implements sidecar.WorkerAPI: arm a query, wiring waypoint
@@ -1464,6 +1626,16 @@ func (w *Worker) resetQueryState() {
 	for name, n := range w.nodesDP {
 		n.MetaBit = w.query.MetaBitFor(name)
 	}
+	w.clearQueryState()
+	// Collect the previous query's garbage before this one starts.
+	w.gcEngine()
+}
+
+// clearQueryState drops everything a query pass holds refs through: the
+// wavefront, recorded outcomes, and both halves of the wire protocol. The
+// compiled nodes are the engine's only roots afterwards. Call with phaseMu
+// held.
+func (w *Worker) clearQueryState() {
 	w.qmu.Lock()
 	w.inbox = nil
 	w.queue = map[packetSlot]bdd.Ref{}
@@ -1476,8 +1648,6 @@ func (w *Worker) resetQueryState() {
 	w.recvTables = map[int]*bdd.WireTable{}
 	w.qmu.Unlock()
 	w.sendSessions = map[int]*bdd.WireSession{}
-	// Collect the previous query's garbage before this one starts.
-	w.gcEngine()
 }
 
 // Inject implements sidecar.WorkerAPI: queue a symbolic packet at a local

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"s2/internal/bdd"
 	"s2/internal/config"
 	"s2/internal/route"
 )
@@ -38,6 +39,89 @@ func (f *FIB) ModelBytes() int64 {
 	return b
 }
 
+// Region is a slice of destination address space: the union of a set of
+// prefixes. It bounds an incremental data-plane recompile to what a change
+// can touch — BuildFIBIn resolves only the FIB entries that intersect it and
+// NodeDP.Patch rewrites the predicates only inside it. A nil *Region is the
+// whole space (a cold compile).
+type Region struct {
+	prefixes []route.Prefix // the defining prefixes, sorted
+	exact    map[route.Prefix]struct{}
+	// covers holds every prefix that contains a defining prefix (itself
+	// included): the FIB entries an LPM walk over the region must still see
+	// as less-specific fallbacks.
+	covers map[route.Prefix]struct{}
+	// lens are the distinct defining prefix lengths, ascending.
+	lens []uint8
+}
+
+// NewRegion returns the region covered by the given prefixes.
+func NewRegion(prefixes []route.Prefix) *Region {
+	r := &Region{
+		exact:  make(map[route.Prefix]struct{}, len(prefixes)),
+		covers: make(map[route.Prefix]struct{}, 4*len(prefixes)),
+	}
+	var haveLen [33]bool
+	for _, p := range prefixes {
+		p = route.MakePrefix(p.Addr, p.Len)
+		if _, dup := r.exact[p]; dup {
+			continue
+		}
+		r.exact[p] = struct{}{}
+		r.prefixes = append(r.prefixes, p)
+		haveLen[p.Len] = true
+		for l := 0; l <= int(p.Len); l++ {
+			r.covers[route.MakePrefix(p.Addr, uint8(l))] = struct{}{}
+		}
+	}
+	sort.Slice(r.prefixes, func(i, j int) bool { return r.prefixes[i].Compare(r.prefixes[j]) < 0 })
+	for l, ok := range haveLen {
+		if ok {
+			r.lens = append(r.lens, uint8(l))
+		}
+	}
+	return r
+}
+
+// Overlaps reports whether q shares any address with the region: q contains
+// a defining prefix, or a defining prefix contains q.
+func (r *Region) Overlaps(q route.Prefix) bool {
+	if r == nil {
+		return true
+	}
+	q = route.MakePrefix(q.Addr, q.Len)
+	if _, ok := r.covers[q]; ok {
+		return true
+	}
+	for _, l := range r.lens {
+		if l >= q.Len {
+			break
+		}
+		if _, ok := r.exact[route.MakePrefix(q.Addr, l)]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// Match returns the region as a predicate over the destination address.
+func (r *Region) Match(e *bdd.Engine) (bdd.Ref, error) {
+	if r == nil {
+		return bdd.True, nil
+	}
+	acc := bdd.False
+	for _, p := range r.prefixes {
+		m, err := PrefixMatch(e, OffDstIP, p)
+		if err != nil {
+			return bdd.False, err
+		}
+		if acc, err = e.Or(acc, m); err != nil {
+			return bdd.False, err
+		}
+	}
+	return acc, nil
+}
+
 // BuildFIB resolves a node's RIBs into a FIB. ribs are the protocol RIBs in
 // any order (e.g. the BGP Loc-RIB and the OSPF RIB); connected and static
 // routes come from the device config. For each prefix the
@@ -46,6 +130,13 @@ func (f *FIB) ModelBytes() int64 {
 // through the device's connected subnets; unresolvable next hops drop the
 // route (and are reported).
 func BuildFIB(dev *config.Device, ribs ...*route.RIB) (*FIB, []error) {
+	return BuildFIBIn(dev, nil, ribs...)
+}
+
+// BuildFIBIn is BuildFIB restricted to the entries that intersect region
+// (nil = all of them): exactly the entries a longest-prefix-match decision
+// for an address inside the region can depend on.
+func BuildFIBIn(dev *config.Device, region *Region, ribs ...*route.RIB) (*FIB, []error) {
 	var errs []error
 	type cand struct {
 		ad    uint8
@@ -76,10 +167,16 @@ func BuildFIB(dev *config.Device, ribs ...*route.RIB) (*FIB, []error) {
 		connected[ifc.Subnet] = append(connected[ifc.Subnet], ifc.Name)
 	}
 	for pfx, ports := range connected {
+		if !region.Overlaps(pfx) {
+			continue
+		}
 		consider(pfx, route.Connected.AdminDistance(), FIBEntry{Local: true, OutPorts: dedupeSorted(ports)})
 	}
 	// Static.
 	for _, sr := range dev.StaticRoutes {
+		if !region.Overlaps(sr.Prefix) {
+			continue
+		}
 		if sr.Drop {
 			consider(sr.Prefix, route.Static.AdminDistance(), FIBEntry{Drop: true})
 			continue
@@ -97,7 +194,10 @@ func BuildFIB(dev *config.Device, ribs ...*route.RIB) (*FIB, []error) {
 		if rib == nil {
 			continue
 		}
-		rib.Walk(func(pfx route.Prefix, rs []*route.Route) {
+		rib.Range(func(pfx route.Prefix, rs []*route.Route) {
+			if !region.Overlaps(pfx) {
+				return
+			}
 			var ports []string
 			ad := uint8(255)
 			for _, r := range rs {
@@ -145,6 +245,8 @@ func BuildFIB(dev *config.Device, ribs ...*route.RIB) (*FIB, []error) {
 		e.OutPorts = dedupeSorted(e.OutPorts)
 		fib.Entries = append(fib.Entries, e)
 	}
+	// The RIBs were ranged in map order; report problems deterministically.
+	sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
 	return fib, errs
 }
 

@@ -40,27 +40,14 @@ func (l Layout) NewEngine(maxNodes int) *bdd.Engine {
 	return bdd.New(l.NumVars(), maxNodes)
 }
 
-// valueBits builds the cube literals for an integer field.
-func valueBits(offset, width int, value uint32, into map[int]bool) {
-	for i := 0; i < width; i++ {
-		into[offset+i] = value>>(width-1-i)&1 == 1
-	}
-}
-
 // PrefixMatch returns the BDD for "field at offset matches prefix".
 func PrefixMatch(e *bdd.Engine, offset int, p route.Prefix) (bdd.Ref, error) {
-	lits := map[int]bool{}
-	for i := 0; i < int(p.Len); i++ {
-		lits[offset+i] = p.Addr>>(31-i)&1 == 1
-	}
-	return e.Cube(lits)
+	return e.PrefixCube(offset, 32, p.Addr, int(p.Len))
 }
 
 // AddrMatch returns the BDD for an exact 32-bit address.
 func AddrMatch(e *bdd.Engine, offset int, addr uint32) (bdd.Ref, error) {
-	lits := map[int]bool{}
-	valueBits(offset, 32, addr, lits)
-	return e.Cube(lits)
+	return e.PrefixCube(offset, 32, addr, 32)
 }
 
 // RangeMatch returns the BDD for "width-bit field in [lo, hi]" using the
@@ -92,11 +79,7 @@ func RangeMatch(e *bdd.Engine, offset, width int, lo, hi uint32) (bdd.Ref, error
 		for s := size; s > 1; s >>= 1 {
 			bits++
 		}
-		lits := map[int]bool{}
-		for i := 0; i < width-bits; i++ {
-			lits[offset+i] = lo>>(width-1-i)&1 == 1
-		}
-		cube, err := e.Cube(lits)
+		cube, err := e.PrefixCube(offset, width, lo, width-bits)
 		if err != nil {
 			return bdd.False, err
 		}
@@ -117,9 +100,7 @@ func ProtoMatch(e *bdd.Engine, proto uint8) (bdd.Ref, error) {
 	if proto == 0 {
 		return bdd.True, nil
 	}
-	lits := map[int]bool{}
-	valueBits(OffProto, 8, uint32(proto), lits)
-	return e.Cube(lits)
+	return e.PrefixCube(OffProto, 8, uint32(proto), 8)
 }
 
 // HeaderSpace is the user-facing H of a query (§4.4): optional constraints

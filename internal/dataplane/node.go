@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 
 	"s2/internal/bdd"
@@ -33,7 +34,10 @@ type NodeDP struct {
 }
 
 // CompileNode builds the node's predicates from its FIB and ACLs. The
-// engine must be sized by the run's shared Layout.
+// engine must be sized by the run's shared Layout. It is Patch over the
+// whole destination space applied to a node that forwards nothing yet, so a
+// cold compile and an incremental one share a single longest-prefix-match
+// walk.
 func CompileNode(e *bdd.Engine, dev *config.Device, fib *FIB) (*NodeDP, error) {
 	n := &NodeDP{
 		Name:    dev.Hostname,
@@ -42,27 +46,14 @@ func CompileNode(e *bdd.Engine, dev *config.Device, fib *FIB) (*NodeDP, error) {
 		Drop:    bdd.False,
 		MetaBit: -1,
 	}
-	port := func(name string) *PortPred {
-		p, ok := n.Ports[name]
-		if !ok {
-			p = &PortPred{Fwd: bdd.False, In: bdd.True, Out: bdd.True}
-			n.Ports[name] = p
-		}
-		return p
-	}
 
 	// ACL predicates from interface configuration.
-	names := make([]string, 0, len(dev.Interfaces))
-	for name := range dev.Interfaces {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range dev.InterfaceNames() {
 		ifc := dev.Interfaces[name]
 		if ifc.Shutdown {
 			continue
 		}
-		p := port(name)
+		p := n.port(name)
 		if ifc.InACL != "" {
 			acl, ok := dev.ACLs[ifc.InACL]
 			if !ok {
@@ -86,6 +77,80 @@ func CompileNode(e *bdd.Engine, dev *config.Device, fib *FIB) (*NodeDP, error) {
 			p.Out = r
 		}
 	}
+	if err := n.Patch(e, nil, fib); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// SameForwardingConfig reports whether two models of one device compile to
+// the same data plane given the same routes: everything BuildFIB and
+// CompileNode read from the model agrees — interface addressing, state and
+// ACL bindings, the ACL definitions, and the static routes. Descriptions,
+// OSPF costs and the control-plane sections are ignored; they reach the data
+// plane only through the RIBs.
+func SameForwardingConfig(a, b *config.Device) bool {
+	if a.Hostname != b.Hostname || len(a.Interfaces) != len(b.Interfaces) {
+		return false
+	}
+	for name, ia := range a.Interfaces {
+		ib, ok := b.Interfaces[name]
+		if !ok {
+			return false
+		}
+		x, y := *ia, *ib
+		x.Description, y.Description = "", ""
+		x.OSPFCost, y.OSPFCost = 0, 0
+		if x != y {
+			return false
+		}
+	}
+	return reflect.DeepEqual(a.ACLs, b.ACLs) && reflect.DeepEqual(a.StaticRoutes, b.StaticRoutes)
+}
+
+// port returns the named port's predicates, creating a port that forwards
+// nothing and filters nothing on first use.
+func (n *NodeDP) port(name string) *PortPred {
+	p, ok := n.Ports[name]
+	if !ok {
+		p = &PortPred{Fwd: bdd.False, In: bdd.True, Out: bdd.True}
+		n.Ports[name] = p
+	}
+	return p
+}
+
+// Patch re-derives the node's forwarding predicates inside region and leaves
+// them untouched outside it. fib must hold every FIB entry that intersects
+// the region (BuildFIBIn with the same region); the ACL predicates are not
+// revisited, so a node whose ACLs or interfaces changed is compiled afresh
+// instead.
+//
+// With R the region's predicate, R is first cleared out of every port's Fwd
+// and out of Local and Drop, then the longest-prefix-match walk runs over
+// fib — most specific entry first, each claiming eff = (match ∖ seen) ∧ R.
+// This is exact: for an address x in R the winning entry is the longest FIB
+// prefix containing x, and every prefix containing x intersects R, so the
+// walk sees all candidates; for x outside R no entry the change touched can
+// contain x (its whole match lies inside R), so the old winner stands.
+// ROBDD canonicity then makes the patched predicates node-for-node equal to
+// a cold CompileNode of the same state. Patch only reads the current RIB
+// state inside R, so re-running it after a failure is safe.
+func (n *NodeDP) Patch(e *bdd.Engine, region *Region, fib *FIB) error {
+	within, err := region.Match(e)
+	if err != nil {
+		return err
+	}
+	for _, p := range n.Ports {
+		if p.Fwd, err = e.Diff(p.Fwd, within); err != nil {
+			return err
+		}
+	}
+	if n.Local, err = e.Diff(n.Local, within); err != nil {
+		return err
+	}
+	if n.Drop, err = e.Diff(n.Drop, within); err != nil {
+		return err
+	}
 
 	// Forwarding predicates with longest-prefix-match semantics: walk
 	// entries from most to least specific, masking already-covered
@@ -101,11 +166,14 @@ func CompileNode(e *bdd.Engine, dev *config.Device, fib *FIB) (*NodeDP, error) {
 	for _, entry := range entries {
 		match, err := PrefixMatch(e, OffDstIP, entry.Prefix)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		eff, err := e.Diff(match, seen)
 		if err != nil {
-			return nil, err
+			return err
+		}
+		if eff, err = e.And(eff, within); err != nil {
+			return err
 		}
 		if eff != bdd.False {
 			switch {
@@ -116,23 +184,23 @@ func CompileNode(e *bdd.Engine, dev *config.Device, fib *FIB) (*NodeDP, error) {
 				if len(entry.OutPorts) > 0 {
 					outPerm := bdd.False
 					for _, out := range entry.OutPorts {
-						outPerm, err = e.Or(outPerm, port(out).Out)
+						outPerm, err = e.Or(outPerm, n.port(out).Out)
 						if err != nil {
-							return nil, err
+							return err
 						}
 					}
 					delivered, err = e.And(eff, outPerm)
 					if err != nil {
-						return nil, err
+						return err
 					}
 					var denied bdd.Ref
 					denied, err = e.Diff(eff, outPerm)
 					if err != nil {
-						return nil, err
+						return err
 					}
 					n.Drop, err = e.Or(n.Drop, denied)
 					if err != nil {
-						return nil, err
+						return err
 					}
 				}
 				n.Local, err = e.Or(n.Local, delivered)
@@ -140,23 +208,23 @@ func CompileNode(e *bdd.Engine, dev *config.Device, fib *FIB) (*NodeDP, error) {
 				n.Drop, err = e.Or(n.Drop, eff)
 			default:
 				for _, out := range entry.OutPorts {
-					p := port(out)
+					p := n.port(out)
 					p.Fwd, err = e.Or(p.Fwd, eff)
 					if err != nil {
-						return nil, err
+						return err
 					}
 				}
 			}
 			if err != nil {
-				return nil, err
+				return err
 			}
 		}
 		seen, err = e.Or(seen, match)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return n, nil
+	return nil
 }
 
 // StepResult is the outcome of one symbolic forwarding step at a node.
@@ -286,6 +354,29 @@ func (n *NodeDP) Forward(e *bdd.Engine, pkt bdd.Ref, inPort string) (*StepResult
 // charged separately via the engine's grow observer.
 func (n *NodeDP) ModelBytes() int64 {
 	return int64(len(n.Ports))*48 + 64
+}
+
+// Serialize renders the node's predicates — Local, Drop, then each port's
+// Fwd/In/Out in port-name order — as one canonical byte string: two nodes
+// that forward identically serialize identically, whichever engine holds
+// them and however its table got there. It is a test and debugging oracle —
+// the equality check between an incrementally patched data plane and a cold
+// compile — and nothing on the verification path calls it.
+func (n *NodeDP) Serialize(e *bdd.Engine) []byte {
+	ports := make([]string, 0, len(n.Ports))
+	for name := range n.Ports {
+		ports = append(ports, name)
+	}
+	sort.Strings(ports)
+	refs := []bdd.Ref{n.Local, n.Drop}
+	var out []byte
+	for _, name := range ports {
+		p := n.Ports[name]
+		refs = append(refs, p.Fwd, p.In, p.Out)
+		out = append(out, name...)
+		out = append(out, 0)
+	}
+	return append(out, e.SerializeSet(refs)...)
 }
 
 // RootRefs returns every BDD ref the node holds, for use as GC roots.

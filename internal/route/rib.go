@@ -100,10 +100,11 @@ func (r *RIB) All() []*Route {
 	return out
 }
 
-// Walk calls fn for each prefix in sorted order with its installed routes.
-func (r *RIB) Walk(fn func(Prefix, []*Route)) {
-	for _, p := range r.Prefixes() {
-		fn(p, r.entries[p])
+// Range calls fn for each prefix with its installed routes, in unspecified
+// order; callers that need a deterministic one iterate Prefixes and Get.
+func (r *RIB) Range(fn func(Prefix, []*Route)) {
+	for p, rs := range r.entries {
+		fn(p, rs)
 	}
 }
 

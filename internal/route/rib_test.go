@@ -86,17 +86,21 @@ func TestRIBEqualDiff(t *testing.T) {
 	}
 }
 
-func TestRIBWalkSortedAndClear(t *testing.T) {
+func TestRIBPrefixesSortedRangeAndClear(t *testing.T) {
 	r := NewRIB()
 	for _, s := range []string{"10.0.2.0/24", "10.0.0.0/24", "10.0.1.0/24"} {
 		r.SetRoutes(MustParsePrefix(s), []*Route{ribRoute(s, "1.1.1.1")})
 	}
-	var seen []Prefix
-	r.Walk(func(p Prefix, rs []*Route) { seen = append(seen, p) })
+	seen := r.Prefixes()
 	for i := 1; i < len(seen); i++ {
 		if seen[i-1].Compare(seen[i]) >= 0 {
-			t.Fatal("Walk must visit prefixes in sorted order")
+			t.Fatal("Prefixes must come in sorted order")
 		}
+	}
+	ranged := map[Prefix]int{}
+	r.Range(func(p Prefix, rs []*Route) { ranged[p] += len(rs) })
+	if len(ranged) != 3 || ranged[seen[0]] != 1 {
+		t.Fatalf("Range visited %v, want each of the 3 prefixes once", ranged)
 	}
 	if len(r.All()) != 3 {
 		t.Fatal("All should return all routes")

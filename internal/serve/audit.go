@@ -37,6 +37,11 @@ type AuditEntry struct {
 	DirtyShards []int `json:"dirty_shards,omitempty"`
 	DirtyCount  int   `json:"dirty_count"`
 	TotalShards int   `json:"total_shards"`
+	// RecompiledNodes counts nodes whose data plane was compiled from
+	// scratch; PatchedPrefixes counts changed (node, prefix) results patched
+	// into resident predicates. Both zero means the data plane was untouched.
+	RecompiledNodes int `json:"recompiled_nodes"`
+	PatchedPrefixes int `json:"patched_prefixes"`
 	// StageSeconds maps pipeline stages to wall seconds spent in them.
 	StageSeconds map[string]float64 `json:"stage_seconds,omitempty"`
 	// Seconds is the end-to-end wall time of the verification request.

@@ -489,6 +489,9 @@ func (s *Server) handleVerify(r *http.Request) (status int, body any) {
 		StageSeconds: report.StageSeconds,
 		Seconds:      took.Seconds(),
 		Outcome:      "ok",
+
+		RecompiledNodes: report.RecompiledNodes,
+		PatchedPrefixes: report.PatchedPrefixes,
 	})
 	if s.reg != nil {
 		s.heapBytes() // fold the post-verify heap into the watermark

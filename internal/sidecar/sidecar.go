@@ -226,11 +226,19 @@ type DeltaReply struct {
 	Devices int
 }
 
-// ComputeDPReply summarizes FIB and predicate compilation.
+// ComputeDPReply summarizes FIB and predicate compilation. The compile is
+// incremental: FIBEntries counts the entries this call (re)resolved and
+// Errors the problems found resolving them, RecompiledNodes the nodes
+// compiled from scratch (all of them on a cold compute) and PatchedPrefixes
+// the changed prefixes patched in place, summed over nodes. The last two
+// postdate the first binaries; gob leaves them zero when an older worker
+// answers and drops them when an older controller asks.
 type ComputeDPReply struct {
-	FIBEntries int
-	BDDNodes   int
-	Errors     []string
+	FIBEntries      int
+	BDDNodes        int
+	Errors          []string
+	RecompiledNodes int
+	PatchedPrefixes int
 }
 
 // QueryRequest configures one property query on the workers.

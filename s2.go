@@ -544,8 +544,16 @@ type DeltaReport struct {
 	StageSeconds map[string]float64
 	// Epoch is the verified-state epoch after the delta.
 	Epoch uint64
-	// Warnings are FIB resolution warnings from the data-plane compute.
+	// Warnings are FIB resolution warnings from the data-plane compute; an
+	// incremental compute reports only the entries it re-resolved.
 	Warnings []string
+	// RecompiledNodes is how many nodes had their forwarding predicates
+	// compiled from scratch (all of them on the full path; otherwise only
+	// nodes whose ACLs, interfaces or static routes changed).
+	// PatchedPrefixes is how many changed (node, prefix) forwarding results
+	// were patched into the resident predicates instead.
+	RecompiledNodes int
+	PatchedPrefixes int
 }
 
 // ApplyDelta applies per-device configuration changes to the resident
@@ -586,6 +594,9 @@ func (v *Verifier) ApplyDelta(set map[string]string, remove []string) (*DeltaRep
 		StageSeconds:  stages,
 		Epoch:         res.Epoch,
 		Warnings:      res.Warnings,
+
+		RecompiledNodes: res.RecompiledNodes,
+		PatchedPrefixes: res.PatchedPrefixes,
 	}, nil
 }
 
