@@ -46,10 +46,7 @@ func main() {
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON file of the run (open in chrome://tracing or ui.perfetto.dev)")
 		obsAddr    = flag.String("obs-addr", "", "serve /metrics, /healthz, /progress, and /debug/pprof on this address")
 		procs      = flag.Int("procs", 0, "per-worker goroutine pool for the simulation phases (0 = all CPUs, 1 = sequential)")
-		noBatch    = flag.Bool("no-batch-pulls", false, "disable batching of cross-worker route pulls (one RPC per node-neighbor pair)")
-		noWire     = flag.Bool("no-wire-dedup", false, "disable the shared-substrate wire codec for cross-worker packets (one serialized BDD per packet)")
 		gcStress   = flag.Bool("gc-stress", false, "collect the BDD engine at every safe point the table grew (CI smoke knob; results are byte-identical)")
-		gcWipe     = flag.Bool("gc-wipe", false, "revert BDD GC to the seed collector (sequential mark, op cache wiped per collection) for A/B benchmarks")
 		showReport = flag.Bool("report", false, "print the per-worker × per-stage attribution table after the run")
 		reportJSON = flag.String("report-json", "", "write the attribution report as JSON to this file (- for stdout)")
 		flightLog  = flag.String("flight-log", "", "write the controller's flight-recorder events to this file at exit")
@@ -93,10 +90,7 @@ func main() {
 		HeartbeatInterval: *heartbeat,
 		Recover:           *recoverOn,
 		Parallelism:       *procs,
-		DisableBatchPulls: *noBatch,
-		DisableWireDedup:  *noWire,
 		GCStress:          *gcStress,
-		GCWipe:            *gcWipe,
 		Logger:            logger,
 	}
 	if *workerAddr != "" {

@@ -1,5 +1,5 @@
 // Command s2bench regenerates the paper's evaluation figures (§5,
-// Figures 4–10) plus Figure 11, this implementation's multi-core/batching
+// Figures 4–10) plus Figure 11, this implementation's multi-core
 // sweep, and prints the measured series as tables.
 //
 // Usage:
@@ -43,14 +43,11 @@ var figures = map[int]struct {
 	8:  {"prefix sharding on/off across FatTree sizes", experiments.Figure8},
 	9:  {"shard-count sweep on one FatTree", experiments.Figure9},
 	10: {"DPV: all-pair vs single-pair, Batfish vs S2", experiments.Figure10},
-	11: {"multi-core: pool-size sweep × batched pulls on/off", experiments.Figure11},
+	11: {"multi-core: per-worker pool-size sweep", experiments.Figure11},
 }
 
 // printGCSummary prints a per-variant BDD GC pause digest for rows whose
 // telemetry carries the collector's percentiles (runs with collections).
-// For fig11 this is the before/after table the GC work is judged on: the
-// `+gcwipe` variant is the seed collector, everything else the relocating
-// parallel one.
 func printGCSummary(rows []experiments.Row) {
 	any := false
 	for _, r := range rows {

@@ -15,7 +15,6 @@
 //	s2serve -configs DIR [-addr :8642] [-workers N] [-shards M]
 //	        [-workers-at host:port,...] [-procs N] [-seed S]
 //	        [-recover] [-heartbeat-interval D] [-v]
-//	        [-no-query-slicing] [-no-query-cache]
 //	        [-log-level info] [-log-json] [-audit-log FILE]
 //	        [-audit-size N] [-trace-store N] [-trace-slowest N]
 package main
@@ -50,8 +49,6 @@ func main() {
 		retries    = flag.Int("retries", 0, "extra attempts for idempotent worker RPCs that fail transiently")
 		heartbeat  = flag.Duration("heartbeat-interval", 0, "worker heartbeat interval (0 = off)")
 		recoverOn  = flag.Bool("recover", false, "on worker death, re-partition onto survivors and re-verify")
-		noSlicing  = flag.Bool("no-query-slicing", false, "involve every worker in each query pass instead of only the reachable slice")
-		noQCache   = flag.Bool("no-query-cache", false, "disable the epoch-keyed query answer cache")
 		verbose    = flag.Bool("v", false, "log the boot verification summary")
 
 		logLevel  = flag.String("log-level", "info", "structured log level: debug|info|warn|error|off")
@@ -88,25 +85,23 @@ func main() {
 		tracer = obs.NewTracer()
 	}
 	opts := s2.Options{
-		Workers:             *workers,
-		PartitionScheme:     *scheme,
-		Shards:              *shards,
-		Seed:                *seed,
-		KeepRIBs:            true, // RIB queries are part of the API surface
-		Parallelism:         *procs,
-		RPCTimeout:          *rpcTimeout,
-		RPCRetries:          *retries,
-		HeartbeatInterval:   *heartbeat,
-		Recover:             *recoverOn,
-		DisableQuerySlicing: *noSlicing,
-		DisableQueryCache:   *noQCache,
-		Metrics:             reg,
-		Tracer:              tracer,
-		Logger:              logger,
-		HistorySamples:      *history,
-		HistoryInterval:     *historyEvery,
-		ProfileCapacity:     *profileCap,
-		ProfileInterval:     *profileEvery,
+		Workers:           *workers,
+		PartitionScheme:   *scheme,
+		Shards:            *shards,
+		Seed:              *seed,
+		KeepRIBs:          true, // RIB queries are part of the API surface
+		Parallelism:       *procs,
+		RPCTimeout:        *rpcTimeout,
+		RPCRetries:        *retries,
+		HeartbeatInterval: *heartbeat,
+		Recover:           *recoverOn,
+		Metrics:           reg,
+		Tracer:            tracer,
+		Logger:            logger,
+		HistorySamples:    *history,
+		HistoryInterval:   *historyEvery,
+		ProfileCapacity:   *profileCap,
+		ProfileInterval:   *profileEvery,
 	}
 	if *slowWorker >= 0 {
 		opts.SlowWorker = *slowWorker
@@ -198,7 +193,7 @@ func main() {
 	// SIGINT/SIGTERM shut down cleanly (Close tears down workers).
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	go func() {
 		<-stop
 		logger.Info("shutting down")
@@ -207,6 +202,20 @@ func main() {
 	if err := httpSrv.Serve(lis); err != nil && err != http.ErrServerClosed {
 		fatal(err)
 	}
+}
+
+// Connection timeouts of the API server. A client that never finishes its
+// request headers, or leaves a keep-alive connection idle, is disconnected
+// instead of holding the connection forever. There is no write timeout: a
+// full re-verification can legitimately take seconds to answer.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the API server around h with the connection timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 func fatal(err error) {

@@ -140,13 +140,12 @@ type Engine struct {
 	// thread-safe. Set it before issuing concurrent operations.
 	onGrow func(delta int)
 
-	// GC configuration and telemetry (see gc.go / gcstats.go). gcProcs and
-	// gcNoRelocate are set once before operations begin; gcStats is
-	// guarded by gcMu because collections and stat readers may interleave.
-	gcProcs      int
-	gcNoRelocate bool
-	gcMu         sync.Mutex
-	gcStats      GCStats
+	// GC configuration and telemetry (see gc.go / gcstats.go). gcProcs is
+	// set once before operations begin; gcStats is guarded by gcMu because
+	// collections and stat readers may interleave.
+	gcProcs int
+	gcMu    sync.Mutex
+	gcStats GCStats
 }
 
 // New creates an engine over numVars Boolean variables with an optional

@@ -109,7 +109,7 @@ func TestConcurrentHammer(t *testing.T) {
 }
 
 // TestConcurrentDeserialize re-encodes serialized packets into one engine
-// from many goroutines, as DeliverPackets/DPRound do.
+// from many goroutines against the concurrent node table.
 func TestConcurrentDeserialize(t *testing.T) {
 	src := New(24, 0)
 	payloads := make([][]byte, 16)

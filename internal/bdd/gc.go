@@ -265,17 +265,7 @@ func (e *Engine) GC(roots []Ref) func(Ref) Ref {
 	sweepDone := time.Now()
 
 	// --- Relocate: translate the op cache through the remap. ---
-	var kept, dropped int
-	if e.gcNoRelocate {
-		for i := range e.cache {
-			if e.cache[i].Load() != nil {
-				dropped++
-			}
-			e.cache[i].Store(nil)
-		}
-	} else {
-		kept, dropped = e.relocateCache(remap)
-	}
+	kept, dropped := e.relocateCache(remap)
 	end := time.Now()
 
 	e.dir.Store(&newDir)

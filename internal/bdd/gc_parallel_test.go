@@ -205,25 +205,6 @@ func TestGCRelocatedCacheCorrect(t *testing.T) {
 	}
 }
 
-// TestGCWipeMode checks SetGCRelocation(false) restores the seed collector's
-// cache behavior: nothing relocated, occupied slots counted as dropped.
-func TestGCWipeMode(t *testing.T) {
-	e := New(24, 0)
-	e.SetGCRelocation(false)
-	r := buildWorkload(t, e, 1)
-	e.GC([]Ref{r})
-	st := e.GCStats()
-	if st.CacheRelocated != 0 {
-		t.Fatalf("wipe mode relocated %d entries", st.CacheRelocated)
-	}
-	if st.CacheDropped == 0 {
-		t.Fatal("wipe mode dropped nothing — cache was certainly populated")
-	}
-	if got, ok := e.cacheGet(opKey{op: opAnd, a: 2, b: 3}); ok {
-		t.Fatalf("cache entry survived wipe mode: %v", got)
-	}
-}
-
 // TestGCStatsPhases sanity-checks the exported telemetry: phases sum to the
 // pause, counters accumulate across runs.
 func TestGCStatsPhases(t *testing.T) {

@@ -46,10 +46,3 @@ func (e *Engine) GCStats() GCStats {
 // capped at an internal limit past which the shared bitset stops scaling.
 // Call it before issuing operations (it is not synchronized against GC).
 func (e *Engine) SetGCParallelism(n int) { e.gcProcs = n }
-
-// SetGCRelocation toggles op-cache relocation across collections. On (the
-// default) surviving entries are translated through the remap; off restores
-// the wipe-everything behavior of the original collector — kept as an A/B
-// baseline for benchmarks, not for production use. Call it before issuing
-// operations.
-func (e *Engine) SetGCRelocation(on bool) { e.gcNoRelocate = !on }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -328,15 +329,22 @@ func TestRPCDeadlinesBoundAllCalls(t *testing.T) {
 		"GatherOSPF": rw.GatherOSPF,
 		"ApplyOSPF":  func() error { _, err := rw.ApplyOSPF(); return err },
 		"EndShard":   func() error { _, err := rw.EndShard(); return err },
-		"PullBGP":    func() error { _, _, _, err := rw.PullBGP("a", "b", 0, false); return err },
-		"PullLSAs":   func() error { _, _, _, err := rw.PullLSAs("a", "b", 0, false); return err },
-		"ComputeDP":  func() error { _, err := rw.ComputeDP(); return err },
-		"BeginQuery": func() error { return rw.BeginQuery(sidecar.QueryRequest{}) },
-		"Inject":     func() error { return rw.Inject(sidecar.InjectRequest{}) },
-		"DPRound":    rw.DPRound,
-		"HasWork":    func() error { _, err := rw.HasWork(); return err },
-		"DeliverPackets": func() error {
-			return rw.DeliverPackets([]sidecar.PacketDelivery{})
+		"PullBGPBatch": func() error {
+			_, err := rw.PullBGPBatch([]sidecar.PullBGPRequest{{Exporter: "a", Puller: "b"}})
+			return err
+		},
+		"PullLSABatch": func() error {
+			_, err := rw.PullLSABatch([]sidecar.PullLSAsRequest{{Exporter: "a", Puller: "b"}})
+			return err
+		},
+		"ComputeDP":       func() error { _, err := rw.ComputeDP(); return err },
+		"BeginQueryBatch": func() error { return rw.BeginQueryBatch(sidecar.QueryBatchRequest{}) },
+		"Inject":          func() error { return rw.Inject(sidecar.InjectRequest{}) },
+		"DPRound":         rw.DPRound,
+		"HasWork":         func() error { _, err := rw.HasWork(); return err },
+		"DeliverBatch": func() error {
+			_, err := rw.DeliverBatch(sidecar.DeliverBatchRequest{})
+			return err
 		},
 		"FinishQuery": func() error { _, err := rw.FinishQuery(); return err },
 		"CollectRIBs": func() error { _, err := rw.CollectRIBs(); return err },
@@ -355,6 +363,50 @@ func TestRPCDeadlinesBoundAllCalls(t *testing.T) {
 		if elapsed > 2*time.Second {
 			t.Errorf("%s took %v; the %v deadline did not bound it", name, elapsed, deadline)
 		}
+	}
+}
+
+// TestSetupRejectsProtocolMismatch sends a real TCP worker a Setup that
+// names another protocol version: the worker refuses it with a fatal error
+// naming both versions, and the retrying caller makes exactly one attempt.
+func TestSetupRejectsProtocolMismatch(t *testing.T) {
+	addrs, servers := startRemoteWorkers(t, 1)
+	var mu sync.Mutex
+	setups := 0
+	servers[0].SetRPCHook(func(method string) func(error) {
+		if method == "Setup" {
+			mu.Lock()
+			setups++
+			mu.Unlock()
+		}
+		return func(error) {}
+	})
+
+	const retries = 2
+	caller := fault.NewCaller(fault.Policy{Timeout: 5 * time.Second, Retries: retries}, nil)
+	rw, err := sidecar.DialWrapped(addrs[0], time.Second, caller.Wrap())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rw.Close()
+
+	sent := sidecar.ProtocolVersion + 1
+	err = rw.Setup(sidecar.SetupRequest{ProtocolVersion: sent, WorkerID: 0})
+	if err == nil {
+		t.Fatal("Setup with a foreign protocol version must fail")
+	}
+	if fault.IsTransient(err) {
+		t.Fatalf("version mismatch classified transient: %v", err)
+	}
+	for _, want := range []string{fmt.Sprintf("version %d", sidecar.ProtocolVersion), fmt.Sprintf("sent %d", sent)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error does not say %q: %v", want, err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if setups != 1 {
+		t.Fatalf("Setup attempts = %d, want 1 (not %d)", setups, retries+1)
 	}
 }
 

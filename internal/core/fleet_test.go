@@ -21,7 +21,7 @@ import (
 // probe-class pulls (they measure the straggler).
 var slowPhaseMethods = []string{
 	"BeginShard", "GatherBGP", "ApplyBGP", "GatherOSPF", "ApplyOSPF",
-	"EndShard", "ComputeDP", "BeginQuery", "BeginQueryBatch", "DPRound",
+	"EndShard", "ComputeDP", "BeginQueryBatch", "DPRound",
 	"FinishQuery",
 }
 

@@ -46,18 +46,6 @@ func (c *Controller) skewFor(client *sidecar.RemoteWorker) *obs.SkewEstimator {
 	return e
 }
 
-func (c *Controller) lacksPullSpans(client *sidecar.RemoteWorker) bool {
-	c.skewMu.Lock()
-	defer c.skewMu.Unlock()
-	return c.noPullSpans[client]
-}
-
-func (c *Controller) markNoPullSpans(client *sidecar.RemoteWorker) {
-	c.skewMu.Lock()
-	c.noPullSpans[client] = true
-	c.skewMu.Unlock()
-}
-
 // HarvestSpans drains every remote worker's span export ring into the
 // controller's tracer now. Safe to call at any time (the exporter ring and
 // the worker-side PullSpans handler are lock-cheap and phase-independent);
@@ -83,19 +71,12 @@ func (c *Controller) harvestAll() {
 // estimator from every round trip and ingesting with the best offset so
 // far. Errors are swallowed: harvesting is telemetry, never a run failure.
 func (c *Controller) harvestWorker(w sidecar.WorkerAPI, client *sidecar.RemoteWorker) {
-	if c.lacksPullSpans(client) {
-		return
-	}
 	est := c.skewFor(client)
 	for {
 		sent := time.Now()
 		reply, err := w.PullSpans(sidecar.PullSpansRequest{Max: harvestBatch})
 		received := time.Now()
 		if err != nil {
-			if isNoBatchErr(err) {
-				// Older worker binary: remember and stop asking.
-				c.markNoPullSpans(client)
-			}
 			return
 		}
 		est.Observe(sent, received, reply.NowUnixMicro)

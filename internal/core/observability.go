@@ -515,18 +515,14 @@ func (w *Worker) obsGC(st bdd.GCStats) {
 }
 
 // obsWireBytes counts data-plane packet payload bytes shipped across
-// worker boundaries (forwarding fan-out and outcome harvest). mode is
-// "wire" for shared-substrate DeliverBatch messages and "packet" for
-// independently serialized per-packet payloads (legacy peers or
-// -no-wire-dedup), so the dedup ratio is observable per run.
-func (w *Worker) obsWireBytes(mode string, n int) {
+// worker boundaries (forwarding fan-out and outcome harvest).
+func (w *Worker) obsWireBytes(n int) {
 	if w.obs == nil || w.obs.reg == nil || n == 0 {
 		return
 	}
 	w.obs.reg.Counter(MetricWireBytes,
-		"Cross-worker data-plane payload bytes by encoding mode.",
-		"worker", "mode").
-		Add(float64(n), fmt.Sprint(w.id), mode)
+		"Cross-worker data-plane payload bytes.", "worker").
+		Add(float64(n), fmt.Sprint(w.id))
 }
 
 // obsWireDeduped counts node references resolved from already-transmitted

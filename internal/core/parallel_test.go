@@ -133,22 +133,20 @@ func checkFingerprint(c *Controller, res *AllPairsResult) string {
 }
 
 // TestParallelRunIsByteIdentical is the determinism contract for the
-// multi-core hot path: a run with per-worker goroutine pools and batched
-// cross-worker pulls must produce byte-identical RIBs and verification
-// outcomes to the sequential, per-pull configuration it replaced. FIB
+// multi-core hot path: a run with per-worker goroutine pools must produce
+// byte-identical RIBs and verification outcomes to the sequential one. FIB
 // equality is observed through the all-pairs symbolic traversal: every
 // forwarding entry participates in the outcome sets the fingerprints
 // cover.
 func TestParallelRunIsByteIdentical(t *testing.T) {
-	run := func(procs int, noBatch bool, shards int) (string, string) {
+	run := func(procs int, shards int) (string, string) {
 		snap, texts := fatTreeSnap(t, 4)
 		c := newS2(t, snap, texts, Options{
-			Workers:           3,
-			Shards:            shards,
-			Seed:              1,
-			KeepRIBs:          true,
-			Parallelism:       procs,
-			DisableBatchPulls: noBatch,
+			Workers:     3,
+			Shards:      shards,
+			Seed:        1,
+			KeepRIBs:    true,
+			Parallelism: procs,
 		})
 		defer c.Close()
 		res := runFull(t, c)
@@ -160,13 +158,13 @@ func TestParallelRunIsByteIdentical(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2} {
-		seqRIBs, seqCheck := run(1, true, shards)
+		seqRIBs, seqCheck := run(1, shards)
 		if !strings.Contains(seqRIBs, "node edge-0-0") || !strings.Contains(seqRIBs, "/") {
 			t.Fatalf("shards=%d: sequential fingerprint looks empty:\n%.200s", shards, seqRIBs)
 		}
-		parRIBs, parCheck := run(8, false, shards)
+		parRIBs, parCheck := run(8, shards)
 		if seqRIBs != parRIBs {
-			t.Errorf("shards=%d: RIBs differ between procs=1 (batch off) and procs=8 (batch on)", shards)
+			t.Errorf("shards=%d: RIBs differ between procs=1 and procs=8", shards)
 		}
 		if seqCheck != parCheck {
 			t.Errorf("shards=%d: verification outcomes differ:\nseq:\n%s\npar:\n%s", shards, seqCheck, parCheck)
@@ -176,12 +174,11 @@ func TestParallelRunIsByteIdentical(t *testing.T) {
 
 // TestGCStressRunIsByteIdentical extends the determinism contract to the
 // collector: results must be byte-identical whether GCs are rare (adaptive
-// pacing), constant (stress mode forces a collection at nearly every
-// trigger site), relocating in parallel, or wiping sequentially like the
-// seed collector. GC placement and cache policy may change *when* nodes are
-// rebuilt, never *what* the verification computes.
+// pacing) or constant (stress mode forces a collection at nearly every
+// trigger site), with a sequential or a parallel mark. GC placement may
+// change *when* nodes are rebuilt, never *what* the verification computes.
 func TestGCStressRunIsByteIdentical(t *testing.T) {
-	run := func(procs int, stress, wipe bool) (string, string) {
+	run := func(procs int, stress bool) (string, string) {
 		snap, texts := fatTreeSnap(t, 4)
 		c := newS2(t, snap, texts, Options{
 			Workers:     3,
@@ -190,7 +187,6 @@ func TestGCStressRunIsByteIdentical(t *testing.T) {
 			KeepRIBs:    true,
 			Parallelism: procs,
 			GCStress:    stress,
-			GCWipe:      wipe,
 		})
 		defer c.Close()
 		res := runFull(t, c)
@@ -201,7 +197,7 @@ func TestGCStressRunIsByteIdentical(t *testing.T) {
 		return ribsFingerprint(ribs), checkFingerprint(c, res)
 	}
 
-	baseRIBs, baseCheck := run(1, false, false)
+	baseRIBs, baseCheck := run(1, false)
 	if !strings.Contains(baseRIBs, "node edge-0-0") {
 		t.Fatalf("baseline fingerprint looks empty:\n%.200s", baseRIBs)
 	}
@@ -209,14 +205,11 @@ func TestGCStressRunIsByteIdentical(t *testing.T) {
 		name   string
 		procs  int
 		stress bool
-		wipe   bool
 	}{
-		{"stress procs=1", 1, true, false},
-		{"stress procs=8", 8, true, false},
-		{"stress+wipe procs=8", 8, true, true},
-		{"wipe procs=1", 1, false, true},
+		{"stress procs=1", 1, true},
+		{"stress procs=8", 8, true},
 	} {
-		ribs, check := run(cfg.procs, cfg.stress, cfg.wipe)
+		ribs, check := run(cfg.procs, cfg.stress)
 		if ribs != baseRIBs {
 			t.Errorf("%s: RIBs differ from the default-collector baseline", cfg.name)
 		}

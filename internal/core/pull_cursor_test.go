@@ -6,7 +6,9 @@ import (
 	"sync"
 	"testing"
 
+	"s2/internal/bgp"
 	"s2/internal/config"
+	"s2/internal/ospf"
 	"s2/internal/sidecar"
 )
 
@@ -48,6 +50,25 @@ func convergeCP(t *testing.T, c *Controller, gather func(*Worker) error, apply f
 	}
 }
 
+// pullBGP issues one pull as a batch of one, the unit every other batch
+// is checked against.
+func pullBGP(w *Worker, exporter, puller string, since uint64, seen bool) ([]bgp.Advertisement, uint64, bool, error) {
+	replies, err := w.PullBGPBatch([]sidecar.PullBGPRequest{{Exporter: exporter, Puller: puller, Since: since, Seen: seen}})
+	if err != nil {
+		return nil, 0, false, err
+	}
+	return replies[0].Advs, replies[0].Version, replies[0].Fresh, nil
+}
+
+// pullLSAs is the OSPF analogue of pullBGP.
+func pullLSAs(w *Worker, exporter, puller string, since uint64, seen bool) ([]*ospf.LSA, uint64, bool, error) {
+	replies, err := w.PullLSABatch([]sidecar.PullLSAsRequest{{Exporter: exporter, Puller: puller, Since: since, Seen: seen}})
+	if err != nil {
+		return nil, 0, false, err
+	}
+	return replies[0].LSAs, replies[0].Version, replies[0].Fresh, nil
+}
+
 // pullCursorWorker converges a 2-worker FatTree BGP control plane and
 // returns a local worker plus one (exporter, puller) pair that exports
 // at least one advertisement: the cursor tests need a real BGP session,
@@ -66,7 +87,7 @@ func pullCursorWorker(t *testing.T) (*Worker, string, string) {
 		}
 		for exporter := range w.bgpProcs {
 			for _, dest := range w.adjIndex[exporter] {
-				advs, _, fresh, err := w.PullBGP(exporter, dest.Node, 0, false)
+				advs, _, fresh, err := pullBGP(w, exporter, dest.Node, 0, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -81,12 +102,12 @@ func pullCursorWorker(t *testing.T) (*Worker, string, string) {
 }
 
 // TestPullBGPCursorSemantics pins the since/seen delta-pull contract the
-// batched and per-pull paths both rely on: a pull at the current version
+// gather phase relies on: a pull at the current version
 // with seen=true is a cheap no-op, any stale or unseen cursor re-exports.
 func TestPullBGPCursorSemantics(t *testing.T) {
 	w, exporter, puller := pullCursorWorker(t)
 
-	advs, ver, fresh, err := w.PullBGP(exporter, puller, 0, false)
+	advs, ver, fresh, err := pullBGP(w, exporter, puller, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +116,7 @@ func TestPullBGPCursorSemantics(t *testing.T) {
 	}
 
 	// Up-to-date cursor: nothing changed, so no payload and no freshness.
-	got, ver2, fresh2, err := w.PullBGP(exporter, puller, ver, true)
+	got, ver2, fresh2, err := pullBGP(w, exporter, puller, ver, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +126,7 @@ func TestPullBGPCursorSemantics(t *testing.T) {
 
 	// seen=false means the puller lost its state (shard reset, worker
 	// recovery): the exporter must re-send even at the current version.
-	got, _, fresh3, err := w.PullBGP(exporter, puller, ver, false)
+	got, _, fresh3, err := pullBGP(w, exporter, puller, ver, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +135,7 @@ func TestPullBGPCursorSemantics(t *testing.T) {
 	}
 
 	// A stale cursor (older version) re-exports too.
-	got, _, fresh4, err := w.PullBGP(exporter, puller, ver-1, true)
+	got, _, fresh4, err := pullBGP(w, exporter, puller, ver-1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,17 +143,17 @@ func TestPullBGPCursorSemantics(t *testing.T) {
 		t.Fatalf("stale-cursor pull: fresh=%v advs=%d, want full re-export of %d", fresh4, len(got), len(advs))
 	}
 
-	if _, _, _, err := w.PullBGP("no-such-node", puller, 0, false); err == nil {
+	if _, _, _, err := pullBGP(w, "no-such-node", puller, 0, false); err == nil {
 		t.Fatal("pull from a non-hosted exporter must error")
 	}
 }
 
 // TestPullBGPBatchMatchesSingles pins the batch RPC's contract: each
-// entry is served exactly like the equivalent individual PullBGP, in
-// request order, including the cursor semantics.
+// entry is served exactly like the equivalent batch of one, in request
+// order, including the cursor semantics.
 func TestPullBGPBatchMatchesSingles(t *testing.T) {
 	w, exporter, puller := pullCursorWorker(t)
-	advs, ver, _, err := w.PullBGP(exporter, puller, 0, false)
+	advs, ver, _, err := pullBGP(w, exporter, puller, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,12 +212,13 @@ func TestPullBGPConcurrentPullers(t *testing.T) {
 			seen := false
 			freshCount := 0
 			for i := 0; i < iters; i++ {
-				// Mix single and batch pulls on the same cursor.
+				// Mix batches of one and of two on the same cursor.
 				var advs int
 				var nv uint64
 				var fresh bool
 				if i%3 == 2 {
 					replies, err := w.PullBGPBatch([]sidecar.PullBGPRequest{
+						{Exporter: exporter, Puller: puller, Since: ver, Seen: seen},
 						{Exporter: exporter, Puller: puller, Since: ver, Seen: seen},
 					})
 					if err != nil {
@@ -205,7 +227,7 @@ func TestPullBGPConcurrentPullers(t *testing.T) {
 					}
 					advs, nv, fresh = len(replies[0].Advs), replies[0].Version, replies[0].Fresh
 				} else {
-					a, v, f, err := w.PullBGP(exporter, puller, ver, seen)
+					a, v, f, err := pullBGP(w, exporter, puller, ver, seen)
 					if err != nil {
 						errs <- err
 						return
@@ -276,7 +298,7 @@ router ospf 1
 
 // TestPullLSACursorSemantics is the OSPF analogue: LSAsTo floods the full
 // LSDB on a stale or unseen cursor and no-ops on an up-to-date one, for
-// single pulls and batches alike, under concurrent pullers.
+// batches of one and of several alike, under concurrent pullers.
 func TestPullLSACursorSemantics(t *testing.T) {
 	texts := ospfLineTexts()
 	snap, err := config.ParseTexts(withCfgSuffix(texts))
@@ -299,7 +321,7 @@ func TestPullLSACursorSemantics(t *testing.T) {
 		t.Fatal("no local worker hosts r2")
 	}
 
-	lsas, ver, fresh, err := w.PullLSAs("r2", "r1", 0, false)
+	lsas, ver, fresh, err := pullLSAs(w, "r2", "r1", 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,14 +329,14 @@ func TestPullLSACursorSemantics(t *testing.T) {
 	if !fresh || len(lsas) != 3 || ver == 0 {
 		t.Fatalf("initial LSA pull: fresh=%v lsas=%d ver=%d, want full 3-LSA flood", fresh, len(lsas), ver)
 	}
-	got, ver2, fresh2, err := w.PullLSAs("r2", "r1", ver, true)
+	got, ver2, fresh2, err := pullLSAs(w, "r2", "r1", ver, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fresh2 || got != nil || ver2 != ver {
 		t.Fatalf("up-to-date LSA pull: fresh=%v lsas=%d, want stale no-op", fresh2, len(got))
 	}
-	if _, _, _, err := w.PullLSAs("no-such-node", "r1", 0, false); err == nil {
+	if _, _, _, err := pullLSAs(w, "no-such-node", "r1", 0, false); err == nil {
 		t.Fatal("LSA pull from a non-hosted exporter must error")
 	}
 
@@ -342,7 +364,7 @@ func TestPullLSACursorSemantics(t *testing.T) {
 			var ver uint64
 			seen := false
 			for i := 0; i < 100; i++ {
-				lsas, nv, fresh, err := w.PullLSAs("r2", "r1", ver, seen)
+				lsas, nv, fresh, err := pullLSAs(w, "r2", "r1", ver, seen)
 				if err != nil {
 					errs <- err
 					return

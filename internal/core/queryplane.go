@@ -22,10 +22,6 @@ import (
 	"s2/internal/dataplane"
 )
 
-// errLegacyNoBatch reports a fleet with workers that predate the
-// BeginQueryBatch RPC; the scheduler falls back to sequential passes.
-var errLegacyNoBatch = errors.New("core: fleet has workers without multi-query support")
-
 // maxQueryBatch bounds the queries folded into one symbolic pass, keeping
 // the per-worker wavefront (one slot per tagged source) from ballooning
 // under pathological bursts. Overflow simply becomes another pass.
@@ -189,8 +185,7 @@ func (c *Controller) runQueryGroup(jobs []*queryJob) {
 }
 
 // runQueryChunk runs one pass for up to maxQueryBatch representatives,
-// stores the answers in the epoch cache, and wakes the waiters. A fleet
-// rejecting the batch RPC degrades to one sequential pass per query.
+// stores the answers in the epoch cache, and wakes the waiters.
 func (c *Controller) runQueryChunk(jobs []*queryJob) {
 	// A prior window may have cached an identical query meanwhile.
 	live := jobs[:0:0]
@@ -211,15 +206,6 @@ func (c *Controller) runQueryChunk(jobs []*queryJob) {
 		qs[i] = j.q
 	}
 	cols, err := c.RunQueryBatch(qs, live[0].constrainSrc)
-	if errors.Is(err, errLegacyNoBatch) {
-		cols = make([]*dataplane.Collector, len(live))
-		err = nil
-		for i, j := range live {
-			if cols[i], err = c.RunQuery(j.q, j.constrainSrc); err != nil {
-				break
-			}
-		}
-	}
 	for i, j := range live {
 		if err != nil {
 			j.err = err
@@ -235,9 +221,6 @@ func (c *Controller) runQueryChunk(jobs []*queryJob) {
 // (first lookup after an epoch advance) is dropped on sight, so a hit can
 // never serve a pre-delta answer.
 func (c *Controller) cachedQuery(fp uint64) (*dataplane.Collector, uint64, bool) {
-	if c.opts.DisableQueryCache {
-		return nil, 0, false
-	}
 	epoch := c.Epoch()
 	c.qcMu.Lock()
 	defer c.qcMu.Unlock()
@@ -261,7 +244,7 @@ func (c *Controller) cachedQuery(fp uint64) (*dataplane.Collector, uint64, bool)
 // against; if the cache has moved to a newer epoch the answer is stale and
 // silently dropped.
 func (c *Controller) storeCachedQuery(fp uint64, epoch uint64, col *dataplane.Collector) {
-	if c.opts.DisableQueryCache || col == nil {
+	if col == nil {
 		return
 	}
 	c.qcMu.Lock()

@@ -1,30 +1,30 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"s2/internal/baseline"
 	"s2/internal/bdd"
 	"s2/internal/dataplane"
 	"s2/internal/obs"
-	"s2/internal/sidecar"
 )
 
 // queryColFingerprint renders one collector canonically: per-state packet
-// sets plus every device's arrival set, all through the engine's canonical
-// serialization (byte-identical for equal sets regardless of internal ref
-// numbering).
+// sets plus the arrival set of every device of c's network, all through the
+// collector engine's canonical serialization (byte-identical for equal sets
+// regardless of internal ref numbering, and across engines of one layout).
 func queryColFingerprint(c *Controller, col *dataplane.Collector) string {
+	e := col.Engine()
 	var b strings.Builder
 	for _, st := range []dataplane.FinalState{dataplane.Arrive, dataplane.Exit, dataplane.Blackhole, dataplane.Loop} {
-		fmt.Fprintf(&b, "state %d %x\n", st, c.engine.Serialize(col.StateSet(st)))
+		fmt.Fprintf(&b, "state %d %x\n", st, e.Serialize(col.StateSet(st)))
 	}
 	for _, dev := range c.snap.DeviceNames() {
 		if r := col.Arrived(dev); r != bdd.False {
-			fmt.Fprintf(&b, "arrived %s %x\n", dev, c.engine.Serialize(r))
+			fmt.Fprintf(&b, "arrived %s %x\n", dev, e.Serialize(r))
 		}
 	}
 	return b.String()
@@ -129,60 +129,79 @@ func TestBatchedQueriesByteIdenticalToSequential(t *testing.T) {
 			if hits := snap2[MetricQueryCacheHits]; hits < float64(len(qs)) {
 				t.Errorf("cache hits %v, want >= %d", hits, len(qs))
 			}
+
+			// Next epoch over the same state: a fresh pass must reproduce
+			// every cached answer.
+			c.bumpEpoch()
+			cols3, _, err := c.SubmitQueryBatch(qs, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range qs {
+				if cols3[i] == cols[i] {
+					t.Errorf("query %d: next epoch served the previous epoch's collector", i)
+				}
+				if got := queryColFingerprint(c, cols3[i]); got != queryColFingerprint(c, cols[i]) {
+					t.Errorf("query %d: fresh pass differs from the cached answer", i)
+				}
+			}
 		})
 	}
 }
 
-// TestQuerySlicingMatchesUnsliced runs narrow-source queries with
-// intent-based slicing on and off and demands byte-identical answers:
+// TestQuerySlicingMatchesUnsliced runs narrow-source queries through S2's
+// sliced passes and through the centralized baseline.Batfish, whose single
+// traversal involves every node, and demands byte-identical answers:
 // pruned workers must be provably irrelevant, never load-bearing. It also
 // checks that slicing actually prunes for a hop-bounded single-source
 // query on a multi-worker fat-tree.
 func TestQuerySlicingMatchesUnsliced(t *testing.T) {
-	run := func(disable bool) []string {
-		snap, texts := fatTreeSnap(t, 4)
-		c := newS2(t, snap, texts, Options{
-			Workers: 4, Shards: 2, Seed: 1, DisableQuerySlicing: disable,
-		})
-		defer c.Close()
-		runCP(t, c)
-		if _, err := c.ComputeDataPlane(); err != nil {
-			t.Fatal(err)
-		}
-		owners := c.PrefixOwners()
-		qs := []*dataplane.Query{
-			{Header: &dataplane.HeaderSpace{}, Sources: owners[:1], MaxHops: 1},
-			{Header: &dataplane.HeaderSpace{}, Sources: owners[:1], MaxHops: 2},
-			{Header: &dataplane.HeaderSpace{}, Sources: owners[1:2], Dests: owners[2:3], MaxHops: 4},
-		}
-		var fps []string
-		for i, q := range qs {
-			col, err := c.RunQuery(q, false)
-			if err != nil {
-				t.Fatalf("query %d (slicing disabled=%v): %v", i, disable, err)
-			}
-			fps = append(fps, queryColFingerprint(c, col))
-		}
-		if !disable {
-			// Hop budget 1 from one edge node cannot cross the whole
-			// fat-tree: the slice must be a strict subset.
-			ids, err := c.sliceWorkers([][]string{owners[:1]}, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ids == nil || len(ids) >= 4 {
-				t.Errorf("sliceWorkers pruned nothing for a 1-hop query: %v", ids)
-			}
-		}
-		return fps
+	snap, texts := fatTreeSnap(t, 4)
+	c := newS2(t, snap, texts, Options{Workers: 4, Shards: 2, Seed: 1})
+	defer c.Close()
+	runCP(t, c)
+	if _, err := c.ComputeDataPlane(); err != nil {
+		t.Fatal(err)
+	}
+	bfSnap, _ := fatTreeSnap(t, 4)
+	bf, err := baseline.NewBatfish(bfSnap, baseline.BatfishOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bf.RunControlPlane(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bf.ComputeDataPlane(); err != nil {
+		t.Fatal(err)
 	}
 
-	sliced := run(false)
-	unsliced := run(true)
-	for i := range sliced {
-		if sliced[i] != unsliced[i] {
-			t.Errorf("query %d: sliced answer differs from unsliced:\nsliced:\n%s\nunsliced:\n%s",
-				i, sliced[i], unsliced[i])
+	owners := c.PrefixOwners()
+	// Hop budget 1 from one edge node cannot cross the whole fat-tree: the
+	// slice must be a strict subset.
+	ids, err := c.sliceWorkers([][]string{owners[:1]}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids == nil || len(ids) >= 4 {
+		t.Errorf("sliceWorkers pruned nothing for a 1-hop query: %v", ids)
+	}
+
+	qs := []*dataplane.Query{
+		{Header: &dataplane.HeaderSpace{}, Sources: owners[:1], MaxHops: 1},
+		{Header: &dataplane.HeaderSpace{}, Sources: owners[:1], MaxHops: 2},
+		{Header: &dataplane.HeaderSpace{}, Sources: owners[1:2], Dests: owners[2:3], MaxHops: 4},
+	}
+	for i, q := range qs {
+		col, err := c.RunQuery(q, false)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		ref, err := bf.RunQuery(q, false)
+		if err != nil {
+			t.Fatalf("query %d on batfish: %v", i, err)
+		}
+		if got, want := queryColFingerprint(c, col), queryColFingerprint(c, ref); got != want {
+			t.Errorf("query %d: sliced answer differs from batfish:\nsliced:\n%s\nbatfish:\n%s", i, got, want)
 		}
 	}
 }
@@ -230,69 +249,6 @@ func TestQueryCacheEpochInvalidation(t *testing.T) {
 	}
 	if a, b := queryColFingerprint(c, col1), queryColFingerprint(c, col3); a != b {
 		t.Fatalf("unchanged state produced a different answer after epoch advance:\n%s\nvs\n%s", a, b)
-	}
-}
-
-// noBatchWorker simulates a legacy fleet member that predates the
-// multi-query RPC: BeginQueryBatch answers like net/rpc's unknown-method
-// rejection, everything else passes through.
-type noBatchWorker struct {
-	sidecar.WorkerAPI
-}
-
-func (w *noBatchWorker) BeginQueryBatch(sidecar.QueryBatchRequest) error {
-	return errors.New("rpc: can't find method Sidecar.BeginQueryBatch")
-}
-
-// TestLegacyFleetFallsBackToSequential: against workers without the batch
-// RPC, a multi-query submission must degrade to one pass per query with
-// identical answers — and a direct RunQueryBatch must surface the typed
-// sentinel the scheduler keys the fallback on.
-func TestLegacyFleetFallsBackToSequential(t *testing.T) {
-	reg := obs.NewRegistry()
-	snap, texts := fatTreeSnap(t, 4)
-	c := newS2(t, snap, texts, Options{
-		Workers: 2, Shards: 2, Seed: 1, Metrics: reg,
-		WrapWorker: func(_ int, w sidecar.WorkerAPI) sidecar.WorkerAPI {
-			return &noBatchWorker{WorkerAPI: w}
-		},
-	})
-	defer c.Close()
-	runCP(t, c)
-	if _, err := c.ComputeDataPlane(); err != nil {
-		t.Fatal(err)
-	}
-	owners := c.PrefixOwners()
-	qs := []*dataplane.Query{
-		{Header: &dataplane.HeaderSpace{}, Dests: owners[:1]},
-		{Header: &dataplane.HeaderSpace{}, Dests: owners[1:2]},
-		{Header: &dataplane.HeaderSpace{}, Dests: owners[2:3]},
-	}
-
-	if _, err := c.RunQueryBatch(qs, false); !errors.Is(err, errLegacyNoBatch) {
-		t.Fatalf("RunQueryBatch on a legacy fleet: err = %v, want errLegacyNoBatch", err)
-	}
-
-	want := make([]string, len(qs))
-	for i, q := range qs {
-		col, err := c.RunQuery(q, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = queryColFingerprint(c, col)
-	}
-	passesBefore := reg.Snapshot()[MetricQueryPasses]
-	cols, _, err := c.SubmitQueryBatch(qs, false)
-	if err != nil {
-		t.Fatalf("SubmitQueryBatch must fall back, got %v", err)
-	}
-	for i := range qs {
-		if got := queryColFingerprint(c, cols[i]); got != want[i] {
-			t.Errorf("query %d: fallback answer differs from solo", i)
-		}
-	}
-	if got := reg.Snapshot()[MetricQueryPasses] - passesBefore; got != float64(len(qs)) {
-		t.Errorf("fallback ran %v passes, want %d (one per query)", got, len(qs))
 	}
 }
 

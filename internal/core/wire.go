@@ -4,9 +4,7 @@
 // message — a single topologically-ordered node table plus per-packet
 // roots — with a per-peer bdd.WireSession so nodes the peer already
 // materialized this phase are referenced by remote id instead of being
-// re-encoded. Peers that predate the RPC, and runs with -no-wire-dedup,
-// fall back to one independently serialized BDD per packet (the PR 3
-// pull-batch fallback pattern).
+// re-encoded.
 
 package core
 
@@ -38,24 +36,9 @@ type wireDelivery struct {
 	round int
 }
 
-// peerLacksWire reports whether peer owner rejected DeliverBatch before.
-func (w *Worker) peerLacksWire(owner int) bool {
-	w.noBatchMu.Lock()
-	defer w.noBatchMu.Unlock()
-	return w.noWire[owner]
-}
-
-// markNoWire records that peer owner does not serve DeliverBatch, so later
-// rounds skip straight to per-packet deliveries.
-func (w *Worker) markNoWire(owner int) {
-	w.noBatchMu.Lock()
-	w.noWire[owner] = true
-	w.noBatchMu.Unlock()
-}
-
 // DeliverBatch implements sidecar.WorkerAPI: accept a shared-substrate
-// packet batch from a peer. Like DeliverPackets, only the inbox side is
-// touched — Accept is header-only bookkeeping — and the substrate is
+// packet batch from a peer. Only the inbox side is touched — Accept is
+// header-only bookkeeping — and the substrate is
 // materialized at the next drain. A Reset reply tells the sender this
 // worker no longer holds the session state the message splices onto.
 func (w *Worker) DeliverBatch(req sidecar.DeliverBatchRequest) (sidecar.DeliverBatchReply, error) {
@@ -81,11 +64,12 @@ func (w *Worker) DeliverBatch(req sidecar.DeliverBatchRequest) (sidecar.DeliverB
 	return sidecar.DeliverBatchReply{}, nil
 }
 
-// drainInbox moves queued deliveries stamped for rounds <= upTo into cur,
-// Or-merging per slot: legacy per-packet payloads deserialize individually;
-// wire substrates materialize in arrival order — each message bulk-inserts
-// its node table into the engine in one pass under a single stripe-ordered
-// lock acquisition — and resolve packet roots against the sender's table.
+// drainInbox moves injected packets and queued deliveries stamped for
+// rounds <= upTo into cur, Or-merging per slot: injections deserialize
+// individually; wire substrates materialize in arrival order — each
+// message bulk-inserts its node table into the engine in one pass under a
+// single stripe-ordered lock acquisition — and resolve packet roots against
+// the sender's table.
 // Deliveries stamped for later rounds stay parked so that a packet crosses
 // exactly one adjacency per wavefront round no matter how peer DPRounds
 // interleave; the phase barrier guarantees every round-r shipment has
@@ -93,15 +77,8 @@ func (w *Worker) DeliverBatch(req sidecar.DeliverBatchRequest) (sidecar.DeliverB
 // per sender, so the kept prefix preserves per-sender wire session order.
 func (w *Worker) drainInbox(cur map[packetSlot]bdd.Ref, upTo int) error {
 	w.qmu.Lock()
-	var inbox, parked []sidecar.PacketDelivery
-	for _, d := range w.inbox {
-		if d.Round > upTo {
-			parked = append(parked, d)
-		} else {
-			inbox = append(inbox, d)
-		}
-	}
-	w.inbox = parked
+	inbox := w.inbox
+	w.inbox = nil
 	var wireIn, wireParked []wireDelivery
 	for _, wd := range w.wireInbox {
 		if wd.round > upTo {
@@ -135,11 +112,11 @@ func (w *Worker) drainInbox(cur map[packetSlot]bdd.Ref, upTo int) error {
 		return nil
 	}
 	for _, d := range inbox {
-		pkt, err := w.engine.Deserialize(d.Packet)
+		pkt, err := w.engine.Deserialize(d.packet)
 		if err != nil {
-			return fmt.Errorf("core: worker %d deserializing packet for %s: %w", w.id, d.Node, err)
+			return fmt.Errorf("core: worker %d deserializing packet for %s: %w", w.id, d.node, err)
 		}
-		if err := merge(packetSlot{source: d.Source, node: d.Node, inPort: d.InPort}, pkt); err != nil {
+		if err := merge(packetSlot{source: d.source, node: d.node}, pkt); err != nil {
 			return err
 		}
 	}
@@ -166,8 +143,7 @@ func (w *Worker) drainInbox(cur map[packetSlot]bdd.Ref, upTo int) error {
 
 // wireBytesOf models the payload cost of one batch message: the substrate
 // plus each packet's varint root reference. Delivery coordinates are
-// excluded in both encoding modes, keeping the wire/packet byte
-// comparison honest.
+// excluded.
 func wireBytesOf(wire []byte, roots []uint32) int {
 	n := len(wire)
 	var scratch [binary.MaxVarintLen64]byte
@@ -177,11 +153,10 @@ func wireBytesOf(wire []byte, roots []uint32) int {
 	return n
 }
 
-// deliverWire ships items to peer over the shared-substrate path. ok ==
-// false (with nil error) means the peer does not serve DeliverBatch and
-// the caller must fall back to per-packet delivery. A Reset reply runs
-// the handshake once: reset the session and re-send self-contained.
-func (w *Worker) deliverWire(peer sidecar.WorkerAPI, owner int, items []wireItem, next int) (ok bool, err error) {
+// deliverWire ships items to peer as one shared-substrate message. A Reset
+// reply runs the handshake once: reset the session and re-send
+// self-contained.
+func (w *Worker) deliverWire(peer sidecar.WorkerAPI, owner int, items []wireItem, next int) error {
 	sess := w.sendSessions[owner]
 	if sess == nil {
 		sess = bdd.NewWireSession()
@@ -200,20 +175,16 @@ func (w *Worker) deliverWire(peer sidecar.WorkerAPI, owner int, items []wireItem
 		}
 		reply, err := peer.DeliverBatch(req)
 		if err != nil {
-			// Either way the peer did not materialize this message, so the
-			// session's optimistic bookkeeping is wrong: start clean.
+			// The peer did not materialize this message, so the session's
+			// optimistic bookkeeping is wrong: start clean.
 			sess.Reset()
 			w.flight.Record("wire", "session to peer %d reset after delivery error: %v", owner, err)
-			if isNoBatchErr(err) {
-				w.markNoWire(owner)
-				return false, nil
-			}
-			return false, fmt.Errorf("core: worker %d delivering batch to %d: %w", w.id, owner, err)
+			return fmt.Errorf("core: worker %d delivering batch to %d: %w", w.id, owner, err)
 		}
 		if !reply.Reset {
-			w.obsWireBytes("wire", wireBytesOf(wire, roots))
+			w.obsWireBytes(wireBytesOf(wire, roots))
 			w.obsWireDeduped(deduped)
-			return true, nil
+			return nil
 		}
 		// The peer lost the session (restart, recovery, new phase): bump
 		// the epoch and re-send everything from scratch. A fresh message
@@ -221,14 +192,13 @@ func (w *Worker) deliverWire(peer sidecar.WorkerAPI, owner int, items []wireItem
 		sess.Reset()
 		w.flight.Record("wire", "peer %d requested a fresh session, resending", owner)
 	}
-	return false, fmt.Errorf("core: worker %d: peer %d refused a fresh wire session", w.id, owner)
+	return fmt.Errorf("core: worker %d: peer %d refused a fresh wire session", w.id, owner)
 }
 
 // shipRemote delivers the round's (or chunk's) boundary crossings in
-// deterministic owner order, one message per destination worker on the
-// wire path, falling back per packet for peers without DeliverBatch or
-// when wire dedup is disabled. next is the wavefront round the crossings
-// belong to at the receiver (the shipping round plus one).
+// deterministic owner order, one message per destination worker. next is
+// the wavefront round the crossings belong to at the receiver (the shipping
+// round plus one).
 func (w *Worker) shipRemote(remote map[int][]wireItem, next int) error {
 	owners := make([]int, 0, len(remote))
 	for o := range remote {
@@ -244,26 +214,9 @@ func (w *Worker) shipRemote(remote map[int][]wireItem, next int) error {
 		if peer == nil {
 			return fmt.Errorf("core: worker %d has no peer %d", w.id, o)
 		}
-		if w.wireDedup && !w.peerLacksWire(o) {
-			ok, err := w.deliverWire(peer, o, items, next)
-			if err != nil {
-				return err
-			}
-			if ok {
-				continue
-			}
+		if err := w.deliverWire(peer, o, items, next); err != nil {
+			return err
 		}
-		out := make([]sidecar.PacketDelivery, len(items))
-		bytes := 0
-		for i, it := range items {
-			pkt := w.engine.Serialize(it.out)
-			bytes += len(pkt)
-			out[i] = sidecar.PacketDelivery{Source: it.source, Node: it.node, InPort: it.inPort, Packet: pkt, Round: next}
-		}
-		if err := peer.DeliverPackets(out); err != nil {
-			return fmt.Errorf("core: worker %d delivering to %d: %w", w.id, o, err)
-		}
-		w.obsWireBytes("packet", bytes)
 	}
 	return nil
 }

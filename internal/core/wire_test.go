@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -10,19 +9,23 @@ import (
 	"s2/internal/sidecar"
 )
 
-// wireRun executes a full 3-worker fat-tree run and returns the two
+// wireRun executes a full 3-worker fat-tree run — in-process workers when
+// addrs is nil, else the sidecar workers at addrs — and returns the two
 // determinism fingerprints plus the metrics snapshot.
-func wireRun(t *testing.T, procs int, noWire bool, hook func(int, sidecar.WorkerAPI) sidecar.WorkerAPI) (string, string, map[string]float64) {
+func wireRun(t *testing.T, procs int, addrs []string, hook func(int, sidecar.WorkerAPI) sidecar.WorkerAPI) (string, string, map[string]float64) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	snap, texts := fatTreeSnap(t, 4)
-	c := newS2(t, snap, texts, Options{
+	opts := Options{
 		Workers: 3, Seed: 1, KeepRIBs: true,
-		Parallelism:      procs,
-		DisableWireDedup: noWire,
-		WrapWorker:       hook,
-		Metrics:          reg,
-	})
+		Parallelism: procs,
+		WrapWorker:  hook,
+		Metrics:     reg,
+	}
+	if addrs != nil {
+		opts.WorkerAddrs = addrs
+	}
+	c := newS2(t, snap, texts, opts)
 	defer c.Close()
 	res := runFull(t, c)
 	ribs, err := c.CollectRIBs()
@@ -32,22 +35,11 @@ func wireRun(t *testing.T, procs int, noWire bool, hook func(int, sidecar.Worker
 	return ribsFingerprint(ribs), checkFingerprint(c, res), reg.Snapshot()
 }
 
-// wireByteSum totals s2_wire_packet_bytes_total across workers for one
-// encoding mode.
-func wireByteSum(snap map[string]float64, mode string) float64 {
+// metricSum totals every series of one metric.
+func metricSum(snap map[string]float64, name string) float64 {
 	total := 0.0
 	for k, v := range snap {
-		if strings.HasPrefix(k, MetricWireBytes) && strings.Contains(k, `mode="`+mode+`"`) {
-			total += v
-		}
-	}
-	return total
-}
-
-func wireDedupSum(snap map[string]float64) float64 {
-	total := 0.0
-	for k, v := range snap {
-		if strings.HasPrefix(k, MetricWireDeduped) {
+		if strings.HasPrefix(k, name) {
 			total += v
 		}
 	}
@@ -55,91 +47,31 @@ func wireDedupSum(snap map[string]float64) float64 {
 }
 
 // TestWireDedupRunIsByteIdentical is the determinism contract for the
-// shared-substrate wire codec: runs with and without dedup — sequential
-// and pooled — must produce byte-identical RIBs and verification
-// outcomes, while the dedup runs move strictly fewer payload bytes.
+// shared-substrate wire codec: an in-process run, where the codec ships
+// deduplicated substrates between worker engines, and runs over three
+// loopback-TCP workers — sequential and pooled — must produce
+// byte-identical RIBs and verification outcomes.
 func TestWireDedupRunIsByteIdentical(t *testing.T) {
-	baseRIBs, baseCheck, offSnap := wireRun(t, 1, true, nil)
+	baseRIBs, baseCheck, snap := wireRun(t, 1, nil, nil)
 	if !strings.Contains(baseRIBs, "node edge-0-0") {
 		t.Fatalf("baseline fingerprint looks empty:\n%.200s", baseRIBs)
 	}
-	offBytes := wireByteSum(offSnap, "packet")
-	if offBytes == 0 {
-		t.Fatal("dedup-off run recorded no packet-mode bytes")
+	if metricSum(snap, MetricWireBytes) == 0 {
+		t.Fatal("in-process run recorded no wire bytes")
 	}
-	if got := wireByteSum(offSnap, "wire"); got != 0 {
-		t.Fatalf("dedup-off run recorded %v wire-mode bytes", got)
+	if metricSum(snap, MetricWireDeduped) == 0 {
+		t.Fatal("in-process run never deduplicated a node")
 	}
 
 	for _, procs := range []int{1, 8} {
-		ribs, check, snap := wireRun(t, procs, false, nil)
+		addrs, _ := startRemoteWorkers(t, 3)
+		ribs, check, _ := wireRun(t, procs, addrs, nil)
 		if ribs != baseRIBs {
-			t.Errorf("procs=%d: RIBs differ between dedup on and off", procs)
+			t.Errorf("procs=%d: RIBs differ between in-process and TCP workers", procs)
 		}
 		if check != baseCheck {
-			t.Errorf("procs=%d: verification outcomes differ:\noff:\n%s\non:\n%s", procs, baseCheck, check)
+			t.Errorf("procs=%d: verification outcomes differ:\nin-process:\n%s\ntcp:\n%s", procs, baseCheck, check)
 		}
-		onBytes := wireByteSum(snap, "wire")
-		if onBytes == 0 {
-			t.Errorf("procs=%d: dedup-on run recorded no wire-mode bytes", procs)
-		}
-		if got := wireByteSum(snap, "packet"); got != 0 {
-			t.Errorf("procs=%d: dedup-on run fell back to packet mode for %v bytes", procs, got)
-		}
-		if onBytes >= offBytes {
-			t.Errorf("procs=%d: wire encoding moved %v bytes, not fewer than per-packet %v", procs, onBytes, offBytes)
-		}
-		if wireDedupSum(snap) == 0 {
-			t.Errorf("procs=%d: dedup counter never moved", procs)
-		}
-	}
-}
-
-// noWirePeer simulates an older worker binary: DeliverBatch answers with
-// net/rpc's unknown-method error, everything else passes through.
-type noWirePeer struct {
-	sidecar.WorkerAPI
-	mu    *sync.Mutex
-	calls *int
-}
-
-func (n *noWirePeer) DeliverBatch(sidecar.DeliverBatchRequest) (sidecar.DeliverBatchReply, error) {
-	n.mu.Lock()
-	*n.calls++
-	n.mu.Unlock()
-	return sidecar.DeliverBatchReply{}, errors.New("rpc: can't find method Sidecar.DeliverBatch")
-}
-
-// TestWireFallbackToLegacyPeer: when a peer predates DeliverBatch, the
-// sender must detect the rejection once, mark the peer, and fall back to
-// per-packet deliveries without changing any result.
-func TestWireFallbackToLegacyPeer(t *testing.T) {
-	baseRIBs, baseCheck, _ := wireRun(t, 1, true, nil)
-
-	var mu sync.Mutex
-	calls := 0
-	hook := func(_ int, w sidecar.WorkerAPI) sidecar.WorkerAPI {
-		return &noWirePeer{WorkerAPI: w, mu: &mu, calls: &calls}
-	}
-	ribs, check, snap := wireRun(t, 1, false, hook)
-	if ribs != baseRIBs {
-		t.Error("RIBs differ after legacy-peer fallback")
-	}
-	if check != baseCheck {
-		t.Errorf("verification outcomes differ after fallback:\nwant:\n%s\ngot:\n%s", baseCheck, check)
-	}
-	mu.Lock()
-	attempts := calls
-	mu.Unlock()
-	if attempts == 0 {
-		t.Fatal("DeliverBatch was never attempted")
-	}
-	// One rejection per (sender, peer) pair at most: the mark sticks.
-	if attempts > 3*2 {
-		t.Errorf("DeliverBatch attempted %d times; peers were not marked as legacy", attempts)
-	}
-	if got := wireByteSum(snap, "packet"); got == 0 {
-		t.Error("fallback run recorded no packet-mode bytes")
 	}
 }
 
@@ -165,14 +97,14 @@ func (p *resetOncePeer) DeliverBatch(req sidecar.DeliverBatchRequest) (sidecar.D
 }
 
 func TestWireSessionResetHandshakeEndToEnd(t *testing.T) {
-	baseRIBs, baseCheck, _ := wireRun(t, 1, true, nil)
+	baseRIBs, baseCheck, _ := wireRun(t, 1, nil, nil)
 
 	var mu sync.Mutex
 	fired := false
 	hook := func(_ int, w sidecar.WorkerAPI) sidecar.WorkerAPI {
 		return &resetOncePeer{WorkerAPI: w, mu: &mu, fired: &fired}
 	}
-	ribs, check, _ := wireRun(t, 1, false, hook)
+	ribs, check, _ := wireRun(t, 1, nil, hook)
 	mu.Lock()
 	hit := fired
 	mu.Unlock()

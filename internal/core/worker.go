@@ -19,7 +19,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,7 +61,7 @@ type Worker struct {
 	// query rounds). The controller normally issues them one at a time, but
 	// a retried idempotent RPC can race its own timed-out first attempt, and
 	// recovery can re-Setup while a stale phase call is still draining.
-	// Peer-facing methods (Pull*, DeliverPackets) and probes (Ping, HasWork,
+	// Peer-facing methods (Pull*, DeliverBatch) and probes (Ping, HasWork,
 	// Stats) do NOT take it: a phase holding phaseMu calls into peers, so
 	// gating those would deadlock two workers against each other.
 	phaseMu sync.Mutex
@@ -74,27 +73,11 @@ type Worker struct {
 	// -procs) used when SetupRequest.Parallelism is unset.
 	procs    int
 	defProcs int
-	// batchPull coalesces all shadow-node pulls bound for the same remote
-	// worker in one gather phase into a single batch RPC. noBatch remembers
-	// peers that don't serve the batch methods (older binaries); pulls to
-	// them fall back to one RPC each.
-	batchPull bool
-	noBatchMu sync.Mutex
-	noBatch   map[int]bool
-	// wireDedup enables the shared-substrate DeliverBatch path for
-	// boundary-crossing packets (see wire.go); noWire remembers peers that
-	// don't serve the RPC (older binaries), guarded by noBatchMu alongside
-	// noBatch. sendSessions is the sender half of the per-peer delta
-	// protocol, touched only by the phase goroutine; recvTables is the
+	// sendSessions is the sender half of the per-peer wire delta protocol
+	// (see wire.go), touched only by the phase goroutine; recvTables is the
 	// receiver half (map and accept cursors guarded by qmu, materialized
 	// refs touched only by the phase goroutine); wireInbox parks accepted
 	// batch deliveries until the next drain (guarded by qmu).
-	wireDedup bool
-	noWire    map[int]bool
-	// noWirePull remembers peers that don't serve the varint-encoded batch
-	// pull RPCs (PullBGPBatchWire/PullLSABatchWire); pulls to them fall
-	// back to the gob batch, then to per-pull calls. Guarded by noBatchMu.
-	noWirePull   map[int]bool
 	sendSessions map[int]*bdd.WireSession
 	recvTables   map[int]*bdd.WireTable
 	wireInbox    []wireDelivery
@@ -139,16 +122,15 @@ type Worker struct {
 	dpDirty  map[string]*dirtyNode
 	adjIndex dataplane.AdjacencyIndex
 	query    *dataplane.Query
-	destSet  map[string]bool
-	// batchDests holds the per-query dest sets of a multi-query pass
-	// (BeginQueryBatch), indexed by the query's tag index; nil outside a
-	// batch pass. A nil entry means "any delivery counts" for that query.
-	batchDests []map[string]bool
+	// dests holds the armed pass's per-query dest sets, indexed by the
+	// query's tag index (a pass of one is untagged and uses entry 0). A nil
+	// entry means "any delivery counts" for that query.
+	dests []map[string]bool
 
 	// qmu guards the cross-RPC mutable state below: peers deliver packets
 	// concurrently with the controller's round barrier.
 	qmu      sync.Mutex
-	inbox    []sidecar.PacketDelivery
+	inbox    []injection
 	queue    map[packetSlot]bdd.Ref
 	queueLen int
 	outcomes []dataplane.Outcome
@@ -171,8 +153,6 @@ type Worker struct {
 	// pacer schedules BDD collections from measured GCStats (gcpacer.go);
 	// gcPauses windows recent pause durations for WorkerStats percentiles.
 	pacer    gcPacer
-	gcStress bool
-	gcWipe   bool
 	gcPauses *metrics.DurationQuantiles
 
 	// obs is the worker's observability handle (see observability.go).
@@ -199,6 +179,13 @@ type spillPayload struct {
 type dirtyNode struct {
 	whole    bool
 	prefixes map[route.Prefix]struct{}
+}
+
+// injection is one symbolic packet the controller injected at a local
+// source, parked until the next inbox drain.
+type injection struct {
+	source, node string
+	packet       []byte
 }
 
 type packetSlot struct {
@@ -242,6 +229,11 @@ func (w *Worker) Ping() error { return nil }
 // re-partitions segments onto survivors and re-runs Setup on workers that
 // already hold state from the failed attempt.
 func (w *Worker) Setup(req sidecar.SetupRequest) error {
+	if req.ProtocolVersion != sidecar.ProtocolVersion {
+		return fault.FatalErr("Setup", fmt.Errorf(
+			"core: worker %d speaks sidecar protocol version %d, controller sent %d",
+			req.WorkerID, sidecar.ProtocolVersion, req.ProtocolVersion))
+	}
 	w.phaseMu.Lock()
 	defer w.phaseMu.Unlock()
 	// Claim this worker's disjoint span-id range before minting the setup
@@ -272,9 +264,8 @@ func (w *Worker) Setup(req sidecar.SetupRequest) error {
 		os.Remove(p)
 	}
 	w.spills = nil
-	w.engine, w.nodesDP, w.query, w.destSet, w.batchDests = nil, nil, nil, nil, nil
+	w.engine, w.nodesDP, w.query, w.dests = nil, nil, nil, nil
 	w.dpDirty = map[string]*dirtyNode{}
-	w.gcStress, w.gcWipe = req.GCStress, req.GCWipe
 	w.pacer = newGCPacer(req.GCStress, req.MemoryBudget > 0)
 	w.gcPauses = metrics.NewDurationQuantiles(0)
 	w.qmu.Lock()
@@ -302,13 +293,6 @@ func (w *Worker) Setup(req sidecar.SetupRequest) error {
 	if w.procs <= 0 {
 		w.procs = 1
 	}
-	w.batchPull = !req.DisableBatchPulls
-	w.wireDedup = !req.DisableWireDedup
-	w.noBatchMu.Lock()
-	w.noBatch = map[int]bool{}
-	w.noWire = map[int]bool{}
-	w.noWirePull = map[int]bool{}
-	w.noBatchMu.Unlock()
 
 	snap, err := config.ParseTexts(req.Configs)
 	if err != nil {
@@ -388,87 +372,21 @@ func (w *Worker) Setup(req sidecar.SetupRequest) error {
 	return nil
 }
 
-// bgpExporter resolves a neighbor name to its exporter: the real local
-// process or a shadow relay to the owning worker.
-func (w *Worker) bgpExporter(neighbor string) sim.BGPExporter {
-	if w.assignment[neighbor] == w.id {
-		if p, ok := w.bgpProcs[neighbor]; ok {
-			return sim.RealBGPNode{P: p}
-		}
-		return nil
-	}
-	peer := w.peers[w.assignment[neighbor]]
-	if peer == nil {
-		return nil
-	}
-	return sim.ShadowBGPNode{Peer: peerAdapter{peer}, Name: neighbor}
-}
-
-func (w *Worker) ospfExporter(neighbor string) sim.LSAExporter {
-	if w.assignment[neighbor] == w.id {
-		if p, ok := w.ospfProcs[neighbor]; ok {
-			return sim.RealOSPFNode{P: p}
-		}
-		return nil
-	}
-	peer := w.peers[w.assignment[neighbor]]
-	if peer == nil {
-		return nil
-	}
-	return sim.ShadowOSPFNode{Peer: peerAdapter{peer}, Name: neighbor}
-}
-
-// peerAdapter narrows a sidecar.WorkerAPI to the sim.PullPeer interface.
-type peerAdapter struct{ w sidecar.WorkerAPI }
-
-func (p peerAdapter) PullBGP(exporter, puller string, since uint64, seen bool) ([]bgp.Advertisement, uint64, bool, error) {
-	return p.w.PullBGP(exporter, puller, since, seen)
-}
-
-func (p peerAdapter) PullLSAs(exporter, puller string, since uint64, seen bool) ([]*ospf.LSA, uint64, bool, error) {
-	return p.w.PullLSAs(exporter, puller, since, seen)
-}
-
-// PullBGP implements sidecar.WorkerAPI: it serves shadow-node pulls from
-// other workers (Algorithm 1, line 15 arriving at the real node).
-func (w *Worker) PullBGP(exporter, puller string, since uint64, seen bool) ([]bgp.Advertisement, uint64, bool, error) {
-	proc, ok := w.bgpProcs[exporter]
-	if !ok {
-		return nil, 0, false, fmt.Errorf("core: worker %d does not host %q", w.id, exporter)
-	}
-	w.qmu.Lock()
-	w.statsPulls++
-	w.qmu.Unlock()
-	advs, ver, fresh := proc.ExportsTo(puller, since, seen)
-	return advs, ver, fresh, nil
-}
-
-// PullLSAs implements sidecar.WorkerAPI.
-func (w *Worker) PullLSAs(exporter, puller string, since uint64, seen bool) ([]*ospf.LSA, uint64, bool, error) {
-	proc, ok := w.ospfProcs[exporter]
-	if !ok {
-		return nil, 0, false, fmt.Errorf("core: worker %d does not host %q", w.id, exporter)
-	}
-	w.qmu.Lock()
-	w.statsPulls++
-	w.qmu.Unlock()
-	lsas, ver, fresh := proc.LSAsTo(puller, since, seen)
-	return lsas, ver, fresh, nil
-}
-
-// PullBGPBatch implements sidecar.WorkerAPI: it serves a whole iteration's
-// worth of shadow-node pulls from one peer in a single round trip. Each
-// entry is served exactly like an individual PullBGP (statsPulls counts
-// logical pulls, so batching shows up as fewer RPCs, not fewer pulls).
+// PullBGPBatch implements sidecar.WorkerAPI: it serves one peer's shadow-
+// node pulls for a whole gather phase in a single round trip (Algorithm 1,
+// line 15 arriving at the real node); replies align with reqs by index.
+// statsPulls counts logical pulls, not RPCs.
 func (w *Worker) PullBGPBatch(reqs []sidecar.PullBGPRequest) ([]sidecar.PullBGPReply, error) {
 	replies := make([]sidecar.PullBGPReply, len(reqs))
 	for i, q := range reqs {
-		advs, ver, fresh, err := w.PullBGP(q.Exporter, q.Puller, q.Since, q.Seen)
-		if err != nil {
-			return nil, err
+		proc, ok := w.bgpProcs[q.Exporter]
+		if !ok {
+			return nil, fmt.Errorf("core: worker %d does not host %q", w.id, q.Exporter)
 		}
+		advs, ver, fresh := proc.ExportsTo(q.Puller, q.Since, q.Seen)
 		replies[i] = sidecar.PullBGPReply{Advs: advs, Version: ver, Fresh: fresh}
 	}
+	w.countPulls(len(reqs))
 	return replies, nil
 }
 
@@ -477,102 +395,21 @@ func (w *Worker) PullBGPBatch(reqs []sidecar.PullBGPRequest) ([]sidecar.PullBGPR
 func (w *Worker) PullLSABatch(reqs []sidecar.PullLSAsRequest) ([]sidecar.PullLSAsReply, error) {
 	replies := make([]sidecar.PullLSAsReply, len(reqs))
 	for i, q := range reqs {
-		lsas, ver, fresh, err := w.PullLSAs(q.Exporter, q.Puller, q.Since, q.Seen)
-		if err != nil {
-			return nil, err
+		proc, ok := w.ospfProcs[q.Exporter]
+		if !ok {
+			return nil, fmt.Errorf("core: worker %d does not host %q", w.id, q.Exporter)
 		}
+		lsas, ver, fresh := proc.LSAsTo(q.Puller, q.Since, q.Seen)
 		replies[i] = sidecar.PullLSAsReply{LSAs: lsas, Version: ver, Fresh: fresh}
 	}
+	w.countPulls(len(reqs))
 	return replies, nil
 }
 
-// PullBGPBatchWire implements sidecar.WorkerAPI. In-process there is no
-// wire, so it is the gob batch; the varint encoding happens in the sidecar
-// Service/RemoteWorker pair when the call actually crosses a process
-// boundary.
-func (w *Worker) PullBGPBatchWire(reqs []sidecar.PullBGPRequest) ([]sidecar.PullBGPReply, error) {
-	return w.PullBGPBatch(reqs)
-}
-
-// PullLSABatchWire implements sidecar.WorkerAPI.
-func (w *Worker) PullLSABatchWire(reqs []sidecar.PullLSAsRequest) ([]sidecar.PullLSAsReply, error) {
-	return w.PullLSABatch(reqs)
-}
-
-// peerLacksBatch reports whether peer owner is known to predate the batch
-// pull RPCs.
-func (w *Worker) peerLacksBatch(owner int) bool {
-	w.noBatchMu.Lock()
-	defer w.noBatchMu.Unlock()
-	return w.noBatch[owner]
-}
-
-// markNoBatch records that peer owner rejected a batch pull RPC, so later
-// gathers skip straight to per-pull calls.
-func (w *Worker) markNoBatch(owner int) {
-	w.noBatchMu.Lock()
-	w.noBatch[owner] = true
-	w.noBatchMu.Unlock()
-}
-
-// peerLacksWirePull reports whether peer owner is known to predate the
-// varint-encoded batch pull RPCs.
-func (w *Worker) peerLacksWirePull(owner int) bool {
-	w.noBatchMu.Lock()
-	defer w.noBatchMu.Unlock()
-	return w.noWirePull[owner]
-}
-
-// markNoWirePull records that peer owner rejected a wire batch pull, so
-// later gathers go straight to the gob batch.
-func (w *Worker) markNoWirePull(owner int) {
-	w.noBatchMu.Lock()
-	w.noWirePull[owner] = true
-	w.noBatchMu.Unlock()
-}
-
-// pullBGPBatchTiered issues one owner's coalesced BGP pulls through the
-// preferred encodings in order: varint wire batch (when wire dedup is on
-// and the peer serves it), then the gob batch. A method-not-found rejection
-// demotes the peer one tier and retries within the same gather; other
-// errors surface unchanged.
-func (w *Worker) pullBGPBatchTiered(owner int, peer sidecar.WorkerAPI, reqs []sidecar.PullBGPRequest) ([]sidecar.PullBGPReply, error) {
-	if w.wireDedup && !w.peerLacksWirePull(owner) {
-		replies, err := peer.PullBGPBatchWire(reqs)
-		if err == nil {
-			return replies, nil
-		}
-		if !isNoBatchErr(err) {
-			return nil, err
-		}
-		w.markNoWirePull(owner)
-	}
-	return peer.PullBGPBatch(reqs)
-}
-
-// pullLSABatchTiered is the OSPF analogue of pullBGPBatchTiered.
-func (w *Worker) pullLSABatchTiered(owner int, peer sidecar.WorkerAPI, reqs []sidecar.PullLSAsRequest) ([]sidecar.PullLSAsReply, error) {
-	if w.wireDedup && !w.peerLacksWirePull(owner) {
-		replies, err := peer.PullLSABatchWire(reqs)
-		if err == nil {
-			return replies, nil
-		}
-		if !isNoBatchErr(err) {
-			return nil, err
-		}
-		w.markNoWirePull(owner)
-	}
-	return peer.PullLSABatch(reqs)
-}
-
-// isNoBatchErr matches net/rpc's rejection of an unregistered method —
-// what an older worker binary answers to PullBGPBatch/PullLSABatch.
-func isNoBatchErr(err error) bool {
-	if err == nil {
-		return false
-	}
-	msg := err.Error()
-	return strings.Contains(msg, "can't find method") || strings.Contains(msg, "can't find service")
+func (w *Worker) countPulls(n int) {
+	w.qmu.Lock()
+	w.statsPulls += int64(n)
+	w.qmu.Unlock()
 }
 
 // BeginShard implements sidecar.WorkerAPI: reset BGP state for the shard's
@@ -607,8 +444,8 @@ func (w *Worker) BeginShard(req sidecar.BeginShardRequest) error {
 }
 
 // pullSlot is one (node, neighbor) pull's result, filled either directly
-// (local exporters, per-pull RPCs) or by a batched round trip. A nil st
-// means the pull was skipped (no exporter).
+// (local exporters) or by a batched round trip. A nil st means the pull was
+// skipped (no exporter).
 type pullSlot struct {
 	st    *sim.PullState
 	ver   uint64
@@ -625,24 +462,20 @@ type batchRef struct{ i, j int }
 // no writes to any node state, so all workers gather concurrently against
 // the quiesced previous round. Within the worker the per-node pulls run on
 // up to procs goroutines, and pulls bound for the same remote worker are
-// coalesced into one batch RPC; at procs=1 with batching disabled the
-// original sequential path runs unchanged.
+// coalesced into one batch RPC.
 func (w *Worker) GatherBGP() error {
 	w.phaseMu.Lock()
 	defer w.phaseMu.Unlock()
 	span := w.obsWorkerSpan("gather-bgp")
 	defer span.End()
-	if w.procs <= 1 && !w.batchPull {
-		return w.gatherBGPSeq()
-	}
 	names := w.localNames
 	nbLists := make([][]string, len(names))
 	slots := make([][]pullSlot, len(names))
 	var batchMu sync.Mutex
 	batch := map[int][]batchRef{}
 
-	// Phase A: per-node pulls. Local exporters and per-pull peers resolve
-	// inline; batch-capable remote pulls only record their cursor.
+	// Phase A: per-node pulls. Local exporters resolve inline; remote pulls
+	// only record their cursor.
 	err := runIndexed(w.procs, len(names), func(i int) error {
 		name := names[i]
 		proc, ok := w.bgpProcs[name]
@@ -669,19 +502,10 @@ func (w *Worker) GatherBGP() error {
 			if peer == nil {
 				continue
 			}
-			st := w.bgpPulls.Get(name, nb)
-			if w.batchPull && !w.peerLacksBatch(owner) {
-				ss[j].st = st
-				batchMu.Lock()
-				batch[owner] = append(batch[owner], batchRef{i, j})
-				batchMu.Unlock()
-				continue
-			}
-			advs, ver, fresh, err := peer.PullBGP(nb, name, st.Version, st.Seen)
-			if err != nil {
-				return fmt.Errorf("core: worker %d pulling %s→%s: %w", w.id, nb, name, err)
-			}
-			ss[j] = pullSlot{st: st, ver: ver, fresh: fresh, advs: advs}
+			ss[j].st = w.bgpPulls.Get(name, nb)
+			batchMu.Lock()
+			batch[owner] = append(batch[owner], batchRef{i, j})
+			batchMu.Unlock()
 		}
 		return nil
 	})
@@ -707,20 +531,7 @@ func (w *Worker) GatherBGP() error {
 				Since: st.Version, Seen: st.Seen,
 			}
 		}
-		replies, err := w.pullBGPBatchTiered(owner, peer, reqs)
-		if err != nil && isNoBatchErr(err) {
-			// Old peer binary: remember and fall back to per-pull calls.
-			w.markNoBatch(owner)
-			for k, ref := range refs {
-				s := &slots[ref.i][ref.j]
-				advs, ver, fresh, err := peer.PullBGP(reqs[k].Exporter, reqs[k].Puller, reqs[k].Since, reqs[k].Seen)
-				if err != nil {
-					return fmt.Errorf("core: worker %d pulling %s→%s: %w", w.id, reqs[k].Exporter, reqs[k].Puller, err)
-				}
-				s.ver, s.fresh, s.advs = ver, fresh, advs
-			}
-			return nil
-		}
+		replies, err := peer.PullBGPBatch(reqs)
 		if err != nil {
 			return fmt.Errorf("core: worker %d batch-pulling %d exports from worker %d: %w", w.id, len(reqs), owner, err)
 		}
@@ -753,42 +564,6 @@ func (w *Worker) GatherBGP() error {
 			}
 			pending[name][nbLists[i][j]] = s.advs
 			exchanged += len(s.advs)
-		}
-	}
-	w.pendingBGP = pending
-	w.obsRoutesExchanged("bgp", exchanged)
-	return nil
-}
-
-// gatherBGPSeq is the original single-threaded gather, kept verbatim as
-// the -procs=1 -no-batch-pulls reference path.
-func (w *Worker) gatherBGPSeq() error {
-	exchanged := 0
-	pending := map[string]map[string][]bgp.Advertisement{}
-	for _, name := range w.localNames {
-		proc, ok := w.bgpProcs[name]
-		if !ok {
-			continue
-		}
-		for _, nb := range proc.NeighborNames() {
-			exp := w.bgpExporter(nb)
-			if exp == nil {
-				continue
-			}
-			st := w.bgpPulls.Get(name, nb)
-			advs, ver, fresh, err := exp.ExportsTo(name, st.Version, st.Seen)
-			if err != nil {
-				return fmt.Errorf("core: worker %d pulling %s→%s: %w", w.id, nb, name, err)
-			}
-			if !fresh {
-				continue
-			}
-			st.Version, st.Seen = ver, true
-			if pending[name] == nil {
-				pending[name] = map[string][]bgp.Advertisement{}
-			}
-			pending[name][nb] = advs
-			exchanged += len(advs)
 		}
 	}
 	w.pendingBGP = pending
@@ -863,9 +638,6 @@ func (w *Worker) GatherOSPF() error {
 	defer w.phaseMu.Unlock()
 	span := w.obsWorkerSpan("gather-ospf")
 	defer span.End()
-	if w.procs <= 1 && !w.batchPull {
-		return w.gatherOSPFSeq()
-	}
 	names := w.localNames
 	nbLists := make([][]string, len(names))
 	slots := make([][]pullSlot, len(names))
@@ -898,19 +670,10 @@ func (w *Worker) GatherOSPF() error {
 			if peer == nil {
 				continue
 			}
-			st := w.ospfPulls.Get(name, nb)
-			if w.batchPull && !w.peerLacksBatch(owner) {
-				ss[j].st = st
-				batchMu.Lock()
-				batch[owner] = append(batch[owner], batchRef{i, j})
-				batchMu.Unlock()
-				continue
-			}
-			lsas, ver, fresh, err := peer.PullLSAs(nb, name, st.Version, st.Seen)
-			if err != nil {
-				return fmt.Errorf("core: worker %d pulling LSAs %s→%s: %w", w.id, nb, name, err)
-			}
-			ss[j] = pullSlot{st: st, ver: ver, fresh: fresh, lsas: lsas}
+			ss[j].st = w.ospfPulls.Get(name, nb)
+			batchMu.Lock()
+			batch[owner] = append(batch[owner], batchRef{i, j})
+			batchMu.Unlock()
 		}
 		return nil
 	})
@@ -935,19 +698,7 @@ func (w *Worker) GatherOSPF() error {
 				Since: st.Version, Seen: st.Seen,
 			}
 		}
-		replies, err := w.pullLSABatchTiered(owner, peer, reqs)
-		if err != nil && isNoBatchErr(err) {
-			w.markNoBatch(owner)
-			for k, ref := range refs {
-				s := &slots[ref.i][ref.j]
-				lsas, ver, fresh, err := peer.PullLSAs(reqs[k].Exporter, reqs[k].Puller, reqs[k].Since, reqs[k].Seen)
-				if err != nil {
-					return fmt.Errorf("core: worker %d pulling LSAs %s→%s: %w", w.id, reqs[k].Exporter, reqs[k].Puller, err)
-				}
-				s.ver, s.fresh, s.lsas = ver, fresh, lsas
-			}
-			return nil
-		}
+		replies, err := peer.PullLSABatch(reqs)
 		if err != nil {
 			return fmt.Errorf("core: worker %d batch-pulling %d LSA exports from worker %d: %w", w.id, len(reqs), owner, err)
 		}
@@ -975,39 +726,6 @@ func (w *Worker) GatherOSPF() error {
 			s.st.Version, s.st.Seen = s.ver, true
 			pending[name] = append(pending[name], s.lsas...)
 			exchanged += len(s.lsas)
-		}
-	}
-	w.pendingLSAs = pending
-	w.obsRoutesExchanged("ospf", exchanged)
-	return nil
-}
-
-// gatherOSPFSeq is the original single-threaded gather, kept verbatim as
-// the -procs=1 -no-batch-pulls reference path.
-func (w *Worker) gatherOSPFSeq() error {
-	exchanged := 0
-	pending := map[string][]*ospf.LSA{}
-	for _, name := range w.localNames {
-		proc, ok := w.ospfProcs[name]
-		if !ok {
-			continue
-		}
-		for _, nb := range proc.NeighborNames() {
-			exp := w.ospfExporter(nb)
-			if exp == nil {
-				continue
-			}
-			st := w.ospfPulls.Get(name, nb)
-			lsas, ver, fresh, err := exp.LSAsTo(name, st.Version, st.Seen)
-			if err != nil {
-				return fmt.Errorf("core: worker %d pulling LSAs %s→%s: %w", w.id, nb, name, err)
-			}
-			if !fresh {
-				continue
-			}
-			st.Version, st.Seen = ver, true
-			pending[name] = append(pending[name], lsas...)
-			exchanged += len(lsas)
 		}
 	}
 	w.pendingLSAs = pending
@@ -1535,21 +1253,19 @@ func (w *Worker) newEngine() {
 		w.tracker.Add("bdd", int64(delta)*bdd.NodeModelBytes)
 	})
 	// The marker pool reuses the worker's phase parallelism; at -procs 1
-	// the mark stays fully sequential. GCWipe (benchmark A/B knob) reverts
-	// the whole collector to seed behavior: one mark goroutine and the op
-	// cache wiped on every collection.
-	if w.gcWipe {
-		w.engine.SetGCParallelism(1)
-		w.engine.SetGCRelocation(false)
-	} else {
-		w.engine.SetGCParallelism(w.procs)
-		w.engine.SetGCRelocation(true)
-	}
+	// the mark stays fully sequential.
+	w.engine.SetGCParallelism(w.procs)
 }
 
-// BeginQuery implements sidecar.WorkerAPI: arm a query, wiring waypoint
-// write rules and the destination set for Arrive/Exit classification.
-func (w *Worker) BeginQuery(req sidecar.QueryRequest) error {
+// BeginQueryBatch implements sidecar.WorkerAPI: arm one symbolic pass,
+// wiring waypoint write rules and the per-query destination sets for
+// Arrive/Exit classification. Pass-wide state (transit metadata bits, TTL)
+// comes from the first query — the controller only batches BatchCompatible
+// queries, and the worker re-checks. In a pass of more than one query the
+// injected packets carry dataplane.QueryTag(i) source prefixes so the
+// wavefront never merges packets across queries (packetSlot keys on the
+// tagged source); a pass of one is untagged.
+func (w *Worker) BeginQueryBatch(req sidecar.QueryBatchRequest) error {
 	w.phaseMu.Lock()
 	defer w.phaseMu.Unlock()
 	span := w.obsWorkerSpan("begin-query")
@@ -1557,42 +1273,10 @@ func (w *Worker) BeginQuery(req sidecar.QueryRequest) error {
 	if w.nodesDP == nil {
 		return fmt.Errorf("core: worker %d: ComputeDP must run before queries", w.id)
 	}
-	w.flight.Record("phase", "begin-query: %d sources, %d dests", len(req.Query.Sources), len(req.Query.Dests))
-	q := req.Query
-	if err := q.Validate(w.layout); err != nil {
-		return err
-	}
-	w.query = &q
-	w.destSet = nil
-	w.batchDests = nil
-	if len(q.Dests) > 0 {
-		w.destSet = map[string]bool{}
-		for _, d := range q.Dests {
-			w.destSet[d] = true
-		}
-	}
-	w.resetQueryState()
-	return nil
-}
-
-// BeginQueryBatch implements sidecar.WorkerAPI: arm one multi-query pass.
-// Pass-wide state (transit metadata bits, TTL) comes from the first query —
-// the controller only batches BatchCompatible queries, and the worker
-// re-checks. Per-query dest sets are kept by tag index; injected packets
-// carry dataplane.QueryTag(i) source prefixes so the wavefront never merges
-// packets across queries (packetSlot keys on the tagged source).
-func (w *Worker) BeginQueryBatch(req sidecar.QueryBatchRequest) error {
-	w.phaseMu.Lock()
-	defer w.phaseMu.Unlock()
-	span := w.obsWorkerSpan("begin-query-batch")
-	defer span.End()
-	if w.nodesDP == nil {
-		return fmt.Errorf("core: worker %d: ComputeDP must run before queries", w.id)
-	}
 	if len(req.Queries) == 0 {
 		return fmt.Errorf("core: worker %d: empty query batch", w.id)
 	}
-	w.flight.Record("phase", "begin-query-batch: %d queries", len(req.Queries))
+	w.flight.Record("phase", "begin-query: %d queries", len(req.Queries))
 	qs := req.Queries
 	for i := range qs {
 		if err := qs[i].Validate(w.layout); err != nil {
@@ -1603,8 +1287,7 @@ func (w *Worker) BeginQueryBatch(req sidecar.QueryBatchRequest) error {
 		}
 	}
 	w.query = &qs[0]
-	w.destSet = nil
-	w.batchDests = make([]map[string]bool, len(qs))
+	w.dests = make([]map[string]bool, len(qs))
 	for i := range qs {
 		if len(qs[i].Dests) == 0 {
 			continue
@@ -1613,22 +1296,15 @@ func (w *Worker) BeginQueryBatch(req sidecar.QueryBatchRequest) error {
 		for _, d := range qs[i].Dests {
 			ds[d] = true
 		}
-		w.batchDests[i] = ds
+		w.dests[i] = ds
 	}
-	w.resetQueryState()
-	return nil
-}
-
-// resetQueryState is the shared tail of BeginQuery/BeginQueryBatch: stamp
-// the transit metadata bits, clear the wavefront, and GC the previous
-// query's garbage. Call with phaseMu held and w.query set.
-func (w *Worker) resetQueryState() {
 	for name, n := range w.nodesDP {
 		n.MetaBit = w.query.MetaBitFor(name)
 	}
 	w.clearQueryState()
 	// Collect the previous query's garbage before this one starts.
 	w.gcEngine()
+	return nil
 }
 
 // clearQueryState drops everything a query pass holds refs through: the
@@ -1662,18 +1338,7 @@ func (w *Worker) Inject(req sidecar.InjectRequest) error {
 	defer w.qmu.Unlock()
 	// In a batch pass the packet circulates under its tagged source, which
 	// keeps per-query packets in distinct wavefront slots end to end.
-	w.inbox = append(w.inbox, sidecar.PacketDelivery{Source: req.Tag + req.Source, Node: req.Source, Packet: req.Packet})
-	return nil
-}
-
-// DeliverPackets implements sidecar.WorkerAPI: accept packets crossing the
-// worker boundary. Only the inbox is touched; deserialization waits for the
-// worker's own round (the BDD engine is single-threaded).
-func (w *Worker) DeliverPackets(items []sidecar.PacketDelivery) error {
-	w.qmu.Lock()
-	defer w.qmu.Unlock()
-	w.inbox = append(w.inbox, items...)
-	w.statsPackets += int64(len(items))
+	w.inbox = append(w.inbox, injection{source: req.Tag + req.Source, node: req.Source, packet: req.Packet})
 	return nil
 }
 
@@ -1806,8 +1471,8 @@ func (w *Worker) DPRound() error {
 	}
 
 	// Ship boundary crossings (③→④→⑤ in Figure 3): one shared-substrate
-	// message per destination worker, per-packet for legacy peers. The
-	// crossings belong to the next round.
+	// message per destination worker. The crossings belong to the next
+	// round.
 	if err := w.shipRemote(remote, round+1); err != nil {
 		return err
 	}
@@ -1831,12 +1496,11 @@ func (w *Worker) DPRound() error {
 }
 
 // dpRoundParallel is DPRound's multi-core body: the slots' Forward calls
-// (and the serialization of boundary-crossing packets) run on the pool
-// against the concurrent engine, then classification, next-wavefront
-// merging, and peer delivery happen sequentially in slot order so outcomes
-// and deliveries stay deterministic. The mid-round adaptive GC runs at
-// chunk boundaries (see below) — the engine's collector is stop-the-world
-// and must not run under the pool.
+// run on the pool against the concurrent engine, then classification,
+// next-wavefront merging, and peer delivery happen sequentially in slot
+// order so outcomes and deliveries stay deterministic. The mid-round
+// adaptive GC runs at chunk boundaries (see below) — the engine's collector
+// is stop-the-world and must not run under the pool.
 func (w *Worker) dpRoundParallel() error {
 	w.qmu.Lock()
 	cur := w.queue
@@ -1869,36 +1533,20 @@ func (w *Worker) dpRoundParallel() error {
 	})
 
 	type portOut struct {
-		out    bdd.Ref
-		edge   bool
-		dest   dataplane.PortDest
-		owner  int
-		packet []byte // pre-serialized when bound for a non-wire peer
+		out   bdd.Ref
+		edge  bool
+		dest  dataplane.PortDest
+		owner int
 	}
 	type fwdRes struct {
 		local, dropped bdd.Ref
 		ports          []portOut
 	}
-	// useWire snapshots, per round, which peers take the shared-substrate
-	// path: their packets stay refs until the chunk flush; everything else
-	// pre-serializes on the pool exactly as before.
-	useWire := func(owner int) bool { return false }
-	if w.wireDedup {
-		w.noBatchMu.Lock()
-		lacks := make(map[int]bool, len(w.noWire))
-		for o := range w.noWire {
-			lacks[o] = true
-		}
-		w.noBatchMu.Unlock()
-		useWire = func(owner int) bool { return !lacks[owner] }
-	}
 	nextLocal := map[packetSlot]bdd.Ref{}
-	remote := map[int][]sidecar.PacketDelivery{}
-	legacyBytes := 0
 	res := make([]fwdRes, len(slots))
-	// Slots are processed in chunks: each chunk's Forward calls (and remote
-	// serialization) run on the pool, then classification and next-wavefront
-	// merging happen sequentially in slot order. Chunk boundaries are the
+	// Slots are processed in chunks: each chunk's Forward calls run on the
+	// pool, then classification and next-wavefront merging happen
+	// sequentially in slot order. Chunk boundaries are the
 	// safe points for the mid-round adaptive GC the sequential path does per
 	// slot — the collector is stop-the-world, so it cannot run under the
 	// pool, but heavy rounds still need garbage bounded mid-round.
@@ -1949,9 +1597,6 @@ func (w *Worker) dpRoundParallel() error {
 				} else {
 					po.dest = dest
 					po.owner = w.assignment[dest.Node]
-					if po.owner != w.id && !useWire(po.owner) {
-						po.packet = w.engine.Serialize(po.out)
-					}
 				}
 				res[si].ports = append(res[si].ports, po)
 			}
@@ -1961,8 +1606,8 @@ func (w *Worker) dpRoundParallel() error {
 			return err
 		}
 
-		// chunkWire coalesces every wire-path packet of this chunk per
-		// destination worker; it is flushed before the next chunk so the
+		// chunkWire coalesces every boundary-crossing packet of this chunk
+		// per destination worker; it is flushed before the next chunk so the
 		// refs never have to survive a chunk-boundary GC.
 		chunkWire := map[int][]wireItem{}
 		for si := lo; si < hi; si++ {
@@ -1990,48 +1635,22 @@ func (w *Worker) dpRoundParallel() error {
 					} else {
 						nextLocal[slot] = po.out
 					}
-				} else if useWire(po.owner) {
+				} else {
 					chunkWire[po.owner] = append(chunkWire[po.owner], wireItem{
 						source: s.source,
 						node:   po.dest.Node,
 						inPort: po.dest.Port,
 						out:    po.out,
 					})
-				} else {
-					legacyBytes += len(po.packet)
-					remote[po.owner] = append(remote[po.owner], sidecar.PacketDelivery{
-						Source: s.source,
-						Node:   po.dest.Node,
-						InPort: po.dest.Port,
-						Packet: po.packet,
-						Round:  round + 1,
-					})
 				}
 			}
 		}
-		// Ship this chunk's wire-path crossings: one substrate message per
-		// destination worker (③→④→⑤ in Figure 3, batched).
+		// Ship this chunk's crossings: one substrate message per destination
+		// worker (③→④→⑤ in Figure 3, batched).
 		if err := w.shipRemote(chunkWire, round+1); err != nil {
 			return err
 		}
 	}
-
-	// Ship the per-packet crossings for peers outside the wire path.
-	owners := make([]int, 0, len(remote))
-	for o := range remote {
-		owners = append(owners, o)
-	}
-	sort.Ints(owners)
-	for _, o := range owners {
-		peer := w.peers[o]
-		if peer == nil {
-			return fmt.Errorf("core: worker %d has no peer %d", w.id, o)
-		}
-		if err := peer.DeliverPackets(remote[o]); err != nil {
-			return fmt.Errorf("core: worker %d delivering to %d: %w", w.id, o, err)
-		}
-	}
-	w.obsWireBytes("packet", legacyBytes)
 
 	w.qmu.Lock()
 	w.queue = nextLocal
@@ -2139,16 +1758,19 @@ func (w *Worker) gcWithExtraRoots(extra func(add func(bdd.Ref))) func(bdd.Ref) b
 }
 
 // isDest reports whether delivery at node counts as Arrive for the query
-// that owns source. In a batch pass the source's tag index selects the
-// query's dest set; solo passes use the single destSet.
+// that owns source. In a pass of several queries the source's tag index
+// selects the query's dest set; a pass of one is untagged.
 func (w *Worker) isDest(source, node string) bool {
-	if w.batchDests != nil {
-		if i, _, ok := dataplane.SplitQueryTag(source); ok && i < len(w.batchDests) {
-			ds := w.batchDests[i]
-			return ds == nil || ds[node]
+	var ds map[string]bool
+	switch {
+	case len(w.dests) == 1:
+		ds = w.dests[0]
+	case len(w.dests) > 1:
+		if i, _, ok := dataplane.SplitQueryTag(source); ok && i < len(w.dests) {
+			ds = w.dests[i]
 		}
 	}
-	return w.destSet == nil || w.destSet[node]
+	return ds == nil || ds[node]
 }
 
 func (w *Worker) classify(source, node string, state dataplane.FinalState, pkt bdd.Ref) {
@@ -2169,9 +1791,8 @@ func (w *Worker) HasWork() (bool, error) {
 }
 
 // FinishQuery implements sidecar.WorkerAPI: whatever still circulates has
-// exceeded the TTL (Loop); serialize and return all outcomes. With wire
-// dedup on, all outcome packets share one set-encoded substrate (root i
-// pairs with Outcomes[i]); otherwise each outcome carries its own packet.
+// exceeded the TTL (Loop); serialize and return all outcomes. All outcome
+// packets share one set-encoded substrate (root i pairs with Outcomes[i]).
 func (w *Worker) FinishQuery() (sidecar.OutcomeBatch, error) {
 	w.phaseMu.Lock()
 	defer w.phaseMu.Unlock()
@@ -2206,29 +1827,14 @@ func (w *Worker) FinishQuery() (sidecar.OutcomeBatch, error) {
 		w.outcomes = append(w.outcomes, dataplane.Outcome{Source: s.source, Node: s.node, State: dataplane.Loop, Packet: stragglers[s]})
 	}
 
-	batch := sidecar.OutcomeBatch{Outcomes: make([]dataplane.RawOutcome, 0, len(w.outcomes))}
-	if w.wireDedup {
-		refs := make([]bdd.Ref, len(w.outcomes))
-		for i, o := range w.outcomes {
-			refs[i] = o.Packet
-			batch.Outcomes = append(batch.Outcomes, dataplane.RawOutcome{Source: o.Source, Node: o.Node, State: o.State})
-		}
-		batch.Wire = w.engine.SerializeSet(refs)
-		w.obsWireBytes("wire", len(batch.Wire))
-	} else {
-		total := 0
-		for _, o := range w.outcomes {
-			pkt := w.engine.Serialize(o.Packet)
-			total += len(pkt)
-			batch.Outcomes = append(batch.Outcomes, dataplane.RawOutcome{
-				Source: o.Source,
-				Node:   o.Node,
-				State:  o.State,
-				Packet: pkt,
-			})
-		}
-		w.obsWireBytes("packet", total)
+	batch := sidecar.OutcomeBatch{Outcomes: make([]dataplane.RawOutcome, len(w.outcomes))}
+	refs := make([]bdd.Ref, len(w.outcomes))
+	for i, o := range w.outcomes {
+		refs[i] = o.Packet
+		batch.Outcomes[i] = dataplane.RawOutcome{Source: o.Source, Node: o.Node, State: o.State}
 	}
+	batch.Wire = w.engine.SerializeSet(refs)
+	w.obsWireBytes(len(batch.Wire))
 	w.outcomes = nil
 	return batch, nil
 }

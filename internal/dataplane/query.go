@@ -103,7 +103,7 @@ func SplitQueryTag(source string) (idx int, rest string, ok bool) {
 
 // BatchCompatible reports whether two queries can share one symbolic pass.
 // The pass-wide state a batch shares is exactly the transit metadata-bit
-// assignment (BeginQuery stamps MetaBitFor onto every node) and the hop
+// assignment (BeginQueryBatch stamps MetaBitFor onto every node) and the hop
 // loop's TTL; header spaces, sources, and dests stay per-query via tagged
 // injection.
 func BatchCompatible(a, b *Query) bool {
@@ -211,13 +211,13 @@ type Outcome struct {
 	Packet bdd.Ref
 }
 
-// RawOutcome is the engine-independent wire form of an Outcome: the packet
-// is a serialized BDD. Workers ship RawOutcomes to the controller.
+// RawOutcome is the engine-independent wire form of an Outcome's
+// coordinates; the packets travel beside it as one set-encoded substrate
+// (see DecodeOutcomes). Workers ship RawOutcomes to the controller.
 type RawOutcome struct {
 	Source string
 	Node   string
 	State  FinalState
-	Packet []byte
 }
 
 // Violation describes one property violation found by a check.
@@ -269,6 +269,9 @@ func NewCollector(e *bdd.Engine, query *Query) *Collector {
 // Count returns the number of outcomes absorbed.
 func (c *Collector) Count() int { return c.count }
 
+// Engine returns the engine the collector's packet sets live in.
+func (c *Collector) Engine() *bdd.Engine { return c.e }
+
 // Add absorbs one engine-local outcome.
 func (c *Collector) Add(o Outcome) error {
 	if o.Packet == bdd.False {
@@ -302,18 +305,9 @@ func (c *Collector) Add(o Outcome) error {
 	return nil
 }
 
-// AddRaw deserializes and absorbs a worker-reported outcome.
-func (c *Collector) AddRaw(o RawOutcome) error {
-	pkt, err := c.e.Deserialize(o.Packet)
-	if err != nil {
-		return fmt.Errorf("dataplane: outcome from %s@%s: %w", o.Source, o.Node, err)
-	}
-	return c.Add(Outcome{Source: o.Source, Node: o.Node, State: o.State, Packet: pkt})
-}
-
 // DecodeOutcomes materializes a set-encoded outcome harvest into engine e:
 // wire is a bdd.SerializeSet substrate whose root i is the packet of
-// metas[i] (the metas carry no per-outcome payload in this mode).
+// metas[i].
 func DecodeOutcomes(e *bdd.Engine, wire []byte, metas []RawOutcome) ([]Outcome, error) {
 	roots, err := e.DeserializeSet(wire)
 	if err != nil {

@@ -301,7 +301,7 @@ func TestTraverseUnknownSource(t *testing.T) {
 
 func TestCollectorRawRoundTrip(t *testing.T) {
 	// Worker engine produces an outcome; controller engine absorbs it via
-	// the serialized path.
+	// the set-encoded harvest path.
 	layout := Layout{MetaBits: 2}
 	worker := layout.NewEngine(0)
 	controller := layout.NewEngine(0)
@@ -312,9 +312,15 @@ func TestCollectorRawRoundTrip(t *testing.T) {
 	}
 	q := &Query{Dests: []string{"r3"}}
 	col := NewCollector(controller, q)
-	raw := RawOutcome{Source: "r1", Node: "r3", State: Arrive, Packet: worker.Serialize(pkt)}
-	if err := col.AddRaw(raw); err != nil {
+	metas := []RawOutcome{{Source: "r1", Node: "r3", State: Arrive}}
+	outs, err := DecodeOutcomes(controller, worker.SerializeSet([]bdd.Ref{pkt}), metas)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, o := range outs {
+		if err := col.Add(o); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if col.Count() != 1 {
 		t.Fatal("count")
@@ -323,7 +329,7 @@ func TestCollectorRawRoundTrip(t *testing.T) {
 		t.Fatal("cross-engine transfer must preserve the packet set")
 	}
 	// Garbage packet fails.
-	if err := col.AddRaw(RawOutcome{Source: "x", Node: "y", Packet: []byte{1, 2}}); err == nil {
+	if _, err := DecodeOutcomes(controller, []byte{1, 2}, []RawOutcome{{Source: "x", Node: "y"}}); err == nil {
 		t.Fatal("garbage must fail")
 	}
 }

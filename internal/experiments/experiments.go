@@ -226,10 +226,7 @@ type s2Params struct {
 	budget  int64
 	loadOf  func(string) int64
 	seed    int64
-	procs   int  // per-worker pool size (0 = all CPUs)
-	noBatch bool // disable cross-worker pull batching
-	noWire  bool // disable the shared-substrate wire codec
-	gcWipe  bool // revert BDD GC to the seed collector (A/B baseline)
+	procs   int // per-worker pool size (0 = all CPUs)
 }
 
 // resolvedProcs mirrors the controller's Parallelism default so telemetry
@@ -241,31 +238,14 @@ func (p s2Params) resolvedProcs() int {
 	return runtime.NumCPU()
 }
 
-// recordPoolTelemetry stamps the run's pool and batching knobs into the
-// telemetry map next to the metrics snapshot (s2bench -json rows).
+// recordPoolTelemetry stamps the run's pool size into the telemetry map
+// next to the metrics snapshot (s2bench -json rows).
 func recordPoolTelemetry(t map[string]float64, p s2Params) {
 	t["s2_pool_procs"] = float64(p.resolvedProcs())
-	if p.noBatch {
-		t["s2_batch_pulls_enabled"] = 0
-	} else {
-		t["s2_batch_pulls_enabled"] = 1
-	}
-	if p.noWire {
-		t["s2_wire_dedup_enabled"] = 0
-	} else {
-		t["s2_wire_dedup_enabled"] = 1
-	}
-	if p.gcWipe {
-		t["s2_gc_relocation_enabled"] = 0
-	} else {
-		t["s2_gc_relocation_enabled"] = 1
-	}
 }
 
 // recordGCTelemetry stamps fleet-wide GC pause percentiles (aggregated
-// over every worker's "total" pause series) into the telemetry map — the
-// numbers BENCH_pr8.json compares between the relocating collector and
-// the -gc-wipe seed baseline.
+// over every worker's "total" pause series) into the telemetry map.
 func recordGCTelemetry(t map[string]float64, reg *obs.Registry) {
 	t["s2_bdd_gc_pause_p50_seconds"] = reg.HistogramQuantile(core.MetricBDDGCPause, 0.50, "phase", "total")
 	t["s2_bdd_gc_pause_p99_seconds"] = reg.HistogramQuantile(core.MetricBDDGCPause, 0.99, "phase", "total")
@@ -292,10 +272,7 @@ func runS2(texts map[string]string, p s2Params) (row Row) {
 		Metrics:      reg,
 		Logger:       logger,
 
-		Parallelism:       p.procs,
-		DisableBatchPulls: p.noBatch,
-		DisableWireDedup:  p.noWire,
-		GCWipe:            p.gcWipe,
+		Parallelism: p.procs,
 	})
 	if err != nil {
 		row.Err = err.Error()
@@ -356,10 +333,7 @@ func runS2CP(texts map[string]string, p s2Params) (row Row) {
 		Metrics:      reg,
 		Logger:       logger,
 
-		Parallelism:       p.procs,
-		DisableBatchPulls: p.noBatch,
-		DisableWireDedup:  p.noWire,
-		GCWipe:            p.gcWipe,
+		Parallelism: p.procs,
 	})
 	if err != nil {
 		row.Err = err.Error()

@@ -289,14 +289,11 @@ func Figure10(cfg Config) ([]Row, error) {
 
 // Figure11 measures this implementation's multi-core hot path (not a paper
 // figure): one FatTree, a fixed worker count, sweeping the per-worker pool
-// size across three configurations — everything off ("pN"), pull batching
-// on with per-packet wire encoding ("pN+batch-nowire"), and the full fast
-// path with the shared-substrate wire codec ("pN+batch"). Wall clock
-// should fall as the pool grows (bounded by the host's core count — see
-// the README's note on reading these numbers), the batched runs should
-// show fewer client RPCs (s2_rpc_calls_total in the row telemetry), and
-// the wire-dedup runs should move several times fewer cross-worker
-// data-plane bytes (s2_wire_packet_bytes_total) at equal results.
+// size ("pN"). Wall clock should fall as the pool grows (bounded by the
+// host's core count — see the README's note on reading these numbers) at
+// equal results; the row telemetry carries the client RPC count
+// (s2_rpc_calls_total), the cross-worker data-plane bytes
+// (s2_wire_packet_bytes_total) and the GC pause percentiles.
 func Figure11(cfg Config) ([]Row, error) {
 	cfg = cfg.Defaults()
 	_, texts, err := fatTreeSnap(cfg.FixedK)
@@ -308,32 +305,15 @@ func Figure11(cfg Config) ([]Row, error) {
 	if workers < 2 {
 		workers = 2
 	}
-	configs := []struct {
-		suffix  string
-		noBatch bool
-		noWire  bool
-		gcWipe  bool
-	}{
-		{suffix: "", noBatch: true, noWire: true},
-		{suffix: "+batch-nowire", noBatch: false, noWire: true},
-		{suffix: "+batch", noBatch: false, noWire: false},
-		// The seed-collector baseline (sequential mark, op cache wiped per
-		// collection) against the default relocating parallel collector:
-		// compare s2_bdd_gc_pause_p50/p99_seconds between +batch and
-		// +batch+gcwipe at equal (byte-identical) results.
-		{suffix: "+batch+gcwipe", noBatch: false, noWire: false, gcWipe: true},
-	}
 	var rows []Row
-	for _, cc := range configs {
-		for _, procs := range cfg.ProcsSweep {
-			r := runS2(texts, s2Params{
-				workers: workers, shards: cfg.Shards,
-				loadOf: partition.EstimateFatTreeLoad(cfg.FixedK), seed: cfg.Seed,
-				procs: procs, noBatch: cc.noBatch, noWire: cc.noWire, gcWipe: cc.gcWipe,
-			})
-			r.Figure, r.Network, r.Variant = "fig11", network, fmt.Sprintf("p%d%s", procs, cc.suffix)
-			rows = append(rows, r)
-		}
+	for _, procs := range cfg.ProcsSweep {
+		r := runS2(texts, s2Params{
+			workers: workers, shards: cfg.Shards,
+			loadOf: partition.EstimateFatTreeLoad(cfg.FixedK), seed: cfg.Seed,
+			procs: procs,
+		})
+		r.Figure, r.Network, r.Variant = "fig11", network, fmt.Sprintf("p%d", procs)
+		rows = append(rows, r)
 	}
 	return rows, nil
 }

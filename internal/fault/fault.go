@@ -82,6 +82,12 @@ func TransientErr(method string, err error) *Error {
 	return &Error{Method: method, Kind: Transient, Err: err}
 }
 
+// FatalErr wraps err as a fatal fault of the given method: the remote side
+// refused the call for a reason no retry can change.
+func FatalErr(method string, err error) *Error {
+	return &Error{Method: method, Kind: Fatal, Err: err}
+}
+
 // transientStrings are substrings of stdlib error texts that indicate the
 // transport (not the application) failed. String matching is the pragmatic
 // fallback for errors that crossed an RPC boundary or were wrapped without

@@ -10,9 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"s2/internal/bgp"
 	"s2/internal/metrics"
-	"s2/internal/ospf"
 	"s2/internal/route"
 	"s2/internal/sidecar"
 )
@@ -39,6 +37,8 @@ func TestIsTransient(t *testing.T) {
 		{errors.New("read tcp: use of closed network connection"), true},
 		{errors.New("sidecar: server draining"), true},
 		{&Error{Method: "ApplyBGP", Kind: Fatal, Err: errors.New("boom")}, false},
+		{FatalErr("Setup", errors.New("protocol version mismatch")), false},
+		{errors.New(FatalErr("Setup", ErrWorkerDown).Error()), false},
 	}
 	for _, c := range cases {
 		if got := IsTransient(c.err); got != c.want {
@@ -311,12 +311,6 @@ func (n *nullWorker) ApplyBGP() (sidecar.ApplyReply, error)      { return sideca
 func (n *nullWorker) GatherOSPF() error                          { return nil }
 func (n *nullWorker) ApplyOSPF() (sidecar.ApplyReply, error)     { return sidecar.ApplyReply{}, nil }
 func (n *nullWorker) EndShard() (sidecar.EndShardReply, error)   { return sidecar.EndShardReply{}, nil }
-func (n *nullWorker) PullBGP(string, string, uint64, bool) ([]bgp.Advertisement, uint64, bool, error) {
-	return nil, 0, false, nil
-}
-func (n *nullWorker) PullLSAs(string, string, uint64, bool) ([]*ospf.LSA, uint64, bool, error) {
-	return nil, 0, false, nil
-}
 func (n *nullWorker) PullBGPBatch(reqs []sidecar.PullBGPRequest) ([]sidecar.PullBGPReply, error) {
 	return make([]sidecar.PullBGPReply, len(reqs)), nil
 }
@@ -326,12 +320,10 @@ func (n *nullWorker) PullLSABatch(reqs []sidecar.PullLSAsRequest) ([]sidecar.Pul
 func (n *nullWorker) ComputeDP() (sidecar.ComputeDPReply, error) {
 	return sidecar.ComputeDPReply{}, nil
 }
-func (n *nullWorker) BeginQuery(sidecar.QueryRequest) error           { return nil }
 func (n *nullWorker) BeginQueryBatch(sidecar.QueryBatchRequest) error { return nil }
 func (n *nullWorker) Inject(sidecar.InjectRequest) error              { return nil }
 func (n *nullWorker) DPRound() error                                  { return nil }
 func (n *nullWorker) HasWork() (bool, error)                          { return false, nil }
-func (n *nullWorker) DeliverPackets([]sidecar.PacketDelivery) error   { return nil }
 func (n *nullWorker) DeliverBatch(sidecar.DeliverBatchRequest) (sidecar.DeliverBatchReply, error) {
 	return sidecar.DeliverBatchReply{}, nil
 }
@@ -348,12 +340,6 @@ func (n *nullWorker) PullStats(sidecar.PullStatsRequest) (sidecar.PullStatsReply
 }
 func (n *nullWorker) PullProfile(sidecar.PullProfileRequest) (sidecar.PullProfileReply, error) {
 	return sidecar.PullProfileReply{}, nil
-}
-func (n *nullWorker) PullBGPBatchWire(reqs []sidecar.PullBGPRequest) ([]sidecar.PullBGPReply, error) {
-	return make([]sidecar.PullBGPReply, len(reqs)), nil
-}
-func (n *nullWorker) PullLSABatchWire(reqs []sidecar.PullLSAsRequest) ([]sidecar.PullLSAsReply, error) {
-	return make([]sidecar.PullLSAsReply, len(reqs)), nil
 }
 func (n *nullWorker) ApplyDelta(sidecar.DeltaRequest) (sidecar.DeltaReply, error) {
 	return sidecar.DeltaReply{}, nil

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"s2/internal/bgp"
-	"s2/internal/ospf"
 	"s2/internal/route"
 	"s2/internal/sidecar"
 )
@@ -181,20 +179,6 @@ func (j *Injector) EndShard() (sidecar.EndShardReply, error) {
 	return j.inner.EndShard()
 }
 
-func (j *Injector) PullBGP(exporter, puller string, since uint64, seen bool) ([]bgp.Advertisement, uint64, bool, error) {
-	if err := j.before("PullBGP"); err != nil {
-		return nil, 0, false, err
-	}
-	return j.inner.PullBGP(exporter, puller, since, seen)
-}
-
-func (j *Injector) PullLSAs(exporter, puller string, since uint64, seen bool) ([]*ospf.LSA, uint64, bool, error) {
-	if err := j.before("PullLSAs"); err != nil {
-		return nil, 0, false, err
-	}
-	return j.inner.PullLSAs(exporter, puller, since, seen)
-}
-
 func (j *Injector) PullBGPBatch(reqs []sidecar.PullBGPRequest) ([]sidecar.PullBGPReply, error) {
 	if err := j.before("PullBGPBatch"); err != nil {
 		return nil, err
@@ -209,20 +193,6 @@ func (j *Injector) PullLSABatch(reqs []sidecar.PullLSAsRequest) ([]sidecar.PullL
 	return j.inner.PullLSABatch(reqs)
 }
 
-func (j *Injector) PullBGPBatchWire(reqs []sidecar.PullBGPRequest) ([]sidecar.PullBGPReply, error) {
-	if err := j.before("PullBGPBatchWire"); err != nil {
-		return nil, err
-	}
-	return j.inner.PullBGPBatchWire(reqs)
-}
-
-func (j *Injector) PullLSABatchWire(reqs []sidecar.PullLSAsRequest) ([]sidecar.PullLSAsReply, error) {
-	if err := j.before("PullLSABatchWire"); err != nil {
-		return nil, err
-	}
-	return j.inner.PullLSABatchWire(reqs)
-}
-
 func (j *Injector) ApplyDelta(req sidecar.DeltaRequest) (sidecar.DeltaReply, error) {
 	if err := j.before("ApplyDelta"); err != nil {
 		return sidecar.DeltaReply{}, err
@@ -235,13 +205,6 @@ func (j *Injector) ComputeDP() (sidecar.ComputeDPReply, error) {
 		return sidecar.ComputeDPReply{}, err
 	}
 	return j.inner.ComputeDP()
-}
-
-func (j *Injector) BeginQuery(req sidecar.QueryRequest) error {
-	if err := j.before("BeginQuery"); err != nil {
-		return err
-	}
-	return j.inner.BeginQuery(req)
 }
 
 func (j *Injector) BeginQueryBatch(req sidecar.QueryBatchRequest) error {
@@ -270,13 +233,6 @@ func (j *Injector) HasWork() (bool, error) {
 		return false, err
 	}
 	return j.inner.HasWork()
-}
-
-func (j *Injector) DeliverPackets(items []sidecar.PacketDelivery) error {
-	if err := j.before("DeliverPackets"); err != nil {
-		return err
-	}
-	return j.inner.DeliverPackets(items)
 }
 
 func (j *Injector) DeliverBatch(req sidecar.DeliverBatchRequest) (sidecar.DeliverBatchReply, error) {

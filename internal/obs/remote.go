@@ -8,8 +8,7 @@ import (
 // TraceContext identifies a span for cross-process propagation: requests
 // carry the caller's context so the server-side span parents under the RPC
 // that triggered it instead of starting an orphan root. The zero value
-// means "no parent" and is what legacy peers that never stamp a context
-// effectively send.
+// means "no parent".
 type TraceContext struct {
 	TraceID uint64 // lane (root span id) of the originating trace
 	SpanID  uint64 // immediate parent span id

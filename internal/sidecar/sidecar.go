@@ -11,6 +11,11 @@
 // calls, one goroutine pool per worker) and by the RemoteWorker RPC client
 // (workers in separate OS processes via cmd/s2worker), so the controller
 // code is transport-agnostic.
+//
+// Controller and workers speak exactly one protocol, named by
+// ProtocolVersion: the controller sends it in every SetupRequest and a
+// worker built from a different tree refuses the Setup with a fatal error,
+// so no RPC past Setup ever has to cope with an older or newer peer.
 package sidecar
 
 import (
@@ -30,17 +35,19 @@ import (
 	"s2/internal/topology"
 )
 
+// ProtocolVersion names the sidecar protocol this tree speaks: the request
+// and reply shapes below and the method set of WorkerAPI. Bump it with any
+// change to either; Setup rejects a controller that sends another value.
+const ProtocolVersion = 1
+
 // TraceContext is the cross-process span identity carried on every sidecar
 // request (see obs.TraceContext): the caller's in-flight span, under which
 // the server side parents the spans it creates while serving the call.
-// The zero value — what legacy callers effectively send — means "no
-// parent". The alias keeps request structs self-describing while obs owns
-// the propagation semantics.
+// The zero value means "no parent". The alias keeps request structs
+// self-describing while obs owns the propagation semantics.
 type TraceContext = obs.TraceContext
 
-// CallMeta replaces Empty as the argument of void RPCs so they can carry a
-// TraceContext. gob tolerates the change in both directions: old callers'
-// Empty decodes as the zero CallMeta, and old servers ignore the TC field.
+// CallMeta is the argument of void RPCs, so they can carry a TraceContext.
 type CallMeta struct {
 	TC TraceContext
 }
@@ -52,6 +59,9 @@ var ErrDraining = errors.New("sidecar: server draining")
 
 // SetupRequest initializes a worker with its segment of the network.
 type SetupRequest struct {
+	// ProtocolVersion is the controller's ProtocolVersion; a worker that
+	// speaks another one fails the Setup with a fatal (not retried) error.
+	ProtocolVersion int
 	// WorkerID is this worker's index; Assignment maps every node in the
 	// network to its worker (shadow-node routing table).
 	WorkerID   int
@@ -87,27 +97,13 @@ type SetupRequest struct {
 	RPCRetries int
 	// Parallelism bounds the worker's per-node goroutine pool for the
 	// simulation phases (Gather*/Apply*/ComputeDP/DPRound). <= 0 falls back
-	// to the worker's own default (the s2worker -procs flag, else 1), so
-	// controllers predating this field leave old workers sequential.
+	// to the worker's own default (the s2worker -procs flag, else 1).
 	Parallelism int
-	// DisableBatchPulls turns off coalescing of shadow-node pulls into
-	// per-owner PullBGPBatch/PullLSABatch round trips (the zero value keeps
-	// batching ON).
-	DisableBatchPulls bool
-	// DisableWireDedup turns off the shared-substrate wire codec for
-	// cross-worker packet delivery (DeliverBatch with per-peer incremental
-	// node dedup), reverting to one independently-serialized BDD per
-	// packet (the zero value keeps dedup ON).
-	DisableWireDedup bool
 	// GCStress forces the worker's BDD GC pacer to collect at every safe
 	// point where the table grew at all — a smoke-test knob that maximizes
 	// collection count so relocation and pacing bugs surface; results must
-	// stay byte-identical. GCWipe reverts the engine to the seed
-	// collector's cache behavior (op cache wiped on every collection) as
-	// the A/B baseline for GC benchmarks. Both default off; gob tolerates
-	// the new fields in mixed fleets (old workers ignore them).
+	// stay byte-identical.
 	GCStress bool
-	GCWipe   bool
 	// TC parents the worker's setup span under the caller's RPC span.
 	TC TraceContext
 }
@@ -150,7 +146,8 @@ type ApplyReply struct {
 	Routes int
 }
 
-// PullBGPRequest relays a shadow node's route pull to the real node.
+// PullBGPRequest is one shadow node's route pull, relayed to the real node
+// inside a PullBGPBatch.
 type PullBGPRequest struct {
 	Exporter string
 	Puller   string
@@ -166,7 +163,7 @@ type PullBGPReply struct {
 	Fresh   bool
 }
 
-// PullLSAsRequest relays a shadow node's LSA pull.
+// PullLSAsRequest is one shadow node's LSA pull inside a PullLSABatch.
 type PullLSAsRequest struct {
 	Exporter string
 	Puller   string
@@ -182,22 +179,9 @@ type PullLSAsReply struct {
 	Fresh   bool
 }
 
-// PullBGPBatchReply carries one reply per request of a coalesced pull, in
-// request order. Batching turns the per-shadow-node round trips of one CP
-// iteration into a single RPC per remote owner.
-type PullBGPBatchReply struct {
-	Replies []PullBGPReply
-}
-
-// PullLSABatchReply is the LSA analogue of PullBGPBatchReply.
-type PullLSABatchReply struct {
-	Replies []PullLSAsReply
-}
-
 // PullWireReply carries a batch-pull reply set as one compact varint
 // payload (wirecodec.go) instead of gob-encoded structs — the control-plane
-// analogue of the data plane's shared-substrate wire codec. Workers fall
-// back to the gob batch RPCs against peers that predate it.
+// analogue of the data plane's shared-substrate wire codec.
 type PullWireReply struct {
 	Payload []byte
 }
@@ -230,9 +214,7 @@ type DeltaReply struct {
 // incremental: FIBEntries counts the entries this call (re)resolved and
 // Errors the problems found resolving them, RecompiledNodes the nodes
 // compiled from scratch (all of them on a cold compute) and PatchedPrefixes
-// the changed prefixes patched in place, summed over nodes. The last two
-// postdate the first binaries; gob leaves them zero when an older worker
-// answers and drops them when an older controller asks.
+// the changed prefixes patched in place, summed over nodes.
 type ComputeDPReply struct {
 	FIBEntries      int
 	BDDNodes        int
@@ -241,18 +223,11 @@ type ComputeDPReply struct {
 	PatchedPrefixes int
 }
 
-// QueryRequest configures one property query on the workers.
-type QueryRequest struct {
-	Query dataplane.Query
-	TC    TraceContext
-}
-
-// QueryBatchRequest configures one multi-query symbolic pass: every query
-// shares the pass's transit metadata bits and TTL (dataplane.BatchCompatible),
-// while injected packets carry dataplane.QueryTag(i) source prefixes so the
-// wavefront keeps per-query packets in distinct slots. Workers that predate
-// this RPC reject it with the net/rpc unknown-method error; the controller
-// falls back to sequential per-query passes.
+// QueryBatchRequest configures one symbolic pass over one or more queries:
+// every query shares the pass's transit metadata bits and TTL
+// (dataplane.BatchCompatible). With more than one query, injected packets
+// carry dataplane.QueryTag(i) source prefixes so the wavefront keeps
+// per-query packets in distinct slots; a pass of one is untagged.
 type QueryBatchRequest struct {
 	Queries []dataplane.Query
 	TC      TraceContext
@@ -262,8 +237,6 @@ type QueryBatchRequest struct {
 // receiving worker). The packet is a serialized BDD. Tag, when non-empty,
 // is the dataplane.QueryTag prefix of a multi-query pass: ownership is
 // validated against Source, and the packet circulates as Tag+Source.
-// (gob tolerates the added field in mixed fleets; old peers never see it
-// because batch passes are negotiated via BeginQueryBatch first.)
 type InjectRequest struct {
 	Source string
 	Packet []byte
@@ -271,25 +244,10 @@ type InjectRequest struct {
 	TC     TraceContext
 }
 
-// PacketDelivery is one symbolic packet crossing a worker boundary: it
-// arrives at Node on port InPort (③→④→⑤ in the paper's Figure 3). Round
-// is the wavefront round the packet must be processed in: a delivery can
-// physically arrive before the receiver has drained its current round
-// (workers run each round concurrently), and processing it early would
-// let the packet cross two adjacencies in one TTL tick. Receivers park
-// deliveries stamped for a future round. Zero means round 0 (injection),
-// and senders that predate the field degrade to immediate processing.
-type PacketDelivery struct {
-	Source string
-	Node   string
-	InPort string
-	Packet []byte
-	Round  int
-}
-
-// WirePacket is one symbolic packet inside a DeliverBatch message: the
-// usual delivery coordinates plus the root's id in the batch's shared
-// substrate (bdd wire codec) instead of an independently serialized BDD.
+// WirePacket is one symbolic packet crossing a worker boundary inside a
+// DeliverBatch message: it arrives at Node on port InPort (③→④→⑤ in the
+// paper's Figure 3), and Root is its id in the batch's shared substrate
+// (bdd wire codec).
 type WirePacket struct {
 	Source string
 	Node   string
@@ -301,12 +259,17 @@ type WirePacket struct {
 // destination worker in a round chunk: one shared-substrate BDD message
 // (bdd.EncodeDelta against the sender's per-peer WireSession) plus the
 // per-packet roots referencing it. From names the sending worker so the
-// receiver can keep one wire session per peer.
+// receiver can keep one wire session per peer. Round is the wavefront round
+// the batch must be processed in: a delivery can physically arrive before
+// the receiver has drained its current round (workers run each round
+// concurrently), and processing it early would let a packet cross two
+// adjacencies in one TTL tick, so receivers park batches stamped for a
+// future round.
 type DeliverBatchRequest struct {
 	From  int
 	Wire  []byte
 	Items []WirePacket
-	Round int // wavefront round the batch is for (see PacketDelivery.Round)
+	Round int
 	TC    TraceContext
 }
 
@@ -324,12 +287,9 @@ type HasWorkReply struct {
 	Busy bool
 }
 
-// OutcomeBatch is a worker's finalized packets for the current query.
-// When Wire is non-empty it is a shared-substrate set encoding
-// (bdd.SerializeSet) of every outcome's packet, root i belonging to
-// Outcomes[i], whose Packet field is then empty. When Wire is empty each
-// outcome carries its own independently serialized packet (older workers
-// and the -no-wire-dedup escape hatch).
+// OutcomeBatch is a worker's finalized packets for the current query:
+// Wire is a shared-substrate set encoding (bdd.SerializeSet) of every
+// outcome's packet, root i belonging to Outcomes[i].
 type OutcomeBatch struct {
 	Wire     []byte
 	Outcomes []dataplane.RawOutcome
@@ -464,19 +424,12 @@ type WorkerAPI interface {
 	ApplyOSPF() (ApplyReply, error)
 	EndShard() (EndShardReply, error)
 
-	PullBGP(exporter, puller string, since uint64, seen bool) ([]bgp.Advertisement, uint64, bool, error)
-	PullLSAs(exporter, puller string, since uint64, seen bool) ([]*ospf.LSA, uint64, bool, error)
-	// PullBGPBatch and PullLSABatch serve many pulls in one round trip;
-	// replies align with reqs by index. Workers fall back to per-pull RPCs
-	// against peers that predate these methods.
+	// PullBGPBatch and PullLSABatch serve one peer's shadow-node pulls of
+	// a gather phase in one round trip; replies align with reqs by index.
+	// Across a process boundary the reply set travels varint-encoded
+	// (PullWireReply); in-process there is no encoding at all.
 	PullBGPBatch(reqs []PullBGPRequest) ([]PullBGPReply, error)
 	PullLSABatch(reqs []PullLSAsRequest) ([]PullLSAsReply, error)
-	// PullBGPBatchWire and PullLSABatchWire are the batch pulls with the
-	// reply set varint-encoded on the wire (PullWireReply) instead of gob.
-	// In-process they are identical to the gob batches; workers fall back
-	// per peer when the remote end predates them.
-	PullBGPBatchWire(reqs []PullBGPRequest) ([]PullBGPReply, error)
-	PullLSABatchWire(reqs []PullLSAsRequest) ([]PullLSAsReply, error)
 
 	// ApplyDelta swaps changed local device models into resident state
 	// after a converged run, without a full re-Setup. Not idempotent in
@@ -485,31 +438,26 @@ type WorkerAPI interface {
 	ApplyDelta(req DeltaRequest) (DeltaReply, error)
 
 	ComputeDP() (ComputeDPReply, error)
-	BeginQuery(req QueryRequest) error
-	// BeginQueryBatch arms one multi-query symbolic pass (tagged sources,
-	// per-query dest sets). Workers that predate it return the net/rpc
-	// unknown-method error; the controller falls back to per-query passes.
+	// BeginQueryBatch arms one symbolic pass over one or more queries
+	// (per-query dest sets; tagged sources when there is more than one).
 	BeginQueryBatch(req QueryBatchRequest) error
 	Inject(req InjectRequest) error
 	DPRound() error
 	HasWork() (bool, error)
-	DeliverPackets(items []PacketDelivery) error
-	// DeliverBatch delivers many packets against one shared BDD substrate
-	// with per-peer incremental node dedup. Workers fall back to
-	// per-packet DeliverPackets against peers that predate this method.
+	// DeliverBatch delivers a worker's boundary-crossing packets against
+	// one shared BDD substrate with per-peer incremental node dedup.
 	DeliverBatch(req DeliverBatchRequest) (DeliverBatchReply, error)
 	FinishQuery() (OutcomeBatch, error)
 
 	CollectRIBs() (map[string][]*route.Route, error)
 	Stats() (WorkerStats, error)
 	// PullSpans drains the worker's span export queue. Probe-class like
-	// Ping/Stats: it must not block on phase state, and workers that
-	// predate it (or run without a tracer) return an empty reply.
+	// Ping/Stats: it must not block on phase state, and workers without a
+	// tracer return an empty reply.
 	PullSpans(req PullSpansRequest) (PullSpansReply, error)
 	// PullStats returns the worker's live vitals for the fleet health
 	// plane. Probe-class like Ping/Stats/PullSpans: it must not block on
-	// phase state; workers that predate it answer with the net/rpc
-	// unknown-method error and the controller stops asking.
+	// phase state.
 	PullStats(req PullStatsRequest) (PullStatsReply, error)
 	// PullProfile captures and returns one pprof profile. Probe-class (no
 	// phase lock), though a cpu capture blocks its caller for the capture
@@ -633,59 +581,15 @@ func (s *Service) EndShard(args CallMeta, reply *EndShardReply) error {
 	})
 }
 
-// PullBGP RPC.
-func (s *Service) PullBGP(req PullBGPRequest, reply *PullBGPReply) error {
-	return s.do("PullBGP", req.TC, func() error {
-		advs, ver, fresh, err := s.api.PullBGP(req.Exporter, req.Puller, req.Since, req.Seen)
-		reply.Advs, reply.Version, reply.Fresh = advs, ver, fresh
-		return err
-	})
-}
-
-// PullLSAs RPC.
-func (s *Service) PullLSAs(req PullLSAsRequest, reply *PullLSAsReply) error {
-	return s.do("PullLSAs", req.TC, func() error {
-		lsas, ver, fresh, err := s.api.PullLSAs(req.Exporter, req.Puller, req.Since, req.Seen)
-		reply.LSAs, reply.Version, reply.Fresh = lsas, ver, fresh
-		return err
-	})
-}
-
-// PullBGPBatch RPC.
-func (s *Service) PullBGPBatch(reqs []PullBGPRequest, reply *PullBGPBatchReply) error {
+// PullBGPBatch RPC: the reply set crosses the wire as one varint payload
+// instead of gob structs. The trace context rides on the first request.
+func (s *Service) PullBGPBatch(reqs []PullBGPRequest, reply *PullWireReply) error {
 	var tc TraceContext
 	if len(reqs) > 0 {
 		tc = reqs[0].TC
 	}
 	return s.do("PullBGPBatch", tc, func() error {
 		replies, err := s.api.PullBGPBatch(reqs)
-		reply.Replies = replies
-		return err
-	})
-}
-
-// PullLSABatch RPC.
-func (s *Service) PullLSABatch(reqs []PullLSAsRequest, reply *PullLSABatchReply) error {
-	var tc TraceContext
-	if len(reqs) > 0 {
-		tc = reqs[0].TC
-	}
-	return s.do("PullLSABatch", tc, func() error {
-		replies, err := s.api.PullLSABatch(reqs)
-		reply.Replies = replies
-		return err
-	})
-}
-
-// PullBGPBatchWire RPC: the reply set crosses the wire as one varint
-// payload instead of gob structs.
-func (s *Service) PullBGPBatchWire(reqs []PullBGPRequest, reply *PullWireReply) error {
-	var tc TraceContext
-	if len(reqs) > 0 {
-		tc = reqs[0].TC
-	}
-	return s.do("PullBGPBatchWire", tc, func() error {
-		replies, err := s.api.PullBGPBatchWire(reqs)
 		if err != nil {
 			return err
 		}
@@ -694,14 +598,14 @@ func (s *Service) PullBGPBatchWire(reqs []PullBGPRequest, reply *PullWireReply) 
 	})
 }
 
-// PullLSABatchWire RPC.
-func (s *Service) PullLSABatchWire(reqs []PullLSAsRequest, reply *PullWireReply) error {
+// PullLSABatch RPC.
+func (s *Service) PullLSABatch(reqs []PullLSAsRequest, reply *PullWireReply) error {
 	var tc TraceContext
 	if len(reqs) > 0 {
 		tc = reqs[0].TC
 	}
-	return s.do("PullLSABatchWire", tc, func() error {
-		replies, err := s.api.PullLSABatchWire(reqs)
+	return s.do("PullLSABatch", tc, func() error {
+		replies, err := s.api.PullLSABatch(reqs)
 		if err != nil {
 			return err
 		}
@@ -728,11 +632,6 @@ func (s *Service) ComputeDP(args CallMeta, reply *ComputeDPReply) error {
 	})
 }
 
-// BeginQuery RPC.
-func (s *Service) BeginQuery(req QueryRequest, _ *Empty) error {
-	return s.do("BeginQuery", req.TC, func() error { return s.api.BeginQuery(req) })
-}
-
 // BeginQueryBatch RPC.
 func (s *Service) BeginQueryBatch(req QueryBatchRequest, _ *Empty) error {
 	return s.do("BeginQueryBatch", req.TC, func() error { return s.api.BeginQueryBatch(req) })
@@ -755,11 +654,6 @@ func (s *Service) HasWork(args CallMeta, reply *HasWorkReply) error {
 		reply.Busy = busy
 		return err
 	})
-}
-
-// DeliverPackets RPC.
-func (s *Service) DeliverPackets(items []PacketDelivery, _ *Empty) error {
-	return s.do("DeliverPackets", TraceContext{}, func() error { return s.api.DeliverPackets(items) })
 }
 
 // DeliverBatch RPC.
@@ -1004,7 +898,7 @@ func Serve(api WorkerAPI, lis net.Listener) error {
 // this indirection keeps sidecar free of a dependency on the fault package.
 type CallWrapper func(method string, idempotent bool, call func() error) error
 
-// RemoteWorker is the client side: a WorkerAPI (and sim.PullPeer) that
+// RemoteWorker is the client side: a WorkerAPI that
 // relays every call over RPC, optionally through a CallWrapper.
 type RemoteWorker struct {
 	addr    string
@@ -1102,13 +996,13 @@ func rcall[R any](r *RemoteWorker, method string, idempotent bool, args any) (R,
 }
 
 // Idempotency of each RPC, which gates retries. Phase mutations (Gather*/
-// Apply*/EndShard/Inject/DPRound/DeliverPackets/FinishQuery) are NOT safe
+// Apply*/EndShard/Inject/DPRound/DeliverBatch/FinishQuery) are NOT safe
 // to retry — a timed-out attempt may still have executed remotely, and
 // running one twice breaks the round barrier; recovery for those is
-// re-execution from a clean re-Setup. Setup/BeginShard/BeginQuery fully
-// reset the state they establish, and the rest are reads — including the
-// Pull* family (plain and batch): serving a pull never mutates exporter
-// state, so a duplicate delivery of a timed-out pull is harmless.
+// re-execution from a clean re-Setup. Setup/BeginShard/BeginQueryBatch
+// fully reset the state they establish, and the rest are reads — including
+// the batch pulls: serving a pull never mutates exporter state, so a
+// duplicate delivery of a timed-out pull is harmless.
 
 // Ping implements WorkerAPI.
 func (r *RemoteWorker) Ping() error {
@@ -1157,28 +1051,18 @@ func (r *RemoteWorker) EndShard() (EndShardReply, error) {
 	return rcall[EndShardReply](r, "EndShard", false, CallMeta{TC: r.takeTC()})
 }
 
-// PullBGP implements WorkerAPI and sim.PullPeer.
-func (r *RemoteWorker) PullBGP(exporter, puller string, since uint64, seen bool) ([]bgp.Advertisement, uint64, bool, error) {
-	reply, err := rcall[PullBGPReply](r, "PullBGP", true,
-		PullBGPRequest{Exporter: exporter, Puller: puller, Since: since, Seen: seen, TC: r.takeTC()})
-	return reply.Advs, reply.Version, reply.Fresh, err
-}
-
-// PullLSAs implements WorkerAPI and sim.PullPeer.
-func (r *RemoteWorker) PullLSAs(exporter, puller string, since uint64, seen bool) ([]*ospf.LSA, uint64, bool, error) {
-	reply, err := rcall[PullLSAsReply](r, "PullLSAs", true,
-		PullLSAsRequest{Exporter: exporter, Puller: puller, Since: since, Seen: seen, TC: r.takeTC()})
-	return reply.LSAs, reply.Version, reply.Fresh, err
-}
-
-// PullBGPBatch implements WorkerAPI. The trace context rides on the first
-// request of the batch (the wire shape — a bare slice — predates TC).
+// PullBGPBatch implements WorkerAPI: the reply set arrives as one varint
+// payload and is decoded client-side. The trace context rides on the first
+// request of the batch.
 func (r *RemoteWorker) PullBGPBatch(reqs []PullBGPRequest) ([]PullBGPReply, error) {
 	if len(reqs) > 0 {
 		reqs[0].TC = r.takeTC()
 	}
-	reply, err := rcall[PullBGPBatchReply](r, "PullBGPBatch", true, reqs)
-	return reply.Replies, err
+	reply, err := rcall[PullWireReply](r, "PullBGPBatch", true, reqs)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeBGPReplies(reply.Payload)
 }
 
 // PullLSABatch implements WorkerAPI.
@@ -1186,29 +1070,7 @@ func (r *RemoteWorker) PullLSABatch(reqs []PullLSAsRequest) ([]PullLSAsReply, er
 	if len(reqs) > 0 {
 		reqs[0].TC = r.takeTC()
 	}
-	reply, err := rcall[PullLSABatchReply](r, "PullLSABatch", true, reqs)
-	return reply.Replies, err
-}
-
-// PullBGPBatchWire implements WorkerAPI: the reply set arrives as one
-// varint payload and is decoded client-side.
-func (r *RemoteWorker) PullBGPBatchWire(reqs []PullBGPRequest) ([]PullBGPReply, error) {
-	if len(reqs) > 0 {
-		reqs[0].TC = r.takeTC()
-	}
-	reply, err := rcall[PullWireReply](r, "PullBGPBatchWire", true, reqs)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeBGPReplies(reply.Payload)
-}
-
-// PullLSABatchWire implements WorkerAPI.
-func (r *RemoteWorker) PullLSABatchWire(reqs []PullLSAsRequest) ([]PullLSAsReply, error) {
-	if len(reqs) > 0 {
-		reqs[0].TC = r.takeTC()
-	}
-	reply, err := rcall[PullWireReply](r, "PullLSABatchWire", true, reqs)
+	reply, err := rcall[PullWireReply](r, "PullLSABatch", true, reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -1225,13 +1087,6 @@ func (r *RemoteWorker) ApplyDelta(req DeltaRequest) (DeltaReply, error) {
 // ComputeDP implements WorkerAPI.
 func (r *RemoteWorker) ComputeDP() (ComputeDPReply, error) {
 	return rcall[ComputeDPReply](r, "ComputeDP", true, CallMeta{TC: r.takeTC()})
-}
-
-// BeginQuery implements WorkerAPI.
-func (r *RemoteWorker) BeginQuery(req QueryRequest) error {
-	req.TC = r.takeTC()
-	_, err := rcall[Empty](r, "BeginQuery", true, req)
-	return err
 }
 
 // BeginQueryBatch implements WorkerAPI.
@@ -1258,12 +1113,6 @@ func (r *RemoteWorker) DPRound() error {
 func (r *RemoteWorker) HasWork() (bool, error) {
 	reply, err := rcall[HasWorkReply](r, "HasWork", true, CallMeta{TC: r.takeTC()})
 	return reply.Busy, err
-}
-
-// DeliverPackets implements WorkerAPI.
-func (r *RemoteWorker) DeliverPackets(items []PacketDelivery) error {
-	_, err := rcall[Empty](r, "DeliverPackets", false, items)
-	return err
 }
 
 // DeliverBatch implements WorkerAPI. Not idempotent: a retried delivery
@@ -1317,7 +1166,7 @@ func (r *RemoteWorker) PullProfile(req PullProfileRequest) (PullProfileReply, er
 func PhaseClass(method string) bool {
 	switch method {
 	case "Setup", "BeginShard", "GatherBGP", "ApplyBGP", "GatherOSPF",
-		"ApplyOSPF", "EndShard", "ComputeDP", "BeginQuery", "BeginQueryBatch",
+		"ApplyOSPF", "EndShard", "ComputeDP", "BeginQueryBatch",
 		"Inject", "DPRound", "FinishQuery", "ApplyDelta":
 		return true
 	}
@@ -1429,30 +1278,6 @@ func (o *observed) EndShard() (EndShardReply, error) {
 	return reply, err
 }
 
-func (o *observed) PullBGP(exporter, puller string, since uint64, seen bool) ([]bgp.Advertisement, uint64, bool, error) {
-	var advs []bgp.Advertisement
-	var ver uint64
-	var fresh bool
-	err := o.obs("PullBGP", func() error {
-		var err error
-		advs, ver, fresh, err = o.api.PullBGP(exporter, puller, since, seen)
-		return err
-	})
-	return advs, ver, fresh, err
-}
-
-func (o *observed) PullLSAs(exporter, puller string, since uint64, seen bool) ([]*ospf.LSA, uint64, bool, error) {
-	var lsas []*ospf.LSA
-	var ver uint64
-	var fresh bool
-	err := o.obs("PullLSAs", func() error {
-		var err error
-		lsas, ver, fresh, err = o.api.PullLSAs(exporter, puller, since, seen)
-		return err
-	})
-	return lsas, ver, fresh, err
-}
-
 func (o *observed) PullBGPBatch(reqs []PullBGPRequest) ([]PullBGPReply, error) {
 	var replies []PullBGPReply
 	err := o.obs("PullBGPBatch", func() error {
@@ -1468,26 +1293,6 @@ func (o *observed) PullLSABatch(reqs []PullLSAsRequest) ([]PullLSAsReply, error)
 	err := o.obs("PullLSABatch", func() error {
 		var err error
 		replies, err = o.api.PullLSABatch(reqs)
-		return err
-	})
-	return replies, err
-}
-
-func (o *observed) PullBGPBatchWire(reqs []PullBGPRequest) ([]PullBGPReply, error) {
-	var replies []PullBGPReply
-	err := o.obs("PullBGPBatchWire", func() error {
-		var err error
-		replies, err = o.api.PullBGPBatchWire(reqs)
-		return err
-	})
-	return replies, err
-}
-
-func (o *observed) PullLSABatchWire(reqs []PullLSAsRequest) ([]PullLSAsReply, error) {
-	var replies []PullLSAsReply
-	err := o.obs("PullLSABatchWire", func() error {
-		var err error
-		replies, err = o.api.PullLSABatchWire(reqs)
 		return err
 	})
 	return replies, err
@@ -1513,10 +1318,6 @@ func (o *observed) ComputeDP() (ComputeDPReply, error) {
 	return reply, err
 }
 
-func (o *observed) BeginQuery(req QueryRequest) error {
-	return o.obs("BeginQuery", func() error { return o.api.BeginQuery(req) })
-}
-
 func (o *observed) BeginQueryBatch(req QueryBatchRequest) error {
 	return o.obs("BeginQueryBatch", func() error { return o.api.BeginQueryBatch(req) })
 }
@@ -1537,10 +1338,6 @@ func (o *observed) HasWork() (bool, error) {
 		return err
 	})
 	return busy, err
-}
-
-func (o *observed) DeliverPackets(items []PacketDelivery) error {
-	return o.obs("DeliverPackets", func() error { return o.api.DeliverPackets(items) })
 }
 
 func (o *observed) DeliverBatch(req DeliverBatchRequest) (DeliverBatchReply, error) {

@@ -19,12 +19,12 @@ import (
 // can be tested without internal/core (which would be an import cycle in
 // spirit: core depends on sidecar).
 type stubWorker struct {
-	setups    int
-	pings     int
-	delivered []PacketDelivery
-	batch     DeliverBatchRequest
-	failPull  bool
-	slow      chan struct{} // when set, phase methods block until closed
+	setups   int
+	pings    int
+	injected []InjectRequest
+	batch    DeliverBatchRequest
+	failPull bool
+	slow     chan struct{} // when set, phase methods block until closed
 }
 
 func (s *stubWorker) Ping() error {
@@ -55,27 +55,15 @@ func (s *stubWorker) EndShard() (EndShardReply, error) {
 	return EndShardReply{Routes: 42, ModelBytes: 1000}, nil
 }
 
-func (s *stubWorker) PullBGP(exporter, puller string, since uint64, seen bool) ([]bgp.Advertisement, uint64, bool, error) {
-	if s.failPull {
-		return nil, 0, false, fmt.Errorf("no node %s", exporter)
-	}
-	r := &route.Route{Prefix: route.MustParsePrefix("10.0.0.0/24"), Protocol: route.BGP,
-		ASPath: []uint32{65001}, LocalPref: 100}
-	return []bgp.Advertisement{{Route: r}}, 9, true, nil
-}
-
-func (s *stubWorker) PullLSAs(exporter, puller string, since uint64, seen bool) ([]*ospf.LSA, uint64, bool, error) {
-	return []*ospf.LSA{{Router: exporter, Stubs: []ospf.LSAStub{{Prefix: route.MustParsePrefix("10.0.0.0/31"), Cost: 1}}}}, 4, true, nil
-}
-
 func (s *stubWorker) PullBGPBatch(reqs []PullBGPRequest) ([]PullBGPReply, error) {
 	replies := make([]PullBGPReply, len(reqs))
 	for i, q := range reqs {
-		advs, ver, fresh, err := s.PullBGP(q.Exporter, q.Puller, q.Since, q.Seen)
-		if err != nil {
-			return nil, err
+		if s.failPull {
+			return nil, fmt.Errorf("no node %s", q.Exporter)
 		}
-		replies[i] = PullBGPReply{Advs: advs, Version: ver, Fresh: fresh}
+		r := &route.Route{Prefix: route.MustParsePrefix("10.0.0.0/24"), Protocol: route.BGP,
+			ASPath: []uint32{65001}, LocalPref: 100}
+		replies[i] = PullBGPReply{Advs: []bgp.Advertisement{{Route: r}}, Version: 9, Fresh: true}
 	}
 	return replies, nil
 }
@@ -83,21 +71,10 @@ func (s *stubWorker) PullBGPBatch(reqs []PullBGPRequest) ([]PullBGPReply, error)
 func (s *stubWorker) PullLSABatch(reqs []PullLSAsRequest) ([]PullLSAsReply, error) {
 	replies := make([]PullLSAsReply, len(reqs))
 	for i, q := range reqs {
-		lsas, ver, fresh, err := s.PullLSAs(q.Exporter, q.Puller, q.Since, q.Seen)
-		if err != nil {
-			return nil, err
-		}
-		replies[i] = PullLSAsReply{LSAs: lsas, Version: ver, Fresh: fresh}
+		lsas := []*ospf.LSA{{Router: q.Exporter, Stubs: []ospf.LSAStub{{Prefix: route.MustParsePrefix("10.0.0.0/31"), Cost: 1}}}}
+		replies[i] = PullLSAsReply{LSAs: lsas, Version: 4, Fresh: true}
 	}
 	return replies, nil
-}
-
-func (s *stubWorker) PullBGPBatchWire(reqs []PullBGPRequest) ([]PullBGPReply, error) {
-	return s.PullBGPBatch(reqs)
-}
-
-func (s *stubWorker) PullLSABatchWire(reqs []PullLSAsRequest) ([]PullLSAsReply, error) {
-	return s.PullLSABatch(reqs)
 }
 
 func (s *stubWorker) ApplyDelta(req DeltaRequest) (DeltaReply, error) {
@@ -107,26 +84,21 @@ func (s *stubWorker) ApplyDelta(req DeltaRequest) (DeltaReply, error) {
 func (s *stubWorker) ComputeDP() (ComputeDPReply, error) {
 	return ComputeDPReply{FIBEntries: 7, BDDNodes: 100}, nil
 }
-func (s *stubWorker) BeginQuery(QueryRequest) error           { return nil }
 func (s *stubWorker) BeginQueryBatch(QueryBatchRequest) error { return nil }
 func (s *stubWorker) Inject(req InjectRequest) error {
-	s.delivered = append(s.delivered, PacketDelivery{Source: req.Source, Node: req.Source, Packet: req.Packet})
+	s.injected = append(s.injected, req)
 	return nil
 }
 func (s *stubWorker) DPRound() error { return nil }
 func (s *stubWorker) HasWork() (bool, error) {
-	return len(s.delivered) > 0, nil
-}
-func (s *stubWorker) DeliverPackets(items []PacketDelivery) error {
-	s.delivered = append(s.delivered, items...)
-	return nil
+	return len(s.injected) > 0, nil
 }
 func (s *stubWorker) DeliverBatch(req DeliverBatchRequest) (DeliverBatchReply, error) {
 	s.batch = req
 	return DeliverBatchReply{Reset: true}, nil
 }
 func (s *stubWorker) FinishQuery() (OutcomeBatch, error) {
-	return OutcomeBatch{Outcomes: []dataplane.RawOutcome{{Source: "a", Node: "b", State: dataplane.Arrive, Packet: []byte{1}}}}, nil
+	return OutcomeBatch{Wire: []byte{1}, Outcomes: []dataplane.RawOutcome{{Source: "a", Node: "b", State: dataplane.Arrive}}}, nil
 }
 
 func (s *stubWorker) CollectRIBs() (map[string][]*route.Route, error) {
@@ -207,34 +179,25 @@ func TestRPCRoundTripAllMethods(t *testing.T) {
 		t.Fatalf("EndShard reply: %+v %v", end, err)
 	}
 
-	advs, ver, fresh, err := client.PullBGP("r9", "r1", 0, false)
-	if err != nil || !fresh || ver != 9 || len(advs) != 1 {
-		t.Fatalf("PullBGP: %v %d %v %v", advs, ver, fresh, err)
-	}
-	// Route attributes survive gob.
-	if advs[0].Route.ASPath[0] != 65001 || advs[0].Route.Prefix.String() != "10.0.0.0/24" {
-		t.Fatalf("route mangled: %+v", advs[0].Route)
-	}
-	stub.failPull = true
-	if _, _, _, err := client.PullBGP("ghost", "r1", 0, false); err == nil {
-		t.Fatal("pull error must propagate")
-	}
-	stub.failPull = false
-
-	lsas, ver, fresh, err := client.PullLSAs("r9", "r1", 0, false)
-	if err != nil || !fresh || ver != 4 || len(lsas) != 1 || len(lsas[0].Stubs) != 1 {
-		t.Fatalf("PullLSAs: %v %d %v %v", lsas, ver, fresh, err)
-	}
-
 	// Batched pulls: one round trip, replies aligned with the requests.
 	bgpBatch, err := client.PullBGPBatch([]PullBGPRequest{
 		{Exporter: "r9", Puller: "r1"}, {Exporter: "r8", Puller: "r2", Since: 3, Seen: true},
 	})
-	if err != nil || len(bgpBatch) != 2 || bgpBatch[0].Version != 9 || !bgpBatch[1].Fresh {
+	if err != nil || len(bgpBatch) != 2 || bgpBatch[0].Version != 9 || !bgpBatch[1].Fresh || len(bgpBatch[0].Advs) != 1 {
 		t.Fatalf("PullBGPBatch: %+v %v", bgpBatch, err)
 	}
+	// Route attributes survive the varint encoding.
+	if r := bgpBatch[0].Advs[0].Route; r.ASPath[0] != 65001 || r.Prefix.String() != "10.0.0.0/24" {
+		t.Fatalf("route mangled: %+v", r)
+	}
+	stub.failPull = true
+	if _, err := client.PullBGPBatch([]PullBGPRequest{{Exporter: "ghost", Puller: "r1"}}); err == nil {
+		t.Fatal("pull error must propagate")
+	}
+	stub.failPull = false
 	lsaBatch, err := client.PullLSABatch([]PullLSAsRequest{{Exporter: "r7", Puller: "r1"}})
-	if err != nil || len(lsaBatch) != 1 || lsaBatch[0].Version != 4 || lsaBatch[0].LSAs[0].Router != "r7" {
+	if err != nil || len(lsaBatch) != 1 || lsaBatch[0].Version != 4 || lsaBatch[0].LSAs[0].Router != "r7" ||
+		len(lsaBatch[0].LSAs[0].Stubs) != 1 {
 		t.Fatalf("PullLSABatch: %+v %v", lsaBatch, err)
 	}
 
@@ -242,7 +205,7 @@ func TestRPCRoundTripAllMethods(t *testing.T) {
 	if err != nil || dp.FIBEntries != 7 || dp.BDDNodes != 100 {
 		t.Fatalf("ComputeDP: %+v %v", dp, err)
 	}
-	if err := client.BeginQuery(QueryRequest{Query: dataplane.Query{MaxHops: 5}}); err != nil {
+	if err := client.BeginQueryBatch(QueryBatchRequest{Queries: []dataplane.Query{{MaxHops: 5}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.Inject(InjectRequest{Source: "r1", Packet: []byte{1, 2}}); err != nil {
@@ -255,11 +218,8 @@ func TestRPCRoundTripAllMethods(t *testing.T) {
 	if err != nil || !busy {
 		t.Fatal("HasWork after inject")
 	}
-	if err := client.DeliverPackets([]PacketDelivery{{Source: "a", Node: "b", InPort: "eth0", Packet: []byte{3}}}); err != nil {
-		t.Fatal(err)
-	}
-	if len(stub.delivered) != 2 {
-		t.Fatalf("deliveries = %d", len(stub.delivered))
+	if len(stub.injected) != 1 || stub.injected[0].Source != "r1" || len(stub.injected[0].Packet) != 2 {
+		t.Fatalf("injections = %+v", stub.injected)
 	}
 	breply, err := client.DeliverBatch(DeliverBatchRequest{From: 1, Wire: []byte{9}, Items: []WirePacket{{Source: "a", Node: "b", Root: 2}}})
 	if err != nil || !breply.Reset {
@@ -269,7 +229,7 @@ func TestRPCRoundTripAllMethods(t *testing.T) {
 		t.Fatalf("DeliverBatch payload: %+v", stub.batch)
 	}
 	batch, err := client.FinishQuery()
-	if err != nil || len(batch.Outcomes) != 1 || batch.Outcomes[0].State != dataplane.Arrive {
+	if err != nil || len(batch.Outcomes) != 1 || batch.Outcomes[0].State != dataplane.Arrive || len(batch.Wire) != 1 {
 		t.Fatalf("FinishQuery: %v %v", batch, err)
 	}
 
@@ -446,21 +406,19 @@ func TestWrapperIdempotencyFlags(t *testing.T) {
 	client.GatherBGP()
 	client.ApplyBGP()
 	client.EndShard()
-	client.PullBGP("r9", "r1", 0, false)
 	client.PullBGPBatch([]PullBGPRequest{{Exporter: "r9", Puller: "r1"}})
 	client.PullLSABatch([]PullLSAsRequest{{Exporter: "r9", Puller: "r1"}})
 	client.Inject(InjectRequest{Source: "r1"})
 	client.DPRound()
-	client.DeliverPackets(nil)
 	client.DeliverBatch(DeliverBatchRequest{From: 1})
 	client.FinishQuery()
 	client.Stats()
 
 	want := map[string]bool{
-		"Ping": true, "Setup": true, "PullBGP": true, "Stats": true,
+		"Ping": true, "Setup": true, "Stats": true,
 		"PullBGPBatch": true, "PullLSABatch": true,
 		"GatherBGP": false, "ApplyBGP": false, "EndShard": false,
-		"Inject": false, "DPRound": false, "DeliverPackets": false,
+		"Inject": false, "DPRound": false,
 		"DeliverBatch": false, "FinishQuery": false,
 	}
 	for m, idem := range want {

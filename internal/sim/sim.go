@@ -1,77 +1,11 @@
-// Package sim provides the node abstraction that decouples S2's
-// distributed framework from the switch models (§3.1, "Decouple the
-// distributed framework from the switch model"): the fixed-point engine
-// pulls route updates through uniform exporter interfaces, and whether the
-// exporter is a local ("real") process or a relay to another worker (a
-// "shadow" node speaking through the sidecar) is invisible to the caller —
-// the paper's Algorithm 1, lines 11–15.
+// Package sim holds the pull cursors of S2's distributed fixed point (the
+// paper's Algorithm 1, lines 11–15): every node pulls route updates from
+// each neighbor — a local process, or through the sidecar a "shadow" of a
+// node on another worker — and a cursor per (puller, exporter) pair turns
+// each pull into a delta since the last one.
 package sim
 
-import (
-	"sync"
-
-	"s2/internal/bgp"
-	"s2/internal/ospf"
-)
-
-// BGPExporter is the pull surface of a BGP-speaking node: the same method
-// set as *bgp.Process.ExportsTo, with an error channel for remote relays.
-type BGPExporter interface {
-	ExportsTo(puller string, since uint64, seen bool) ([]bgp.Advertisement, uint64, bool, error)
-}
-
-// LSAExporter is the pull surface of an OSPF-speaking node.
-type LSAExporter interface {
-	LSAsTo(puller string, since uint64, seen bool) ([]*ospf.LSA, uint64, bool, error)
-}
-
-// PullPeer reaches the real node on another worker; the sidecar's RPC
-// client implements it.
-type PullPeer interface {
-	PullBGP(exporter, puller string, since uint64, seen bool) ([]bgp.Advertisement, uint64, bool, error)
-	PullLSAs(exporter, puller string, since uint64, seen bool) ([]*ospf.LSA, uint64, bool, error)
-}
-
-// RealBGPNode wraps a local BGP process as an exporter.
-type RealBGPNode struct{ P *bgp.Process }
-
-// ExportsTo calls the wrapped model directly (Algorithm 1, line 13).
-func (n RealBGPNode) ExportsTo(puller string, since uint64, seen bool) ([]bgp.Advertisement, uint64, bool, error) {
-	advs, ver, fresh := n.P.ExportsTo(puller, since, seen)
-	return advs, ver, fresh, nil
-}
-
-// ShadowBGPNode relays pulls to the real node on another worker
-// (Algorithm 1, line 15).
-type ShadowBGPNode struct {
-	Peer PullPeer
-	Name string // the real node's name
-}
-
-// ExportsTo relays the pull through the sidecar.
-func (n ShadowBGPNode) ExportsTo(puller string, since uint64, seen bool) ([]bgp.Advertisement, uint64, bool, error) {
-	return n.Peer.PullBGP(n.Name, puller, since, seen)
-}
-
-// RealOSPFNode wraps a local OSPF process as an LSA exporter.
-type RealOSPFNode struct{ P *ospf.Process }
-
-// LSAsTo calls the wrapped model directly.
-func (n RealOSPFNode) LSAsTo(puller string, since uint64, seen bool) ([]*ospf.LSA, uint64, bool, error) {
-	lsas, ver, fresh := n.P.LSAsTo(puller, since, seen)
-	return lsas, ver, fresh, nil
-}
-
-// ShadowOSPFNode relays LSA pulls to the real node on another worker.
-type ShadowOSPFNode struct {
-	Peer PullPeer
-	Name string
-}
-
-// LSAsTo relays the pull through the sidecar.
-func (n ShadowOSPFNode) LSAsTo(puller string, since uint64, seen bool) ([]*ospf.LSA, uint64, bool, error) {
-	return n.Peer.PullLSAs(n.Name, puller, since, seen)
-}
+import "sync"
 
 // PullState tracks the last version a puller has seen from one exporter,
 // enabling delta pulls.

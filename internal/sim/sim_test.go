@@ -1,94 +1,6 @@
 package sim
 
-import (
-	"errors"
-	"testing"
-
-	"s2/internal/bgp"
-	"s2/internal/config"
-	"s2/internal/ospf"
-	"s2/internal/route"
-	"s2/internal/topology"
-)
-
-// fakePeer records relay calls, standing in for a sidecar RPC client.
-type fakePeer struct {
-	bgpCalls, lsaCalls int
-	fail               bool
-}
-
-func (f *fakePeer) PullBGP(exporter, puller string, since uint64, seen bool) ([]bgp.Advertisement, uint64, bool, error) {
-	f.bgpCalls++
-	if f.fail {
-		return nil, 0, false, errors.New("peer down")
-	}
-	return []bgp.Advertisement{}, 7, true, nil
-}
-
-func (f *fakePeer) PullLSAs(exporter, puller string, since uint64, seen bool) ([]*ospf.LSA, uint64, bool, error) {
-	f.lsaCalls++
-	if f.fail {
-		return nil, 0, false, errors.New("peer down")
-	}
-	return []*ospf.LSA{{Router: exporter}}, 3, true, nil
-}
-
-func TestShadowNodesRelayThroughPeer(t *testing.T) {
-	peer := &fakePeer{}
-	sb := ShadowBGPNode{Peer: peer, Name: "r9"}
-	_, ver, fresh, err := sb.ExportsTo("r1", 0, false)
-	if err != nil || !fresh || ver != 7 || peer.bgpCalls != 1 {
-		t.Fatalf("shadow BGP relay: ver=%d fresh=%v calls=%d err=%v", ver, fresh, peer.bgpCalls, err)
-	}
-	so := ShadowOSPFNode{Peer: peer, Name: "r9"}
-	lsas, ver, fresh, err := so.LSAsTo("r1", 0, false)
-	if err != nil || !fresh || ver != 3 || len(lsas) != 1 || lsas[0].Router != "r9" {
-		t.Fatalf("shadow OSPF relay: %v %d %v %v", lsas, ver, fresh, err)
-	}
-	// Errors propagate.
-	peer.fail = true
-	if _, _, _, err := sb.ExportsTo("r1", 0, false); err == nil {
-		t.Fatal("shadow must propagate peer errors")
-	}
-	if _, _, _, err := so.LSAsTo("r1", 0, false); err == nil {
-		t.Fatal("shadow must propagate peer errors")
-	}
-}
-
-func TestRealNodesCallModelDirectly(t *testing.T) {
-	dev, err := config.Parse("r1.cfg", `hostname r1
-interface eth0
- ip address 10.0.0.0/31
-interface vlan10
- ip address 10.8.0.1/24
-router bgp 65001
- network 10.8.0.0/24
- neighbor 10.0.0.1 remote-as 65002
-router ospf 1
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sessions := []topology.BGPSession{{
-		Local: "r1", Remote: "r2", LocalAS: 65001, RemoteAS: 65002,
-		LocalIP:  route.MustParseAddr("10.0.0.0"),
-		RemoteIP: route.MustParseAddr("10.0.0.1"),
-	}}
-	proc := bgp.NewProcess(dev, sessions, nil)
-	proc.RunDecision()
-	rn := RealBGPNode{P: proc}
-	advs, _, fresh, err := rn.ExportsTo("r2", 0, false)
-	if err != nil || !fresh || len(advs) != 1 {
-		t.Fatalf("real BGP node: advs=%v fresh=%v err=%v", advs, fresh, err)
-	}
-
-	op := ospf.NewProcess(dev, nil, nil)
-	ro := RealOSPFNode{P: op}
-	lsas, _, fresh, err := ro.LSAsTo("r2", 0, false)
-	if err != nil || !fresh || len(lsas) != 1 {
-		t.Fatalf("real OSPF node: %v %v %v", lsas, fresh, err)
-	}
-}
+import "testing"
 
 func TestPullTracker(t *testing.T) {
 	tr := NewPullTracker()

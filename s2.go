@@ -23,7 +23,7 @@ import (
 // are the probe-class pulls (they observe the straggler, not cause it).
 var slowWorkerMethods = []string{
 	"BeginShard", "GatherBGP", "ApplyBGP", "GatherOSPF", "ApplyOSPF",
-	"EndShard", "ComputeDP", "BeginQuery", "BeginQueryBatch", "DPRound",
+	"EndShard", "ComputeDP", "BeginQueryBatch", "DPRound",
 	"FinishQuery",
 }
 
@@ -105,29 +105,10 @@ type Options struct {
 	// Parallelism bounds each worker's goroutine pool for the per-node
 	// simulation loops (0 = all CPUs, 1 = sequential; cmd/s2 -procs).
 	Parallelism int
-	// DisableBatchPulls reverts cross-worker route pulls to one RPC per
-	// (node, neighbor) pair instead of one batched RPC per peer worker.
-	DisableBatchPulls bool
-	// DisableWireDedup reverts boundary-crossing packets and outcome
-	// harvests to one independently serialized BDD per packet instead of
-	// the shared-substrate wire codec with per-peer node dedup
-	// (cmd/s2 -no-wire-dedup).
-	DisableWireDedup bool
-	// DisableQuerySlicing makes every query pass involve every worker
-	// instead of only the workers the query's sources can possibly reach
-	// within the hop budget (cmd/s2serve -no-query-slicing).
-	DisableQuerySlicing bool
-	// DisableQueryCache turns off the epoch-keyed query answer cache
-	// (cmd/s2serve -no-query-cache).
-	DisableQueryCache bool
 	// GCStress makes every worker's BDD GC pacer collect at each safe
 	// point where the node table grew at all (cmd/s2 -gc-stress). Results
 	// are byte-identical; used by CI to exercise relocation heavily.
 	GCStress bool
-	// GCWipe reverts the workers' BDD collectors to the seed behavior —
-	// single-goroutine mark, op cache wiped per collection — as the A/B
-	// baseline for GC benchmarks (cmd/s2 -gc-wipe).
-	GCWipe bool
 	// RPCTimeout bounds every controller→worker (and worker→worker) RPC
 	// attempt (0 = no deadline).
 	RPCTimeout time.Duration
@@ -252,13 +233,8 @@ func NewVerifier(n *Network, opts Options) (*Verifier, error) {
 		KeepRIBs:     opts.KeepRIBs,
 		LoadOf:       opts.LoadEstimator,
 
-		Parallelism:         opts.Parallelism,
-		DisableBatchPulls:   opts.DisableBatchPulls,
-		DisableWireDedup:    opts.DisableWireDedup,
-		DisableQuerySlicing: opts.DisableQuerySlicing,
-		DisableQueryCache:   opts.DisableQueryCache,
-		GCStress:            opts.GCStress,
-		GCWipe:              opts.GCWipe,
+		Parallelism: opts.Parallelism,
+		GCStress:    opts.GCStress,
 
 		RPCTimeout:        opts.RPCTimeout,
 		RPCRetries:        opts.RPCRetries,
