@@ -10,7 +10,6 @@
 //	s2bench -ks 4,6,8,10    # custom FatTree sweep
 //	s2bench -procs 4        # per-worker goroutine pool for every S2 run
 //	s2bench -json out.json  # machine-readable rows + telemetry snapshots
-//	s2bench -queryload BENCH_pr9.json  # HTTP query-plane load experiment
 //	s2bench -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Times are critical-path durations (the slowest worker per round); see
@@ -98,10 +97,6 @@ func main() {
 		blockProf = flag.String("blockprofile", "", "write a goroutine blocking profile (after all figures) to this file")
 		logLvl    = flag.String("log-level", "off", "structured controller/worker log level on stderr: debug|info|warn|error|off")
 		logJSON   = flag.Bool("log-json", false, "emit structured logs as JSON lines (default: logfmt-style text)")
-
-		queryLoad = flag.String("queryload", "", "run the HTTP query-plane load experiment instead of the figures and write its JSON to this file")
-		clients   = flag.Int("clients", 0, "concurrent clients for -queryload (default 8)")
-		repeats   = flag.Int("repeats", 0, "requests per client for -queryload (default 25)")
 	)
 	flag.Parse()
 
@@ -167,38 +162,6 @@ func main() {
 		cfg.Procs = *procs
 	}
 	cfg = cfg.Defaults()
-
-	if *queryLoad != "" {
-		qcfg := queryLoadConfig{
-			K: *fixed, Procs: *procs, Clients: *clients, Repeats: *repeats,
-		}
-		if *shard > 0 {
-			qcfg.Shards = *shard
-		}
-		if *maxW > 0 {
-			qcfg.Workers = *maxW
-		}
-		fmt.Println("=== Query plane: HTTP load experiment ===")
-		start := time.Now()
-		res, err := runQueryLoad(qcfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "s2bench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(formatQueryLoad(res))
-		fmt.Printf("(measured in %v)\n", time.Since(start).Round(time.Millisecond))
-		b, err := json.MarshalIndent(res, "", " ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "s2bench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*queryLoad, append(b, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "s2bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *queryLoad)
-		return
-	}
 
 	var nums []int
 	if *fig != 0 {

@@ -80,7 +80,7 @@ func main() {
 	w.SetObservability(tracer, reg)
 
 	if *obsAddr != "" {
-		srv.SetRPCHook(sidecar.RPCHook(obs.RPCInstrument(reg, "server", nil)))
+		srv.SetRPCHook(obs.RPCInstrument(reg, "server", nil))
 		bytesTotal := reg.Counter(obs.MetricRPCBytes,
 			"Bytes moved over sidecar RPC connections.", "role", "dir")
 		bytesTotal.SetFunc(func() float64 { return float64(srv.BytesRead()) }, "server", "in")

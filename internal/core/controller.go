@@ -440,7 +440,7 @@ func (c *Controller) provision() error {
 		workers := make([]sidecar.WorkerAPI, n)
 		clients := make([]*sidecar.RemoteWorker, n)
 		for i, addr := range c.opts.WorkerAddrs {
-			client, err := sidecar.DialWrapped(addr, c.opts.RPCTimeout, nil)
+			client, err := sidecar.DialTimeout(addr, c.opts.RPCTimeout)
 			if err != nil {
 				return err
 			}

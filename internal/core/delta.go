@@ -143,18 +143,18 @@ func (c *Controller) ApplyDelta(set map[string]string, remove []string) (*DeltaR
 		obs.FInt("added", len(diff.Added)),
 		obs.FInt("removed", len(diff.Removed)))
 	started := time.Now()
-	phasesBefore := len(c.timer.Phases())
+	before := c.timer.Totals()
 	err := c.timer.Time("delta", func() error {
 		return c.recoverable(func() error { return c.applyDeltaBody(newSnap, newTexts, diff, res) })
 	})
 	// Attribute per-stage wall time from the phase timer: every stage a
-	// recoverable attempt ran landed between the two snapshots. Recovery
-	// re-runs accumulate into the same stage — the audit records what this
-	// delta actually cost, not just the successful attempt.
+	// recoverable attempt ran grew its total between the two snapshots.
+	// Recovery re-runs accumulate into the same stage — the audit records
+	// what this delta actually cost, not just the successful attempt.
 	res.Stages = map[string]time.Duration{}
-	for _, p := range c.timer.Phases()[phasesBefore:] {
-		if p.Name != "delta" {
-			res.Stages[p.Name] += p.Duration
+	for name, total := range c.timer.Totals() {
+		if prev, ok := before[name]; name != "delta" && (!ok || total > prev) {
+			res.Stages[name] = total - prev
 		}
 	}
 	if err != nil {

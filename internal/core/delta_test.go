@@ -396,6 +396,34 @@ func TestDeltaPatchesOnlyWhatChanged(t *testing.T) {
 	}
 }
 
+// TestDeltaStagesAreItsOwn: a delta's StageSeconds come from the phase
+// timer's totals before and after it, so the query passes and the boot that
+// came earlier must not leak into a dp-class delta's stages.
+func TestDeltaStagesAreItsOwn(t *testing.T) {
+	c, texts := residentFatTree(t, Options{Workers: 2, Shards: 4, Seed: 7})
+	for i := 0; i < 3; i++ {
+		if _, err := c.CheckAllPairs(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	described := strings.Replace(texts["edge-1-0"], "description link to", "description uplink to", 1)
+	res, err := c.ApplyDelta(map[string]string{"edge-1-0": described}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mode != "dp" {
+		t.Fatalf("mode %q, want dp", res.Mode)
+	}
+	for _, stage := range []string{"dp-forward", "cp-bgp", "partition+setup", "delta"} {
+		if d, ok := res.Stages[stage]; ok {
+			t.Errorf("dp delta reports stage %s = %v", stage, d)
+		}
+	}
+	if res.Stages["dp-compute"] <= 0 {
+		t.Errorf("dp delta stages %v lack its dp-compute", res.Stages)
+	}
+}
+
 // TestDeltaBDDGaugeTracksEngine is the regression test for the modelled
 // memory leak: the tracker's "bdd" gauge is fed by engine growth deltas, so
 // every engine a recompute dropped used to stay charged forever and a

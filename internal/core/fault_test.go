@@ -314,11 +314,12 @@ func TestRPCDeadlinesBoundAllCalls(t *testing.T) {
 
 	const deadline = 100 * time.Millisecond
 	caller := fault.NewCaller(fault.Policy{Timeout: deadline}, nil)
-	rw, err := sidecar.DialWrapped(lis.Addr().String(), time.Second, caller.Wrap())
+	client, err := sidecar.DialTimeout(lis.Addr().String(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rw.Close()
+	defer client.Close()
+	rw := fault.Wrap(client, caller)
 
 	calls := map[string]func() error{
 		"Ping":       rw.Ping,
@@ -373,22 +374,23 @@ func TestSetupRejectsProtocolMismatch(t *testing.T) {
 	addrs, servers := startRemoteWorkers(t, 1)
 	var mu sync.Mutex
 	setups := 0
-	servers[0].SetRPCHook(func(method string) func(error) {
+	servers[0].SetRPCHook(func(method string) (sidecar.TraceContext, func(error)) {
 		if method == "Setup" {
 			mu.Lock()
 			setups++
 			mu.Unlock()
 		}
-		return func(error) {}
+		return sidecar.TraceContext{}, func(error) {}
 	})
 
 	const retries = 2
 	caller := fault.NewCaller(fault.Policy{Timeout: 5 * time.Second, Retries: retries}, nil)
-	rw, err := sidecar.DialWrapped(addrs[0], time.Second, caller.Wrap())
+	client, err := sidecar.DialTimeout(addrs[0], time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rw.Close()
+	defer client.Close()
+	rw := fault.Wrap(client, caller)
 
 	sent := sidecar.ProtocolVersion + 1
 	err = rw.Setup(sidecar.SetupRequest{ProtocolVersion: sent, WorkerID: 0})

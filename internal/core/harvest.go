@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"time"
 
+	"s2/internal/fault"
 	"s2/internal/obs"
 	"s2/internal/sidecar"
 )
@@ -28,9 +29,12 @@ const harvestBatch = 2048
 // interval is configured.
 const harvestInterval = 5 * time.Second
 
-// evictCaptureTimeout bounds the best-effort pull from a worker that just
-// failed liveness probing: it may answer (probe raced a stall) or hang.
-const evictCaptureTimeout = time.Second
+// evictCapturePolicy bounds the best-effort pull from a worker that just
+// failed liveness probing, independent of the transport's policy: it may
+// answer (probe raced a stall) or hang, and a hung call would stall the
+// whole recovery. The abandoned attempt unblocks when evict closes the
+// client.
+var evictCapturePolicy = fault.Policy{Timeout: time.Second}
 
 // skewFor returns (creating on demand) the clock-offset estimator for one
 // remote client. Keyed by client identity, not worker index: eviction
@@ -107,8 +111,13 @@ func (c *Controller) evictCapture(dead []int) {
 		if id >= len(workers) || id >= len(clients) || clients[id] == nil {
 			continue
 		}
-		reply, ok := pullSpansBounded(workers[id], evictCaptureTimeout)
-		if !ok {
+		var reply sidecar.PullSpansReply
+		err := fault.NewCaller(evictCapturePolicy, nil).Do("PullSpans", false, func() error {
+			var err error
+			reply, err = workers[id].PullSpans(sidecar.PullSpansRequest{Max: 2 * harvestBatch, WithFlight: true})
+			return err
+		})
+		if err != nil {
 			c.flight.Record("evict", "worker %d unreachable, trace tail lost", id)
 			continue
 		}
@@ -123,30 +132,6 @@ func (c *Controller) evictCapture(dead []int) {
 		span.End()
 		c.flight.Record("evict", "worker %d: salvaged %d spans, %d flight events",
 			id, len(reply.Spans), len(reply.Flight))
-	}
-}
-
-// pullSpansBounded issues one PullSpans with its own deadline, independent
-// of the transport's policy: the target just failed a liveness probe, and a
-// hung call here would stall the whole recovery. The abandoned goroutine
-// unblocks when evict closes the client.
-func pullSpansBounded(w sidecar.WorkerAPI, d time.Duration) (sidecar.PullSpansReply, bool) {
-	type res struct {
-		reply sidecar.PullSpansReply
-		err   error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		reply, err := w.PullSpans(sidecar.PullSpansRequest{Max: 2 * harvestBatch, WithFlight: true})
-		ch <- res{reply, err}
-	}()
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r.reply, r.err == nil
-	case <-timer.C:
-		return sidecar.PullSpansReply{}, false
 	}
 }
 

@@ -127,7 +127,7 @@ func (c *Controller) initObs() {
 	if c.reg != nil || parent != nil {
 		reg := c.reg
 		c.clientHook = func(id int) sidecar.TraceHook {
-			return sidecar.TraceHook(obs.RPCInstrumentTraced(reg, "client", parent, obs.Int("worker", id)))
+			return sidecar.TraceHook(obs.RPCInstrument(reg, "client", parent, obs.Int("worker", id)))
 		}
 	}
 	if c.reg == nil {
@@ -292,11 +292,11 @@ type workerObs struct {
 	tracker atomic.Pointer[metrics.Tracker]
 	// shardSpan covers BeginShard..EndShard; phase spans nest under it.
 	shardSpan *obs.Span
-	// pendingTC is the one-shot trace parent propagated by the controller's
-	// last phase-class RPC (sidecar.Service → AcceptTraceParent); the next
-	// phase span consumes it and parents under the controller's client rpc
-	// span instead of the local shard span. Atomic because the RPC layer
-	// stores it from the serving goroutine.
+	// pendingTC is the one-shot trace parent armed (SetNextTraceParent) by
+	// the controller's last phase-class RPC; the next phase span consumes it
+	// and parents under the controller's client rpc span instead of the
+	// local shard span. Atomic because the RPC layer stores it from the
+	// serving goroutine.
 	pendingTC atomic.Pointer[obs.TraceContext]
 	// cur is the TraceContext of the most recently opened phase/shard span,
 	// sampled by peer-bound requests (RemoteWorker.SetTraceSource) so peer
@@ -320,26 +320,12 @@ func (o *workerObs) curTC() obs.TraceContext {
 	return tc
 }
 
-// AcceptTraceParent implements sidecar.TraceParentAcceptor: the RPC service
-// hands over the TraceContext stamped on an incoming request before invoking
-// the method. Only controller-issued phase-class calls may re-parent worker
-// spans — peer pulls and probes carry contexts too, but consuming those
-// would steal the parent armed for the phase in flight.
-func (w *Worker) AcceptTraceParent(method string, tc sidecar.TraceContext) {
-	if w.obs == nil || w.obs.tracer == nil || !tc.Valid() || !sidecar.PhaseClass(method) {
-		return
-	}
-	t := tc
-	w.obs.pendingTC.Store(&t)
-}
-
-// SetNextTraceParent implements the sidecar traceCarrier slot for the
-// in-process transport: ObserveTraced arms it with the client rpc span's
-// context immediately before each phase-class call, so local workers'
-// phase spans parent under the exact rpc span that triggered them — the
-// same tree shape remote workers get from the wire's TraceContext. The
-// caller (the observed transport wrapper) has already filtered to
-// phase-class methods and valid contexts.
+// SetNextTraceParent implements the sidecar trace-parent slot, armed
+// immediately before each phase-class call: by ObserveTraced with the
+// client rpc span's context on the in-process transport, and by the sidecar
+// Service with the context a remote phase call carried in. Either way the
+// phase span parents under the exact rpc span that triggered it. The
+// caller has already filtered to phase-class methods and valid contexts.
 func (w *Worker) SetNextTraceParent(tc sidecar.TraceContext) {
 	if w.obs == nil || w.obs.tracer == nil || !tc.Valid() {
 		return

@@ -128,7 +128,7 @@ func TestMetricsEndpointLiveWorker(t *testing.T) {
 	w := NewWorker()
 	w.SetObservability(nil, reg)
 	srv := sidecar.NewServer(w)
-	srv.SetRPCHook(sidecar.RPCHook(obs.RPCInstrument(reg, "server", nil)))
+	srv.SetRPCHook(obs.RPCInstrument(reg, "server", nil))
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

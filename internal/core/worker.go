@@ -309,20 +309,19 @@ func (w *Worker) Setup(req sidecar.SetupRequest) error {
 		if req.RPCTimeout > 0 || req.RPCRetries > 0 {
 			policy = fault.Policy{Timeout: req.RPCTimeout, Retries: req.RPCRetries}
 		}
-		var wrap sidecar.CallWrapper
+		var caller *fault.Caller
 		if policy.Timeout > 0 || policy.Retries > 0 {
-			caller := fault.NewCaller(policy, nil)
+			caller = fault.NewCaller(policy, nil)
 			caller.SetNotify(func(event, method string, err error) {
 				w.flight.Record("rpc", "peer %s %s: %v", event, method, err)
 			})
-			wrap = caller.Wrap()
 		}
 		w.peers = make([]sidecar.WorkerAPI, len(req.PeerAddrs))
 		for i, addr := range req.PeerAddrs {
 			if i == w.id || addr == "" {
 				continue
 			}
-			client, err := sidecar.DialWrapped(addr, policy.Timeout, wrap)
+			client, err := sidecar.DialTimeout(addr, policy.Timeout)
 			if err != nil {
 				return fmt.Errorf("core: worker %d dialing peer %d: %w", w.id, i, err)
 			}
@@ -332,6 +331,9 @@ func (w *Worker) Setup(req sidecar.SetupRequest) error {
 				client.SetTraceSource(w.obs.curTC)
 			}
 			w.peers[i] = client
+			if caller != nil {
+				w.peers[i] = fault.Wrap(client, caller)
+			}
 			w.dialedPeers = append(w.dialedPeers, client)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"s2/internal/metrics"
+	"s2/internal/sidecar"
 )
 
 // Policy configures per-RPC deadlines and retry behavior.
@@ -128,9 +129,14 @@ func (c *Caller) Do(method string, idempotent bool, call func() error) error {
 	return &Error{Method: method, Attempts: attempts, Kind: Transient, Err: last}
 }
 
-// Wrap adapts Do to the sidecar.CallWrapper signature.
-func (c *Caller) Wrap() func(method string, idempotent bool, call func() error) error {
-	return c.Do
+// Wrap returns a WorkerAPI that routes every call through c, so controller
+// and peer calls get uniform deadlines and retries whether the underlying
+// transport is a RemoteWorker, an in-process core.Worker, or an Injector.
+// Only calls the sidecar method table marks idempotent are retried.
+func Wrap(api sidecar.WorkerAPI, c *Caller) sidecar.WorkerAPI {
+	return sidecar.Intercept(api, func(method string, call func() error) error {
+		return c.Do(method, sidecar.Idempotent(method), call)
+	})
 }
 
 // attempt runs call once, bounded by the policy timeout. On timeout the

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"s2/internal/route"
 	"s2/internal/sidecar"
 )
 
@@ -39,11 +38,11 @@ type Plan struct {
 
 // Injector wraps a sidecar.WorkerAPI and deterministically injects faults
 // according to its plans, so controller recovery paths are testable
-// in-process without real crashes. It implements sidecar.WorkerAPI itself
-// and is safe for concurrent use (peer pulls and controller phases hit the
-// same wrapper).
+// in-process without real crashes. It implements sidecar.WorkerAPI through
+// the embedded interceptor and is safe for concurrent use (peer pulls and
+// controller phases hit the same wrapper).
 type Injector struct {
-	inner sidecar.WorkerAPI
+	sidecar.WorkerAPI
 
 	mu      sync.Mutex
 	plans   []Plan
@@ -54,7 +53,14 @@ type Injector struct {
 
 // NewInjector wraps inner with the given plans.
 func NewInjector(inner sidecar.WorkerAPI, plans ...Plan) *Injector {
-	return &Injector{inner: inner, plans: plans, calls: map[string]int{}}
+	j := &Injector{plans: plans, calls: map[string]int{}}
+	j.WorkerAPI = sidecar.Intercept(inner, func(method string, call func() error) error {
+		if err := j.before(method); err != nil {
+			return err
+		}
+		return call()
+	})
+	return j
 }
 
 // Crashed reports whether a Crash plan has triggered.
@@ -120,169 +126,3 @@ func (j *Injector) before(method string) error {
 	}
 	return err
 }
-
-// The WorkerAPI surface: every method routes through before().
-
-func (j *Injector) Ping() error {
-	if err := j.before("Ping"); err != nil {
-		return err
-	}
-	return j.inner.Ping()
-}
-
-func (j *Injector) Setup(req sidecar.SetupRequest) error {
-	if err := j.before("Setup"); err != nil {
-		return err
-	}
-	return j.inner.Setup(req)
-}
-
-func (j *Injector) BeginShard(req sidecar.BeginShardRequest) error {
-	if err := j.before("BeginShard"); err != nil {
-		return err
-	}
-	return j.inner.BeginShard(req)
-}
-
-func (j *Injector) GatherBGP() error {
-	if err := j.before("GatherBGP"); err != nil {
-		return err
-	}
-	return j.inner.GatherBGP()
-}
-
-func (j *Injector) ApplyBGP() (sidecar.ApplyReply, error) {
-	if err := j.before("ApplyBGP"); err != nil {
-		return sidecar.ApplyReply{}, err
-	}
-	return j.inner.ApplyBGP()
-}
-
-func (j *Injector) GatherOSPF() error {
-	if err := j.before("GatherOSPF"); err != nil {
-		return err
-	}
-	return j.inner.GatherOSPF()
-}
-
-func (j *Injector) ApplyOSPF() (sidecar.ApplyReply, error) {
-	if err := j.before("ApplyOSPF"); err != nil {
-		return sidecar.ApplyReply{}, err
-	}
-	return j.inner.ApplyOSPF()
-}
-
-func (j *Injector) EndShard() (sidecar.EndShardReply, error) {
-	if err := j.before("EndShard"); err != nil {
-		return sidecar.EndShardReply{}, err
-	}
-	return j.inner.EndShard()
-}
-
-func (j *Injector) PullBGPBatch(reqs []sidecar.PullBGPRequest) ([]sidecar.PullBGPReply, error) {
-	if err := j.before("PullBGPBatch"); err != nil {
-		return nil, err
-	}
-	return j.inner.PullBGPBatch(reqs)
-}
-
-func (j *Injector) PullLSABatch(reqs []sidecar.PullLSAsRequest) ([]sidecar.PullLSAsReply, error) {
-	if err := j.before("PullLSABatch"); err != nil {
-		return nil, err
-	}
-	return j.inner.PullLSABatch(reqs)
-}
-
-func (j *Injector) ApplyDelta(req sidecar.DeltaRequest) (sidecar.DeltaReply, error) {
-	if err := j.before("ApplyDelta"); err != nil {
-		return sidecar.DeltaReply{}, err
-	}
-	return j.inner.ApplyDelta(req)
-}
-
-func (j *Injector) ComputeDP() (sidecar.ComputeDPReply, error) {
-	if err := j.before("ComputeDP"); err != nil {
-		return sidecar.ComputeDPReply{}, err
-	}
-	return j.inner.ComputeDP()
-}
-
-func (j *Injector) BeginQueryBatch(req sidecar.QueryBatchRequest) error {
-	if err := j.before("BeginQueryBatch"); err != nil {
-		return err
-	}
-	return j.inner.BeginQueryBatch(req)
-}
-
-func (j *Injector) Inject(req sidecar.InjectRequest) error {
-	if err := j.before("Inject"); err != nil {
-		return err
-	}
-	return j.inner.Inject(req)
-}
-
-func (j *Injector) DPRound() error {
-	if err := j.before("DPRound"); err != nil {
-		return err
-	}
-	return j.inner.DPRound()
-}
-
-func (j *Injector) HasWork() (bool, error) {
-	if err := j.before("HasWork"); err != nil {
-		return false, err
-	}
-	return j.inner.HasWork()
-}
-
-func (j *Injector) DeliverBatch(req sidecar.DeliverBatchRequest) (sidecar.DeliverBatchReply, error) {
-	if err := j.before("DeliverBatch"); err != nil {
-		return sidecar.DeliverBatchReply{}, err
-	}
-	return j.inner.DeliverBatch(req)
-}
-
-func (j *Injector) FinishQuery() (sidecar.OutcomeBatch, error) {
-	if err := j.before("FinishQuery"); err != nil {
-		return sidecar.OutcomeBatch{}, err
-	}
-	return j.inner.FinishQuery()
-}
-
-func (j *Injector) CollectRIBs() (map[string][]*route.Route, error) {
-	if err := j.before("CollectRIBs"); err != nil {
-		return nil, err
-	}
-	return j.inner.CollectRIBs()
-}
-
-func (j *Injector) Stats() (sidecar.WorkerStats, error) {
-	if err := j.before("Stats"); err != nil {
-		return sidecar.WorkerStats{}, err
-	}
-	return j.inner.Stats()
-}
-
-func (j *Injector) PullSpans(req sidecar.PullSpansRequest) (sidecar.PullSpansReply, error) {
-	if err := j.before("PullSpans"); err != nil {
-		return sidecar.PullSpansReply{}, err
-	}
-	return j.inner.PullSpans(req)
-}
-
-func (j *Injector) PullStats(req sidecar.PullStatsRequest) (sidecar.PullStatsReply, error) {
-	if err := j.before("PullStats"); err != nil {
-		return sidecar.PullStatsReply{}, err
-	}
-	return j.inner.PullStats(req)
-}
-
-func (j *Injector) PullProfile(req sidecar.PullProfileRequest) (sidecar.PullProfileReply, error) {
-	if err := j.before("PullProfile"); err != nil {
-		return sidecar.PullProfileReply{}, err
-	}
-	return j.inner.PullProfile(req)
-}
-
-// Interface conformance.
-var _ sidecar.WorkerAPI = (*Injector)(nil)

@@ -224,55 +224,35 @@ func (f *FaultCounters) String() string {
 	return b.String()
 }
 
-// PhaseTimer records named wall-clock phases (parse, partition, control
-// plane, data plane) for the experiment harness.
+// PhaseTimer accumulates wall-clock time per named phase (parse, partition,
+// control plane, data plane). It keeps one running total per name, so a
+// resident daemon that times every delta and query pass holds one entry per
+// phase name however long it runs.
 type PhaseTimer struct {
 	mu     sync.Mutex
-	phases []Phase
-}
-
-// Phase is one timed span. Start is the wall-clock begin time, recorded so
-// trace exports can order phases and detect overlap between concurrently
-// timed phases; Phases() still reports completion order.
-type Phase struct {
-	Name     string
-	Start    time.Time
-	Duration time.Duration
+	totals map[string]time.Duration
 }
 
 // NewPhaseTimer returns an empty timer.
-func NewPhaseTimer() *PhaseTimer { return &PhaseTimer{} }
+func NewPhaseTimer() *PhaseTimer { return &PhaseTimer{totals: map[string]time.Duration{}} }
 
-// Time runs fn and records its start timestamp and duration under name.
-// Safe for concurrent use: overlapping Time calls append independent
-// records (ordered by completion) without corrupting each other.
+// Time runs fn and adds its duration to name's total. Safe for concurrent
+// use: overlapping Time calls each add their own duration.
 func (pt *PhaseTimer) Time(name string, fn func() error) error {
 	start := time.Now()
 	err := fn()
+	d := time.Since(start)
 	pt.mu.Lock()
-	pt.phases = append(pt.phases, Phase{Name: name, Start: start, Duration: time.Since(start)})
+	pt.totals[name] += d
 	pt.mu.Unlock()
 	return err
-}
-
-// Phases returns recorded phases in execution order.
-func (pt *PhaseTimer) Phases() []Phase {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	return append([]Phase(nil), pt.phases...)
 }
 
 // Get returns the total duration recorded under name.
 func (pt *PhaseTimer) Get(name string) time.Duration {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
-	var d time.Duration
-	for _, p := range pt.phases {
-		if p.Name == name {
-			d += p.Duration
-		}
-	}
-	return d
+	return pt.totals[name]
 }
 
 // Total returns the sum of all phase durations.
@@ -280,8 +260,19 @@ func (pt *PhaseTimer) Total() time.Duration {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
 	var d time.Duration
-	for _, p := range pt.phases {
-		d += p.Duration
+	for _, t := range pt.totals {
+		d += t
 	}
 	return d
+}
+
+// Totals returns a copy of the running total per phase name.
+func (pt *PhaseTimer) Totals() map[string]time.Duration {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	out := make(map[string]time.Duration, len(pt.totals))
+	for name, d := range pt.totals {
+		out[name] = d
+	}
+	return out
 }

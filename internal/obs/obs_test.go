@@ -233,8 +233,10 @@ func TestRPCInstrument(t *testing.T) {
 	if hook == nil {
 		t.Fatal("hook must be non-nil with a registry")
 	}
-	hook("GatherBGP")(nil)
-	hook("ApplyBGP")(errors.New("boom"))
+	_, done := hook("GatherBGP")
+	done(nil)
+	_, done = hook("ApplyBGP")
+	done(errors.New("boom"))
 	stage.End()
 
 	if got := reg.Counter(MetricRPCCalls, "", "role", "method", "code").Get("client", "GatherBGP", "ok"); got != 1 {

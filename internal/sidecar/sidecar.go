@@ -295,12 +295,6 @@ type OutcomeBatch struct {
 	Outcomes []dataplane.RawOutcome
 }
 
-// OutcomesReply returns a worker's finalized packets for the current query.
-type OutcomesReply struct {
-	Wire     []byte
-	Outcomes []dataplane.RawOutcome
-}
-
 // RIBsReply returns the merged per-node RIB contents.
 type RIBsReply struct {
 	Routes map[string][]*route.Route
@@ -411,6 +405,8 @@ type PullProfileReply struct {
 
 // WorkerAPI is the Go-level surface of a worker. The in-process
 // core.Worker implements it directly; RemoteWorker implements it over RPC.
+// Every method has a row in the method table (intercept.go) that says
+// whether it may be retried and whether it is a phase call.
 type WorkerAPI interface {
 	// Ping is the liveness probe used by the controller's failure
 	// detector. It must be cheap and must not block on worker state.
@@ -432,9 +428,7 @@ type WorkerAPI interface {
 	PullLSABatch(reqs []PullLSAsRequest) ([]PullLSAsReply, error)
 
 	// ApplyDelta swaps changed local device models into resident state
-	// after a converged run, without a full re-Setup. Not idempotent in
-	// principle (it mutates resident RIBs), but safe to retry in practice
-	// because the swap is deterministic from the request.
+	// after a converged run, without a full re-Setup.
 	ApplyDelta(req DeltaRequest) (DeltaReply, error)
 
 	ComputeDP() (ComputeDPReply, error)
@@ -468,27 +462,14 @@ type WorkerAPI interface {
 // Empty is the placeholder for void RPC arguments/replies.
 type Empty struct{}
 
-// RPCHook observes one RPC: it is called with the method name when the
-// call begins and returns the completion func that commits the outcome.
-// obs.RPCInstrument builds one.
-type RPCHook func(method string) (done func(error))
-
-// TraceHook is an RPCHook that also yields the TraceContext of the span it
-// opened for the call, so the transport can stamp it onto the outgoing
-// request and the server side can parent under this exact attempt (each
-// retry through fault.Wrap re-enters the hook, so every attempt gets its
-// own span while sharing the stable stage-span parent).
-// obs.RPCInstrumentTraced builds one.
+// TraceHook observes one RPC: it is called with the method name when the
+// call begins and returns the TraceContext of the span it opened for the
+// call plus the completion func that commits the outcome. A client
+// transport stamps the context onto the outgoing request so the server side
+// parents under this exact attempt (each retry through fault.Wrap re-enters
+// the hook, so every attempt gets its own span while sharing the stable
+// stage-span parent); a server ignores it. obs.RPCInstrument builds one.
 type TraceHook func(method string) (TraceContext, func(error))
-
-// TraceParentAcceptor is implemented by workers that can parent the spans
-// they open while serving a call under the caller's propagated context.
-// Service offers every valid incoming TC to the API through it; the worker
-// decides per method whether to adopt it (controller phase calls) or
-// ignore it (concurrent peer traffic must not reparent phase spans).
-type TraceParentAcceptor interface {
-	AcceptTraceParent(method string, tc TraceContext)
-}
 
 // Service adapts a WorkerAPI to net/rpc method conventions. It is
 // registered under the name "Sidecar". When attached to a Server, every
@@ -503,12 +484,15 @@ type Service struct {
 // NewService wraps a worker (no drain gate, no hook).
 func NewService(api WorkerAPI) *Service { return &Service{api: api} }
 
-// do runs one RPC body under the drain gate and RPC hook (if any), after
-// offering the caller's propagated TraceContext to the worker.
+// do runs one RPC body under the drain gate and RPC hook (if any). A phase
+// call's propagated TraceContext is first armed on the worker, so the span
+// it opens parents under the caller's rpc span; peer traffic and probes
+// carry contexts too, but arming those would steal the parent armed for the
+// phase in flight.
 func (s *Service) do(method string, tc TraceContext, fn func() error) error {
-	if tc.Valid() {
-		if acc, ok := s.api.(TraceParentAcceptor); ok {
-			acc.AcceptTraceParent(method, tc)
+	if tc.Valid() && PhaseClass(method) {
+		if c, ok := s.api.(traceCarrier); ok {
+			c.SetNextTraceParent(tc)
 		}
 	}
 	if s.gate == nil {
@@ -519,7 +503,7 @@ func (s *Service) do(method string, tc TraceContext, fn func() error) error {
 	}
 	defer s.gate.exit()
 	if hook := s.gate.rpcHook(); hook != nil {
-		done := hook(method)
+		_, done := hook(method)
 		err := fn()
 		done(err)
 		return err
@@ -666,11 +650,10 @@ func (s *Service) DeliverBatch(req DeliverBatchRequest, reply *DeliverBatchReply
 }
 
 // FinishQuery RPC.
-func (s *Service) FinishQuery(args CallMeta, reply *OutcomesReply) error {
+func (s *Service) FinishQuery(args CallMeta, reply *OutcomeBatch) error {
 	return s.do("FinishQuery", args.TC, func() error {
 		batch, err := s.api.FinishQuery()
-		reply.Wire = batch.Wire
-		reply.Outcomes = batch.Outcomes
+		*reply = batch
 		return err
 	})
 }
@@ -727,7 +710,7 @@ func (s *Service) PullProfile(req PullProfileRequest, reply *PullProfileReply) e
 type Server struct {
 	api WorkerAPI
 
-	hook    atomic.Value // RPCHook, set via SetRPCHook
+	hook    atomic.Value // TraceHook, set via SetRPCHook
 	in, out atomic.Int64 // transport bytes across all connections
 
 	mu       sync.Mutex
@@ -743,12 +726,13 @@ func NewServer(api WorkerAPI) *Server {
 	return &Server{api: api, conns: make(map[net.Conn]struct{})}
 }
 
-// SetRPCHook installs the observer every served RPC passes through. Safe to
-// call while serving; nil clears it.
-func (s *Server) SetRPCHook(h RPCHook) { s.hook.Store(h) }
+// SetRPCHook installs the observer every served RPC passes through; the
+// TraceContext it returns is ignored, since a served call propagates
+// nothing further. Safe to call while serving; nil clears it.
+func (s *Server) SetRPCHook(h TraceHook) { s.hook.Store(h) }
 
-func (s *Server) rpcHook() RPCHook {
-	h, _ := s.hook.Load().(RPCHook)
+func (s *Server) rpcHook() TraceHook {
+	h, _ := s.hook.Load().(TraceHook)
 	return h
 }
 
@@ -892,18 +876,11 @@ func Serve(api WorkerAPI, lis net.Listener) error {
 	return NewServer(api).Serve(lis)
 }
 
-// CallWrapper decorates every RPC a RemoteWorker issues: it receives the
-// method name, whether the call is idempotent (safe to retry), and the call
-// itself. fault.Caller.Wrap produces one that adds deadlines and retries;
-// this indirection keeps sidecar free of a dependency on the fault package.
-type CallWrapper func(method string, idempotent bool, call func() error) error
-
-// RemoteWorker is the client side: a WorkerAPI that
-// relays every call over RPC, optionally through a CallWrapper.
+// RemoteWorker is the client side: a WorkerAPI that relays every call over
+// RPC. Deadlines and retries are layered on top with fault.Wrap.
 type RemoteWorker struct {
 	addr    string
 	c       *rpc.Client
-	wrap    CallWrapper
 	in, out atomic.Int64
 
 	// nextTC is a one-shot trace parent consumed by the next non-Ping
@@ -945,14 +922,9 @@ func (r *RemoteWorker) BytesRead() int64 { return r.in.Load() }
 // BytesWritten reports transport bytes sent on this client connection.
 func (r *RemoteWorker) BytesWritten() int64 { return r.out.Load() }
 
-// Dial connects to a worker's sidecar with no deadline or retries.
-func Dial(addr string) (*RemoteWorker, error) {
-	return DialWrapped(addr, 0, nil)
-}
-
-// DialWrapped connects with a bound on the TCP dial (0 = none) and routes
-// every subsequent call through wrap (nil = direct).
-func DialWrapped(addr string, dialTimeout time.Duration, wrap CallWrapper) (*RemoteWorker, error) {
+// DialTimeout connects to a worker's sidecar with a bound on the TCP dial
+// (0 = none).
+func DialTimeout(addr string, dialTimeout time.Duration) (*RemoteWorker, error) {
 	var conn net.Conn
 	var err error
 	if dialTimeout > 0 {
@@ -963,7 +935,7 @@ func DialWrapped(addr string, dialTimeout time.Duration, wrap CallWrapper) (*Rem
 	if err != nil {
 		return nil, fmt.Errorf("sidecar: dialing %s: %w", addr, err)
 	}
-	r := &RemoteWorker{addr: addr, wrap: wrap}
+	r := &RemoteWorker{addr: addr}
 	r.c = rpc.NewClient(countingConn{Conn: conn, in: &r.in, out: &r.out})
 	return r, nil
 }
@@ -976,79 +948,59 @@ func (r *RemoteWorker) Addr() string { return r.addr }
 // dead worker.
 func (r *RemoteWorker) Close() error { return r.c.Close() }
 
-// rcall issues one RPC through the wrapper. A fresh reply is allocated per
-// attempt: gob decodes into whatever the reply already holds, so reusing a
-// partially-filled reply across retries could merge stale state.
-func rcall[R any](r *RemoteWorker, method string, idempotent bool, args any) (R, error) {
+// rcall issues one RPC into a fresh reply: gob decodes into whatever the
+// reply already holds, so a reused one could merge stale state.
+func rcall[R any](r *RemoteWorker, method string, args any) (R, error) {
 	var reply R
-	call := func() error {
-		var fresh R
-		if err := r.c.Call("Sidecar."+method, args, &fresh); err != nil {
-			return err
-		}
-		reply = fresh
-		return nil
-	}
-	if r.wrap == nil {
-		return reply, call()
-	}
-	return reply, r.wrap(method, idempotent, call)
+	err := r.c.Call("Sidecar."+method, args, &reply)
+	return reply, err
 }
-
-// Idempotency of each RPC, which gates retries. Phase mutations (Gather*/
-// Apply*/EndShard/Inject/DPRound/DeliverBatch/FinishQuery) are NOT safe
-// to retry — a timed-out attempt may still have executed remotely, and
-// running one twice breaks the round barrier; recovery for those is
-// re-execution from a clean re-Setup. Setup/BeginShard/BeginQueryBatch
-// fully reset the state they establish, and the rest are reads — including
-// the batch pulls: serving a pull never mutates exporter state, so a
-// duplicate delivery of a timed-out pull is harmless.
 
 // Ping implements WorkerAPI.
 func (r *RemoteWorker) Ping() error {
-	_, err := rcall[Empty](r, "Ping", true, Empty{})
+	_, err := rcall[Empty](r, "Ping", Empty{})
 	return err
 }
 
 // Setup implements WorkerAPI.
 func (r *RemoteWorker) Setup(req SetupRequest) error {
 	req.TC = r.takeTC()
-	_, err := rcall[Empty](r, "Setup", true, req)
+	_, err := rcall[Empty](r, "Setup", req)
 	return err
 }
 
 // BeginShard implements WorkerAPI.
 func (r *RemoteWorker) BeginShard(req BeginShardRequest) error {
 	req.TC = r.takeTC()
-	_, err := rcall[Empty](r, "BeginShard", true, req)
+	_, err := rcall[Empty](r, "BeginShard", req)
 	return err
 }
 
 // GatherBGP implements WorkerAPI.
 func (r *RemoteWorker) GatherBGP() error {
-	_, err := rcall[Empty](r, "GatherBGP", false, CallMeta{TC: r.takeTC()})
+	_, err := rcall[Empty](r, "GatherBGP", CallMeta{TC: r.takeTC()})
 	return err
 }
 
 // ApplyBGP implements WorkerAPI.
 func (r *RemoteWorker) ApplyBGP() (ApplyReply, error) {
-	return rcall[ApplyReply](r, "ApplyBGP", false, CallMeta{TC: r.takeTC()})
+	return rcall[ApplyReply](r, "ApplyBGP", CallMeta{TC: r.takeTC()})
 }
 
 // GatherOSPF implements WorkerAPI.
 func (r *RemoteWorker) GatherOSPF() error {
-	_, err := rcall[Empty](r, "GatherOSPF", false, CallMeta{TC: r.takeTC()})
+	_, err := rcall[Empty](r, "GatherOSPF", CallMeta{TC: r.takeTC()})
 	return err
 }
 
 // ApplyOSPF implements WorkerAPI.
 func (r *RemoteWorker) ApplyOSPF() (ApplyReply, error) {
-	return rcall[ApplyReply](r, "ApplyOSPF", false, CallMeta{TC: r.takeTC()})
+	return rcall[ApplyReply](r, "ApplyOSPF", CallMeta{TC: r.takeTC()})
 }
 
 // EndShard implements WorkerAPI.
 func (r *RemoteWorker) EndShard() (EndShardReply, error) {
-	return rcall[EndShardReply](r, "EndShard", false, CallMeta{TC: r.takeTC()})
+	return rcall[EndShardReply](r, "EndShard", CallMeta{TC: r.takeTC()})
 }
 
 // PullBGPBatch implements WorkerAPI: the reply set arrives as one varint
@@ -1058,7 +1010,7 @@ func (r *RemoteWorker) PullBGPBatch(reqs []PullBGPRequest) ([]PullBGPReply, erro
 	if len(reqs) > 0 {
 		reqs[0].TC = r.takeTC()
 	}
-	reply, err := rcall[PullWireReply](r, "PullBGPBatch", true, reqs)
+	reply, err := rcall[PullWireReply](r, "PullBGPBatch", reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -1070,330 +1022,83 @@ func (r *RemoteWorker) PullLSABatch(reqs []PullLSAsRequest) ([]PullLSAsReply, er
 	if len(reqs) > 0 {
 		reqs[0].TC = r.takeTC()
 	}
-	reply, err := rcall[PullWireReply](r, "PullLSABatch", true, reqs)
+	reply, err := rcall[PullWireReply](r, "PullLSABatch", reqs)
 	if err != nil {
 		return nil, err
 	}
 	return DecodeLSAReplies(reply.Payload)
 }
 
-// ApplyDelta implements WorkerAPI. Retry-safe: the swap is deterministic
-// from the request and purges are idempotent.
+// ApplyDelta implements WorkerAPI.
 func (r *RemoteWorker) ApplyDelta(req DeltaRequest) (DeltaReply, error) {
 	req.TC = r.takeTC()
-	return rcall[DeltaReply](r, "ApplyDelta", true, req)
+	return rcall[DeltaReply](r, "ApplyDelta", req)
 }
 
 // ComputeDP implements WorkerAPI.
 func (r *RemoteWorker) ComputeDP() (ComputeDPReply, error) {
-	return rcall[ComputeDPReply](r, "ComputeDP", true, CallMeta{TC: r.takeTC()})
+	return rcall[ComputeDPReply](r, "ComputeDP", CallMeta{TC: r.takeTC()})
 }
 
 // BeginQueryBatch implements WorkerAPI.
 func (r *RemoteWorker) BeginQueryBatch(req QueryBatchRequest) error {
 	req.TC = r.takeTC()
-	_, err := rcall[Empty](r, "BeginQueryBatch", true, req)
+	_, err := rcall[Empty](r, "BeginQueryBatch", req)
 	return err
 }
 
 // Inject implements WorkerAPI.
 func (r *RemoteWorker) Inject(req InjectRequest) error {
 	req.TC = r.takeTC()
-	_, err := rcall[Empty](r, "Inject", false, req)
+	_, err := rcall[Empty](r, "Inject", req)
 	return err
 }
 
 // DPRound implements WorkerAPI.
 func (r *RemoteWorker) DPRound() error {
-	_, err := rcall[Empty](r, "DPRound", false, CallMeta{TC: r.takeTC()})
+	_, err := rcall[Empty](r, "DPRound", CallMeta{TC: r.takeTC()})
 	return err
 }
 
 // HasWork implements WorkerAPI.
 func (r *RemoteWorker) HasWork() (bool, error) {
-	reply, err := rcall[HasWorkReply](r, "HasWork", true, CallMeta{TC: r.takeTC()})
+	reply, err := rcall[HasWorkReply](r, "HasWork", CallMeta{TC: r.takeTC()})
 	return reply.Busy, err
 }
 
-// DeliverBatch implements WorkerAPI. Not idempotent: a retried delivery
-// would double-apply the substrate splice and the packet merges.
+// DeliverBatch implements WorkerAPI.
 func (r *RemoteWorker) DeliverBatch(req DeliverBatchRequest) (DeliverBatchReply, error) {
 	req.TC = r.takeTC()
-	return rcall[DeliverBatchReply](r, "DeliverBatch", false, req)
+	return rcall[DeliverBatchReply](r, "DeliverBatch", req)
 }
 
 // FinishQuery implements WorkerAPI.
 func (r *RemoteWorker) FinishQuery() (OutcomeBatch, error) {
-	reply, err := rcall[OutcomesReply](r, "FinishQuery", false, CallMeta{TC: r.takeTC()})
-	return OutcomeBatch{Wire: reply.Wire, Outcomes: reply.Outcomes}, err
+	return rcall[OutcomeBatch](r, "FinishQuery", CallMeta{TC: r.takeTC()})
 }
 
 // CollectRIBs implements WorkerAPI.
 func (r *RemoteWorker) CollectRIBs() (map[string][]*route.Route, error) {
-	reply, err := rcall[RIBsReply](r, "CollectRIBs", true, CallMeta{TC: r.takeTC()})
+	reply, err := rcall[RIBsReply](r, "CollectRIBs", CallMeta{TC: r.takeTC()})
 	return reply.Routes, err
 }
 
 // Stats implements WorkerAPI.
 func (r *RemoteWorker) Stats() (WorkerStats, error) {
-	return rcall[WorkerStats](r, "Stats", true, CallMeta{TC: r.takeTC()})
+	return rcall[WorkerStats](r, "Stats", CallMeta{TC: r.takeTC()})
 }
 
-// PullSpans implements WorkerAPI. Idempotent in the retry sense — a lost
-// reply loses at most one drain batch of telemetry, never application
-// state — and, like Ping, safe against a wedged worker (no phase lock).
+// PullSpans implements WorkerAPI.
 func (r *RemoteWorker) PullSpans(req PullSpansRequest) (PullSpansReply, error) {
-	return rcall[PullSpansReply](r, "PullSpans", true, req)
+	return rcall[PullSpansReply](r, "PullSpans", req)
 }
 
-// PullStats implements WorkerAPI. Idempotent: a pure point-in-time read.
+// PullStats implements WorkerAPI.
 func (r *RemoteWorker) PullStats(req PullStatsRequest) (PullStatsReply, error) {
-	return rcall[PullStatsReply](r, "PullStats", true, req)
+	return rcall[PullStatsReply](r, "PullStats", req)
 }
 
-// PullProfile implements WorkerAPI. Idempotent in the retry sense — a
-// retried capture just captures again.
+// PullProfile implements WorkerAPI.
 func (r *RemoteWorker) PullProfile(req PullProfileRequest) (PullProfileReply, error) {
-	return rcall[PullProfileReply](r, "PullProfile", true, req)
-}
-
-// PhaseClass reports whether a method is a controller-phase call: issued
-// by the controller, serialized per worker, and the trigger for the
-// worker-side phase span. Only these propagate a one-shot trace parent —
-// probes (Ping/HasWork/Stats/PullSpans) run concurrently with phases and
-// must not disturb span parenting, and peer-facing traffic parents via the
-// read-only trace source instead.
-func PhaseClass(method string) bool {
-	switch method {
-	case "Setup", "BeginShard", "GatherBGP", "ApplyBGP", "GatherOSPF",
-		"ApplyOSPF", "EndShard", "ComputeDP", "BeginQueryBatch",
-		"Inject", "DPRound", "FinishQuery", "ApplyDelta":
-		return true
-	}
-	return false
-}
-
-// Observe wraps api so every call flows through hook (mirrors fault.Wrap).
-// The controller uses it to attach RPC telemetry to in-process workers and
-// remote clients alike; a nil hook returns api unchanged.
-func Observe(api WorkerAPI, hook RPCHook) WorkerAPI {
-	if hook == nil {
-		return api
-	}
-	return &observed{api: api, hook: hook}
-}
-
-// ObserveTraced is Observe with cross-process propagation: when api (the
-// layer below, normally the RemoteWorker transport) can carry a trace
-// parent, every phase-class call arms it with the context of the rpc span
-// the hook just opened, so the server-side span parents under this exact
-// call. fault.Wrap sits outside this wrapper, so each retry re-enters the
-// hook and re-arms with its own fresh attempt span.
-func ObserveTraced(api WorkerAPI, hook TraceHook) WorkerAPI {
-	if hook == nil {
-		return api
-	}
-	carrier, _ := api.(traceCarrier)
-	return &observed{api: api, thook: hook, carrier: carrier}
-}
-
-// traceCarrier is the transport-side slot ObserveTraced arms (RemoteWorker
-// implements it for the wire; core.Worker implements it directly so the
-// in-process transport yields the same parenting).
-type traceCarrier interface {
-	SetNextTraceParent(tc TraceContext)
-}
-
-type observed struct {
-	api     WorkerAPI
-	hook    RPCHook
-	thook   TraceHook
-	carrier traceCarrier
-}
-
-// obs runs one call through the hook.
-func (o *observed) obs(method string, call func() error) error {
-	if o.thook != nil {
-		tc, done := o.thook(method)
-		if tc.Valid() && o.carrier != nil && PhaseClass(method) {
-			o.carrier.SetNextTraceParent(tc)
-		}
-		err := call()
-		done(err)
-		return err
-	}
-	done := o.hook(method)
-	err := call()
-	done(err)
-	return err
-}
-
-func (o *observed) Ping() error {
-	return o.obs("Ping", o.api.Ping)
-}
-
-func (o *observed) Setup(req SetupRequest) error {
-	return o.obs("Setup", func() error { return o.api.Setup(req) })
-}
-
-func (o *observed) BeginShard(req BeginShardRequest) error {
-	return o.obs("BeginShard", func() error { return o.api.BeginShard(req) })
-}
-
-func (o *observed) GatherBGP() error {
-	return o.obs("GatherBGP", o.api.GatherBGP)
-}
-
-func (o *observed) ApplyBGP() (ApplyReply, error) {
-	var reply ApplyReply
-	err := o.obs("ApplyBGP", func() error {
-		var err error
-		reply, err = o.api.ApplyBGP()
-		return err
-	})
-	return reply, err
-}
-
-func (o *observed) GatherOSPF() error {
-	return o.obs("GatherOSPF", o.api.GatherOSPF)
-}
-
-func (o *observed) ApplyOSPF() (ApplyReply, error) {
-	var reply ApplyReply
-	err := o.obs("ApplyOSPF", func() error {
-		var err error
-		reply, err = o.api.ApplyOSPF()
-		return err
-	})
-	return reply, err
-}
-
-func (o *observed) EndShard() (EndShardReply, error) {
-	var reply EndShardReply
-	err := o.obs("EndShard", func() error {
-		var err error
-		reply, err = o.api.EndShard()
-		return err
-	})
-	return reply, err
-}
-
-func (o *observed) PullBGPBatch(reqs []PullBGPRequest) ([]PullBGPReply, error) {
-	var replies []PullBGPReply
-	err := o.obs("PullBGPBatch", func() error {
-		var err error
-		replies, err = o.api.PullBGPBatch(reqs)
-		return err
-	})
-	return replies, err
-}
-
-func (o *observed) PullLSABatch(reqs []PullLSAsRequest) ([]PullLSAsReply, error) {
-	var replies []PullLSAsReply
-	err := o.obs("PullLSABatch", func() error {
-		var err error
-		replies, err = o.api.PullLSABatch(reqs)
-		return err
-	})
-	return replies, err
-}
-
-func (o *observed) ApplyDelta(req DeltaRequest) (DeltaReply, error) {
-	var reply DeltaReply
-	err := o.obs("ApplyDelta", func() error {
-		var err error
-		reply, err = o.api.ApplyDelta(req)
-		return err
-	})
-	return reply, err
-}
-
-func (o *observed) ComputeDP() (ComputeDPReply, error) {
-	var reply ComputeDPReply
-	err := o.obs("ComputeDP", func() error {
-		var err error
-		reply, err = o.api.ComputeDP()
-		return err
-	})
-	return reply, err
-}
-
-func (o *observed) BeginQueryBatch(req QueryBatchRequest) error {
-	return o.obs("BeginQueryBatch", func() error { return o.api.BeginQueryBatch(req) })
-}
-
-func (o *observed) Inject(req InjectRequest) error {
-	return o.obs("Inject", func() error { return o.api.Inject(req) })
-}
-
-func (o *observed) DPRound() error {
-	return o.obs("DPRound", o.api.DPRound)
-}
-
-func (o *observed) HasWork() (bool, error) {
-	var busy bool
-	err := o.obs("HasWork", func() error {
-		var err error
-		busy, err = o.api.HasWork()
-		return err
-	})
-	return busy, err
-}
-
-func (o *observed) DeliverBatch(req DeliverBatchRequest) (DeliverBatchReply, error) {
-	var reply DeliverBatchReply
-	err := o.obs("DeliverBatch", func() error {
-		var err error
-		reply, err = o.api.DeliverBatch(req)
-		return err
-	})
-	return reply, err
-}
-
-func (o *observed) FinishQuery() (OutcomeBatch, error) {
-	var out OutcomeBatch
-	err := o.obs("FinishQuery", func() error {
-		var err error
-		out, err = o.api.FinishQuery()
-		return err
-	})
-	return out, err
-}
-
-func (o *observed) CollectRIBs() (map[string][]*route.Route, error) {
-	var routes map[string][]*route.Route
-	err := o.obs("CollectRIBs", func() error {
-		var err error
-		routes, err = o.api.CollectRIBs()
-		return err
-	})
-	return routes, err
-}
-
-func (o *observed) Stats() (WorkerStats, error) {
-	var st WorkerStats
-	err := o.obs("Stats", func() error {
-		var err error
-		st, err = o.api.Stats()
-		return err
-	})
-	return st, err
-}
-
-// PullSpans deliberately bypasses the hook: instrumenting the telemetry
-// drain itself would mint a new rpc span per harvest, which the harvest
-// then ships — an infinite feedback loop of self-describing spans.
-func (o *observed) PullSpans(req PullSpansRequest) (PullSpansReply, error) {
-	return o.api.PullSpans(req)
-}
-
-// PullStats and PullProfile bypass the hook for the same reason as
-// PullSpans: the fleet health plane observing itself would pollute the
-// very telemetry it collects.
-func (o *observed) PullStats(req PullStatsRequest) (PullStatsReply, error) {
-	return o.api.PullStats(req)
-}
-
-func (o *observed) PullProfile(req PullProfileRequest) (PullProfileReply, error) {
-	return o.api.PullProfile(req)
+	return rcall[PullProfileReply](r, "PullProfile", req)
 }

@@ -129,7 +129,7 @@ func dialStub(t *testing.T) (*RemoteWorker, *stubWorker) {
 	}
 	t.Cleanup(func() { lis.Close() })
 	go Serve(stub, lis)
-	client, err := Dial(lis.Addr().String())
+	client, err := DialTimeout(lis.Addr().String(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,15 +257,15 @@ func TestRPCRoundTripAllMethods(t *testing.T) {
 }
 
 func TestDialFailure(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1"); err == nil {
+	if _, err := DialTimeout("127.0.0.1:1", 0); err == nil {
 		t.Fatal("dialing a closed port must fail")
 	}
 }
 
-// timeoutWrap is a minimal CallWrapper bounding each call, standing in for
-// fault.Caller (which sidecar cannot import without a cycle).
-func timeoutWrap(d time.Duration) CallWrapper {
-	return func(method string, idempotent bool, call func() error) error {
+// timeoutIntercept is a minimal interceptor bounding each call, standing in
+// for fault.Wrap (which sidecar cannot import without a cycle).
+func timeoutIntercept(d time.Duration) func(method string, call func() error) error {
+	return func(method string, call func() error) error {
 		done := make(chan error, 1)
 		go func() { done <- call() }()
 		select {
@@ -294,13 +294,14 @@ func TestDeadlineOnHungServer(t *testing.T) {
 			defer conn.Close() // hold the connection open, answer nothing
 		}
 	}()
-	client, err := DialWrapped(lis.Addr().String(), time.Second, timeoutWrap(100*time.Millisecond))
+	client, err := DialTimeout(lis.Addr().String(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { client.Close() })
+	api := Intercept(client, timeoutIntercept(100*time.Millisecond))
 	start := time.Now()
-	if err := client.Ping(); err == nil {
+	if err := api.Ping(); err == nil {
 		t.Fatal("Ping against a hung server must fail")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -319,7 +320,7 @@ func TestServerGracefulDrain(t *testing.T) {
 	}
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(lis) }()
-	client, err := Dial(lis.Addr().String())
+	client, err := DialTimeout(lis.Addr().String(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +364,7 @@ func TestServerAbruptShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	go srv.Serve(lis)
-	client, err := Dial(lis.Addr().String())
+	client, err := DialTimeout(lis.Addr().String(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,59 +376,6 @@ func TestServerAbruptShutdown(t *testing.T) {
 	srv.Shutdown(0)
 	if err := <-inflight; err == nil {
 		t.Fatal("in-flight RPC must fail on abrupt shutdown")
-	}
-}
-
-// TestWrapperIdempotencyFlags verifies the retry-safety table the client
-// hands to the fault layer: phase mutations must never be marked safe.
-func TestWrapperIdempotencyFlags(t *testing.T) {
-	flags := map[string]bool{}
-	var mu sync.Mutex
-	stub := &stubWorker{}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lis.Close() })
-	go Serve(stub, lis)
-	client, err := DialWrapped(lis.Addr().String(), 0, func(method string, idempotent bool, call func() error) error {
-		mu.Lock()
-		flags[method] = idempotent
-		mu.Unlock()
-		return call()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { client.Close() })
-
-	client.Ping()
-	client.Setup(SetupRequest{WorkerID: 1})
-	client.GatherBGP()
-	client.ApplyBGP()
-	client.EndShard()
-	client.PullBGPBatch([]PullBGPRequest{{Exporter: "r9", Puller: "r1"}})
-	client.PullLSABatch([]PullLSAsRequest{{Exporter: "r9", Puller: "r1"}})
-	client.Inject(InjectRequest{Source: "r1"})
-	client.DPRound()
-	client.DeliverBatch(DeliverBatchRequest{From: 1})
-	client.FinishQuery()
-	client.Stats()
-
-	want := map[string]bool{
-		"Ping": true, "Setup": true, "Stats": true,
-		"PullBGPBatch": true, "PullLSABatch": true,
-		"GatherBGP": false, "ApplyBGP": false, "EndShard": false,
-		"Inject": false, "DPRound": false,
-		"DeliverBatch": false, "FinishQuery": false,
-	}
-	for m, idem := range want {
-		got, ok := flags[m]
-		if !ok {
-			t.Errorf("%s never went through the wrapper", m)
-		} else if got != idem {
-			t.Errorf("%s idempotent = %v, want %v", m, got, idem)
-		}
 	}
 }
 

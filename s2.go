@@ -641,11 +641,7 @@ func (v *Verifier) AttributionReport() *core.AttributionReport {
 
 // PhaseDurations reports wall-clock per pipeline phase.
 func (v *Verifier) PhaseDurations() map[string]time.Duration {
-	out := map[string]time.Duration{}
-	for _, p := range v.ctrl.Timer().Phases() {
-		out[p.Name] += p.Duration
-	}
-	return out
+	return v.ctrl.Timer().Totals()
 }
 
 // readDirTexts loads *.cfg files keyed by hostname (filename stem).

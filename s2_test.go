@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"s2/internal/sidecar"
 )
 
 func fatTree4(t *testing.T) *Network {
@@ -300,5 +302,15 @@ func TestConcurrentQueriesDuringApplyDelta(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestSlowWorkerMethodsArePhaseCalls: the straggler rehearsal delays phase
+// RPCs only, never the failure detector's Ping or the telemetry probes.
+func TestSlowWorkerMethodsArePhaseCalls(t *testing.T) {
+	for _, m := range slowWorkerMethods {
+		if !sidecar.PhaseClass(m) {
+			t.Errorf("slowWorkerMethods lists %s, which is not a phase call", m)
+		}
 	}
 }
