@@ -50,8 +50,6 @@ func main() {
 		showReport = flag.Bool("report", false, "print the per-worker × per-stage attribution table after the run")
 		reportJSON = flag.String("report-json", "", "write the attribution report as JSON to this file (- for stdout)")
 		flightLog  = flag.String("flight-log", "", "write the controller's flight-recorder events to this file at exit")
-		history    = flag.Int("history", 512, "fleet health samples per series for /debug/dashboard (with -obs-addr; 0 disables)")
-		profileCap = flag.Int("profile-store", 16, "harvested worker pprof profiles kept for /debug/profiles (with -obs-addr; 0 disables)")
 		logLevel   = flag.String("log-level", "warn", "structured log level on stderr: debug|info|warn|error|off")
 		logJSON    = flag.Bool("log-json", false, "emit structured logs as JSON lines (default: logfmt-style text)")
 		verbose    = flag.Bool("v", false, "print phase timings and per-worker stats")
@@ -105,8 +103,7 @@ func main() {
 	if *obsAddr != "" {
 		reg = obs.NewRegistry()
 		opts.Metrics = reg
-		opts.HistorySamples = *history
-		opts.ProfileCapacity = *profileCap
+		opts.FleetPlane = true
 	}
 	v, err := s2.NewVerifier(net, opts)
 	fatal(err)

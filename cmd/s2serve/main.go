@@ -16,7 +16,12 @@
 //	        [-workers-at host:port,...] [-procs N] [-seed S]
 //	        [-recover] [-heartbeat-interval D] [-v]
 //	        [-log-level info] [-log-json] [-audit-log FILE]
-//	        [-audit-size N] [-trace-store N] [-trace-slowest N]
+//	        [-slow-worker N]
+//
+// Its telemetry has fixed sizes: 512 request traces with the 16 slowest
+// kept, 1024 audit entries in memory, and the fleet health plane (512
+// points per series sampled every -heartbeat-interval or else every 5s,
+// 32 worker profiles with a heap harvest every 60s).
 package main
 
 import (
@@ -51,19 +56,10 @@ func main() {
 		recoverOn  = flag.Bool("recover", false, "on worker death, re-partition onto survivors and re-verify")
 		verbose    = flag.Bool("v", false, "log the boot verification summary")
 
-		logLevel  = flag.String("log-level", "info", "structured log level: debug|info|warn|error|off")
-		logJSON   = flag.Bool("log-json", false, "emit structured logs as JSON lines (default: logfmt-style text)")
-		auditLog  = flag.String("audit-log", "", "append every audit entry as a JSON line to this file")
-		auditSize = flag.Int("audit-size", 1024, "audit entries kept in memory for /v1/audit")
-		traceCap  = flag.Int("trace-store", 512, "per-request traces kept for /debug/traces (0 disables tracing)")
-		traceSlow = flag.Int("trace-slowest", 16, "slowest traces always retained by eviction")
-
-		history      = flag.Int("history", 512, "fleet health samples kept per series for /debug/dashboard (0 disables the history plane)")
-		historyEvery = flag.Duration("history-interval", 0, "fleet sampling cadence (0 = heartbeat interval, else 5s)")
-		profileCap   = flag.Int("profile-store", 32, "harvested worker pprof profiles kept for /debug/profiles (0 disables)")
-		profileEvery = flag.Duration("profile-interval", 0, "periodic heap-profile harvest cadence (0 = 60s default, negative disables)")
-		slowWorker   = flag.Int("slow-worker", -1, "inject a persistent per-call delay on this worker's phase RPCs (straggler experiment; -1 = off)")
-		slowDelay    = flag.Duration("slow-worker-delay", 20*time.Millisecond, "per-call delay for -slow-worker")
+		logLevel   = flag.String("log-level", "info", "structured log level: debug|info|warn|error|off")
+		logJSON    = flag.Bool("log-json", false, "emit structured logs as JSON lines (default: logfmt-style text)")
+		auditLog   = flag.String("audit-log", "", "append every audit entry as a JSON line to this file")
+		slowWorker = flag.Int("slow-worker", -1, "delay this worker's phase RPCs by 25ms each (straggler experiment; -1 = off)")
 	)
 	flag.Parse()
 	if *configs == "" {
@@ -80,10 +76,7 @@ func main() {
 	logger.Info("configs parsed", obs.FInt("devices", network.Size()), obs.FStr("dir", *configs))
 
 	reg := obs.NewRegistry()
-	var tracer *obs.Tracer
-	if *traceCap > 0 {
-		tracer = obs.NewTracer()
-	}
+	tracer := obs.NewTracer()
 	opts := s2.Options{
 		Workers:           *workers,
 		PartitionScheme:   *scheme,
@@ -98,14 +91,11 @@ func main() {
 		Metrics:           reg,
 		Tracer:            tracer,
 		Logger:            logger,
-		HistorySamples:    *history,
-		HistoryInterval:   *historyEvery,
-		ProfileCapacity:   *profileCap,
-		ProfileInterval:   *profileEvery,
+		FleetPlane:        true,
 	}
 	if *slowWorker >= 0 {
 		opts.SlowWorker = *slowWorker
-		opts.SlowWorkerDelay = *slowDelay
+		opts.SlowWorkerDelay = slowWorkerDelay
 	}
 	if *workerAddr != "" {
 		opts.WorkerAddrs = strings.Split(*workerAddr, ",")
@@ -117,17 +107,14 @@ func main() {
 		logger.Warn("topology warning", obs.FStr("warning", warn))
 	}
 
-	var auditSink *os.File
+	var journal *serve.Journal
 	if *auditLog != "" {
-		auditSink, err = os.OpenFile(*auditLog, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+		auditSink, err := os.OpenFile(*auditLog, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 		fatal(err)
 		defer auditSink.Close()
-	}
-	var journal *serve.Journal
-	if auditSink != nil {
-		journal = serve.NewJournal(*auditSize, auditSink)
+		journal = serve.NewJournal(auditSink)
 	} else {
-		journal = serve.NewJournal(*auditSize, nil)
+		journal = serve.NewJournal(nil)
 	}
 
 	// Boot verification: converge once so every query after startup is warm.
@@ -181,12 +168,10 @@ func main() {
 	lis, err := net.Listen("tcp", *addr)
 	fatal(err)
 	srv := serve.New(v, serve.Options{
-		Registry:         reg,
-		Tracer:           tracer,
-		TraceCapacity:    *traceCap,
-		TraceKeepSlowest: *traceSlow,
-		Logger:           logger,
-		Audit:            journal,
+		Registry: reg,
+		Tracer:   tracer,
+		Logger:   logger,
+		Audit:    journal,
 	})
 	fmt.Printf("s2serve: serving on http://%s\n", lis.Addr())
 
@@ -203,6 +188,9 @@ func main() {
 		fatal(err)
 	}
 }
+
+// slowWorkerDelay is the per-call delay -slow-worker injects.
+const slowWorkerDelay = 25 * time.Millisecond
 
 // Connection timeouts of the API server. A client that never finishes its
 // request headers, or leaves a keep-alive connection idle, is disconnected

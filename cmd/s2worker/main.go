@@ -39,8 +39,6 @@ func main() {
 	grace := flag.Duration("grace", 10*time.Second, "max time to finish in-flight RPCs on SIGINT/SIGTERM")
 	procs := flag.Int("procs", 0, "default goroutine pool for the simulation phases when Setup doesn't set one (0 = all CPUs, 1 = sequential)")
 	obsAddr := flag.String("obs-addr", "", "serve /metrics, /healthz, /progress, /debug/flightrecorder, /debug/dashboard, and /debug/pprof for this worker on this address")
-	histSamples := flag.Int("history", 256, "metric samples per series for this worker's /debug/dashboard sparklines (with -obs-addr; 0 disables)")
-	spanRing := flag.Int("span-ring", 16384, "capacity of the span export ring drained by the controller's PullSpans")
 	flightLog := flag.String("flight-log", "", "also write flight-recorder dumps (SIGQUIT) to this file")
 	logLevel := flag.String("log-level", "info", "structured log level: debug|info|warn|error|off")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON lines (default: logfmt-style text)")
@@ -72,7 +70,7 @@ func main() {
 	// nothing unless a controller harvests it over PullSpans, and the flight
 	// recorder keeps the last page of structured events for post-mortems.
 	tracer := obs.NewTracer()
-	tracer.SetExportLimit(*spanRing)
+	tracer.StartExport()
 	var reg *obs.Registry
 	if *obsAddr != "" {
 		reg = obs.NewRegistry()
@@ -89,11 +87,9 @@ func main() {
 		// Local history ring: the worker samples its own registry so its
 		// /debug/dashboard sparklines work even without a controller
 		// harvesting it.
-		hist := obs.NewHistory(*histSamples)
-		if hist != nil {
-			stop := hist.Start(5*time.Second, func() map[string]float64 { return reg.Snapshot() })
-			defer stop()
-		}
+		hist := obs.NewHistory()
+		stop := hist.Start(5*time.Second, func() map[string]float64 { return reg.Snapshot() })
+		defer stop()
 		isrv, err := obs.ServeIntrospection(*obsAddr, obs.ServerOptions{
 			Registry: reg,
 			Health: func() any {

@@ -115,22 +115,12 @@ type Options struct {
 	// site a nil-check no-op.
 	Logger *obs.Logger
 
-	// HistorySamples sizes the fleet health time-series ring: every
-	// registry metric plus per-worker vitals sampled each HistoryInterval.
-	// 0 disables the ring, the background sampler, and the dashboard's
-	// sparklines (the PR 7 zero-overhead contract).
-	HistorySamples int
-	// HistoryInterval is the vitals sampling cadence (default:
-	// HeartbeatInterval, else 5s).
-	HistoryInterval time.Duration
-	// ProfileCapacity bounds the ring of harvested pprof profiles
-	// (PullWorkerProfile and the periodic heap harvest). 0 disables the
-	// store and the harvest.
-	ProfileCapacity int
-	// ProfileInterval paces the periodic heap-profile harvest when the
-	// store is enabled (default 60s; < 0 disables the periodic harvest,
-	// keeping on-demand pulls only).
-	ProfileInterval time.Duration
+	// FleetPlane turns on the fleet health plane: the history ring fed by
+	// a sampler that pulls every registry metric plus per-worker vitals
+	// each HeartbeatInterval (else every 5s), and the ring of harvested
+	// pprof profiles (PullWorkerProfile plus a heap harvest every 60s).
+	// Off, it starts no goroutine and issues no probe RPC.
+	FleetPlane bool
 }
 
 func (o Options) maxRounds() int {
@@ -279,18 +269,19 @@ func NewController(snap *config.Snapshot, texts map[string]string, opts Options)
 	}
 	layout := dataplane.Layout{MetaBits: opts.MetaBits}
 	c := &Controller{
-		snap:     snap,
-		net:      net,
-		opts:     opts,
-		texts:    texts,
-		engine:   layout.NewEngine(0),
-		layout:   layout,
-		timer:    metrics.NewPhaseTimer(),
-		faults:   metrics.NewFaultCounters(),
-		flight:   obs.NewFlightRecorder(0),
-		skews:    map[*sidecar.RemoteWorker]*obs.SkewEstimator{},
-		history:  obs.NewHistory(opts.HistorySamples),
-		profiles: obs.NewProfileStore(opts.ProfileCapacity),
+		snap:   snap,
+		net:    net,
+		opts:   opts,
+		texts:  texts,
+		engine: layout.NewEngine(0),
+		layout: layout,
+		timer:  metrics.NewPhaseTimer(),
+		faults: metrics.NewFaultCounters(),
+		flight: obs.NewFlightRecorder(),
+		skews:  map[*sidecar.RemoteWorker]*obs.SkewEstimator{},
+	}
+	if opts.FleetPlane {
+		c.history, c.profiles = obs.NewHistory(), obs.NewProfileStore()
 	}
 	c.initObs()
 	return c, nil

@@ -5,9 +5,8 @@
 // ROADMAP's work-stealing item will act on — and harvests pprof profiles
 // from workers into a TraceStore-style bounded ring, periodically and on
 // demand. Everything here is gated on the observability options
-// (HistorySamples, ProfileCapacity, Metrics): with all of them off no
-// goroutine starts, no RPC is issued, and no allocation happens (the
-// PR 7 zero-overhead contract).
+// (FleetPlane, Metrics): with both off no goroutine starts, no RPC is
+// issued, and no allocation happens.
 
 package core
 
@@ -20,8 +19,7 @@ import (
 	"s2/internal/sidecar"
 )
 
-// profileHarvestInterval is the default cadence of the periodic heap
-// harvest when the profile store is enabled.
+// profileHarvestInterval is the cadence of the periodic heap harvest.
 const profileHarvestInterval = time.Minute
 
 // stragglerAlpha is the EWMA weight of the newest round's skew sample in
@@ -65,12 +63,12 @@ type FleetHealth struct {
 	HistoryRounds    uint64             `json:"history_rounds"`
 }
 
-// History exposes the fleet health time-series ring (nil when
-// HistorySamples is 0).
+// History exposes the fleet health time-series ring (nil unless
+// FleetPlane is set).
 func (c *Controller) History() *obs.History { return c.history }
 
-// Profiles exposes the harvested-profile store (nil when ProfileCapacity
-// is 0).
+// Profiles exposes the harvested-profile store (nil unless FleetPlane is
+// set).
 func (c *Controller) Profiles() *obs.ProfileStore { return c.profiles }
 
 // FleetHealth assembles the live fleet snapshot from the latest sampled
@@ -125,32 +123,18 @@ func (c *Controller) StragglerScores() map[int]float64 {
 	return out
 }
 
-// startStatsSampler launches the background vitals loop when the history
-// ring is enabled. It rides the heartbeat cadence unless HistoryInterval
-// overrides it, and additionally drives the periodic heap-profile harvest
-// when the profile store is on.
+// startStatsSampler launches the background vitals loop when the fleet
+// plane is on. It rides the heartbeat cadence (else every 5s) and drives
+// the periodic heap-profile harvest every profileHarvestInterval.
 func (c *Controller) startStatsSampler() {
 	if c.history == nil || c.statsStop != nil || c.closed.Load() {
 		return
 	}
-	interval := c.opts.HistoryInterval
-	if interval <= 0 {
-		interval = c.opts.HeartbeatInterval
-	}
+	interval := c.opts.HeartbeatInterval
 	if interval <= 0 {
 		interval = harvestInterval
 	}
-	profEvery := 0
-	if c.profiles != nil && c.opts.ProfileInterval >= 0 {
-		pi := c.opts.ProfileInterval
-		if pi == 0 {
-			pi = profileHarvestInterval
-		}
-		profEvery = int(pi / interval)
-		if profEvery < 1 {
-			profEvery = 1
-		}
-	}
+	profEvery := max(int(profileHarvestInterval/interval), 1)
 	c.statsStop = make(chan struct{})
 	stop := c.statsStop
 	c.statsWG.Add(1)
@@ -167,7 +151,7 @@ func (c *Controller) startStatsSampler() {
 			case <-t.C:
 				c.sampleFleet()
 				ticks++
-				if profEvery > 0 && ticks%profEvery == 0 {
+				if ticks%profEvery == 0 {
 					c.harvestHeapProfiles()
 				}
 			}
@@ -358,7 +342,7 @@ func (c *Controller) harvestHeapProfiles() {
 // a CPU capture legitimately blocks for its whole sampling window.
 func (c *Controller) PullWorkerProfile(worker int, kind string, seconds int) (*obs.Profile, error) {
 	if c.profiles == nil {
-		return nil, fmt.Errorf("core: profile store disabled (ProfileCapacity is 0)")
+		return nil, fmt.Errorf("core: profile store disabled (FleetPlane is off)")
 	}
 	if c.closed.Load() {
 		return nil, fmt.Errorf("core: controller is closed")

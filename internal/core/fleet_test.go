@@ -1,8 +1,8 @@
 // Fleet health plane tests: straggler analytics must flag exactly the
 // slowed worker, the vitals sampler must fill the history ring and the
 // fleet snapshot, profile harvest must round-trip a parseable pprof proto,
-// and — the PR 7 contract — a run with the plane disabled must issue no
-// probe RPC and start no sampler.
+// and a run with the plane disabled must issue no probe RPC and start no
+// sampler.
 
 package core
 
@@ -45,12 +45,12 @@ func TestStragglerAnalyticsFlagsSlowWorker(t *testing.T) {
 	snap, texts := fatTreeSnap(t, 4)
 	c := newS2(t, snap, texts, Options{
 		Workers: 3, Shards: 2, Seed: 5,
-		Metrics:        reg,
-		HistorySamples: 64,
+		Metrics:    reg,
+		FleetPlane: true,
 		// Long interval: this test exercises the per-round skew scoring,
 		// not the sampler cadence.
-		HistoryInterval: time.Hour,
-		WrapWorker:      slowWorkerHook(1, 15*time.Millisecond),
+		HeartbeatInterval: time.Hour,
+		WrapWorker:        slowWorkerHook(1, 15*time.Millisecond),
 	})
 	defer c.Close()
 	res := runFull(t, c)
@@ -109,16 +109,16 @@ func TestFleetSamplerHistoryAndHealth(t *testing.T) {
 	snap, texts := fatTreeSnap(t, 4)
 	c := newS2(t, snap, texts, Options{
 		Workers: 3, Seed: 6,
-		Metrics:         reg,
-		HistorySamples:  128,
-		HistoryInterval: 10 * time.Millisecond,
+		Metrics:           reg,
+		FleetPlane:        true,
+		HeartbeatInterval: 10 * time.Millisecond,
 	})
 	defer c.Close()
 	runFull(t, c)
 
 	h := c.History()
 	if h == nil {
-		t.Fatal("History() = nil with HistorySamples set")
+		t.Fatal("History() = nil with FleetPlane set")
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for h.Rounds() < 5 && time.Now().Before(deadline) {
@@ -162,8 +162,7 @@ func TestPullWorkerProfile(t *testing.T) {
 	snap, texts := fatTreeSnap(t, 4)
 	c := newS2(t, snap, texts, Options{
 		Workers: 2, Seed: 7,
-		ProfileCapacity: 4,
-		ProfileInterval: -1, // on-demand only
+		FleetPlane: true,
 	})
 	defer c.Close()
 	runCP(t, c)
@@ -260,8 +259,8 @@ func TestFleetSamplerTCP(t *testing.T) {
 	addrs, _, _ := startTracedRemoteWorkers(t, 2)
 	c := newS2(t, snap, texts, Options{
 		WorkerAddrs: addrs, Seed: 9,
-		HistorySamples:  64,
-		HistoryInterval: 10 * time.Millisecond,
+		FleetPlane:        true,
+		HeartbeatInterval: 10 * time.Millisecond,
 	})
 	defer c.Close()
 	runCP(t, c)

@@ -30,7 +30,7 @@ func startTracedRemoteWorkers(t *testing.T, n int) ([]string, []*sidecar.Server,
 		addrs[i] = lis.Addr().String()
 		workers[i] = NewWorker()
 		tr := obs.NewTracer()
-		tr.SetExportLimit(4096)
+		tr.StartExport()
 		workers[i].SetObservability(tr, nil)
 		servers[i] = sidecar.NewServer(workers[i])
 		go servers[i].Serve(lis)

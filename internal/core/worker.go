@@ -197,7 +197,7 @@ type packetSlot struct {
 // NewWorker creates an unconfigured worker; Setup must be called before
 // any phase method.
 func NewWorker() *Worker {
-	return &Worker{flight: obs.NewFlightRecorder(0)}
+	return &Worker{flight: obs.NewFlightRecorder()}
 }
 
 // FlightRecorder exposes the worker's always-on flight recorder (SIGQUIT
@@ -267,7 +267,7 @@ func (w *Worker) Setup(req sidecar.SetupRequest) error {
 	w.engine, w.nodesDP, w.query, w.dests = nil, nil, nil, nil
 	w.dpDirty = map[string]*dirtyNode{}
 	w.pacer = newGCPacer(req.GCStress, req.MemoryBudget > 0)
-	w.gcPauses = metrics.NewDurationQuantiles(0)
+	w.gcPauses = metrics.NewDurationQuantiles()
 	w.qmu.Lock()
 	w.inbox, w.queue, w.queueLen, w.outcomes = nil, nil, 0, nil
 	w.qround = 0

@@ -4,57 +4,49 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"s2/internal/obs"
 )
+
+// gcPauseWindow is how many recent samples a DurationQuantiles keeps.
+const gcPauseWindow = 512
 
 // DurationQuantiles tracks quantiles over a sliding window of duration
 // samples — the worker-side accounting for GC pauses, where the interesting
 // figures are the median and tail of *recent* collections, not a lifetime
-// mean. The window is a fixed ring of the last Cap samples, so memory is
-// bounded no matter how long a serving process runs.
+// mean. The window is a ring of the last 512 samples, so memory is bounded
+// no matter how long a serving process runs.
 //
 // It is safe for concurrent use; Quantile sorts a copy.
 type DurationQuantiles struct {
-	mu    sync.Mutex
-	ring  []time.Duration
-	next  int
-	count int64
+	mu   sync.Mutex
+	ring *obs.Ring[time.Duration]
 }
 
-// NewDurationQuantiles returns a tracker holding the last cap samples
-// (cap <= 0 defaults to 512).
-func NewDurationQuantiles(cap int) *DurationQuantiles {
-	if cap <= 0 {
-		cap = 512
-	}
-	return &DurationQuantiles{ring: make([]time.Duration, 0, cap)}
+// NewDurationQuantiles returns a tracker over the last 512 samples.
+func NewDurationQuantiles() *DurationQuantiles {
+	return &DurationQuantiles{ring: obs.NewRing[time.Duration](gcPauseWindow)}
 }
 
 // Observe records one sample, evicting the oldest when the window is full.
 func (q *DurationQuantiles) Observe(d time.Duration) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.ring) < cap(q.ring) {
-		q.ring = append(q.ring, d)
-	} else {
-		q.ring[q.next] = d
-	}
-	q.next = (q.next + 1) % cap(q.ring)
-	q.count++
+	q.ring.Push(d)
 }
 
 // Count returns the number of samples observed (including evicted ones).
 func (q *DurationQuantiles) Count() int64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.count
+	return int64(q.ring.Total())
 }
 
 // Quantile returns the f-quantile (0 ≤ f ≤ 1, nearest-rank) of the current
 // window, or 0 with no samples. f is clamped into [0,1].
 func (q *DurationQuantiles) Quantile(f float64) time.Duration {
 	q.mu.Lock()
-	sorted := make([]time.Duration, len(q.ring))
-	copy(sorted, q.ring)
+	sorted := q.ring.Last(0)
 	q.mu.Unlock()
 	if len(sorted) == 0 {
 		return 0

@@ -4,10 +4,17 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"s2/internal/obs"
 )
 
+// newDurationQuantiles returns a tracker over the last window samples.
+func newDurationQuantiles(window int) *DurationQuantiles {
+	return &DurationQuantiles{ring: obs.NewRing[time.Duration](window)}
+}
+
 func TestDurationQuantilesEmpty(t *testing.T) {
-	q := NewDurationQuantiles(0)
+	q := NewDurationQuantiles()
 	if got := q.Quantile(0.5); got != 0 {
 		t.Fatalf("empty quantile = %v, want 0", got)
 	}
@@ -17,7 +24,7 @@ func TestDurationQuantilesEmpty(t *testing.T) {
 }
 
 func TestDurationQuantilesNearestRank(t *testing.T) {
-	q := NewDurationQuantiles(16)
+	q := newDurationQuantiles(16)
 	for i := 1; i <= 10; i++ {
 		q.Observe(time.Duration(i) * time.Millisecond)
 	}
@@ -44,7 +51,7 @@ func TestDurationQuantilesNearestRank(t *testing.T) {
 }
 
 func TestDurationQuantilesEviction(t *testing.T) {
-	q := NewDurationQuantiles(4)
+	q := newDurationQuantiles(4)
 	// Fill with large values, then push them all out with small ones: the
 	// window must forget the old tail entirely.
 	for i := 0; i < 4; i++ {
@@ -62,7 +69,7 @@ func TestDurationQuantilesEviction(t *testing.T) {
 }
 
 func TestDurationQuantilesConcurrent(t *testing.T) {
-	q := NewDurationQuantiles(64)
+	q := newDurationQuantiles(64)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

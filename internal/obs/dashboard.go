@@ -21,11 +21,6 @@ type Dashboard struct {
 	Health func() any
 	// History backs the sparklines; nil disables them.
 	History *History
-	// Interval paces SSE frames (default 2s; ?interval=ms overrides,
-	// clamped to ≥ 250ms).
-	Interval time.Duration
-	// SparkPoints caps points per sparkline series (default 90).
-	SparkPoints int
 }
 
 // dashFrame is one SSE frame.
@@ -38,9 +33,15 @@ type dashFrame struct {
 	SeriesSkip int                    `json:"series_skipped,omitempty"`
 }
 
-// maxDashSeries bounds the per-frame sparkline payload; the rest is
-// reported as series_skipped so truncation is visible, not silent.
-const maxDashSeries = 256
+// Dashboard frame shape: an SSE frame every dashInterval (?interval=ms
+// overrides, clamped to ≥ 250ms) carries up to sparkPoints points of up to
+// maxDashSeries series; the series left out are reported as
+// series_skipped so truncation is visible, not silent.
+const (
+	dashInterval  = 2 * time.Second
+	sparkPoints   = 90
+	maxDashSeries = 256
+)
 
 func (d *Dashboard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if d == nil {
@@ -60,11 +61,7 @@ func (d *Dashboard) frame(seq uint64) dashFrame {
 	if d.Health != nil {
 		f.Health = d.Health()
 	}
-	points := d.SparkPoints
-	if points <= 0 {
-		points = 90
-	}
-	if dump := d.History.Dump(points); len(dump) > 0 {
+	if dump := d.History.Dump(sparkPoints); len(dump) > 0 {
 		if len(dump) > maxDashSeries {
 			names := d.History.Names()
 			f.SeriesSkip = len(names) - maxDashSeries
@@ -87,12 +84,9 @@ func (d *Dashboard) stream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
-	interval := d.Interval
+	interval := dashInterval
 	if ms, err := strconv.Atoi(r.URL.Query().Get("interval")); err == nil && ms > 0 {
 		interval = time.Duration(ms) * time.Millisecond
-	}
-	if interval <= 0 {
-		interval = 2 * time.Second
 	}
 	if interval < 250*time.Millisecond {
 		interval = 250 * time.Millisecond

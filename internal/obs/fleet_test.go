@@ -12,7 +12,7 @@ import (
 )
 
 func TestHistoryRing(t *testing.T) {
-	h := NewHistory(4)
+	h := newHistory(4)
 	base := time.Unix(1000, 0)
 	for i := 0; i < 6; i++ {
 		h.Record(base.Add(time.Duration(i)*time.Second), map[string]float64{
@@ -57,9 +57,6 @@ func TestHistoryRing(t *testing.T) {
 }
 
 func TestHistoryNilAndDisabled(t *testing.T) {
-	if NewHistory(0) != nil || NewHistory(-1) != nil {
-		t.Fatal("capacity <= 0 must disable the history")
-	}
 	var h *History
 	h.Record(time.Now(), map[string]float64{"a": 1})
 	if h.Series("a", 0) != nil || h.Names() != nil || h.Rounds() != 0 || h.Dump(1) != nil {
@@ -73,7 +70,7 @@ func TestHistoryNilAndDisabled(t *testing.T) {
 }
 
 func TestHistoryStart(t *testing.T) {
-	h := NewHistory(16)
+	h := newHistory(16)
 	stop := h.Start(time.Millisecond, func() map[string]float64 {
 		return map[string]float64{"x": 1}
 	})
@@ -94,9 +91,6 @@ func TestHistoryStart(t *testing.T) {
 }
 
 func TestProfileStoreRing(t *testing.T) {
-	if NewProfileStore(0) != nil {
-		t.Fatal("capacity <= 0 must disable the store")
-	}
 	var nilStore *ProfileStore
 	if id := nilStore.Add(&Profile{}); id != "" {
 		t.Error("nil store Add must return empty id")
@@ -105,7 +99,7 @@ func TestProfileStoreRing(t *testing.T) {
 		t.Error("nil store must be inert")
 	}
 
-	s := NewProfileStore(2)
+	s := newProfileStore(2)
 	id1 := s.Add(&Profile{Worker: 0, Kind: "cpu", Data: []byte{1}})
 	id2 := s.Add(&Profile{Worker: 1, Kind: "heap", Data: []byte{2, 2}})
 	id3 := s.Add(&Profile{Worker: 2, Kind: "cpu", Data: []byte{3, 3, 3}})
@@ -146,7 +140,7 @@ func readSSEFrames(t *testing.T, body *bufio.Scanner, n int) []dashFrame {
 }
 
 func TestDashboardSSEAndHTML(t *testing.T) {
-	h := NewHistory(32)
+	h := newHistory(32)
 	for i := 0; i < 6; i++ {
 		h.Record(time.Now(), map[string]float64{"s2_queries_total": float64(i)})
 	}
@@ -235,7 +229,7 @@ func TestDashboardNilDisabled(t *testing.T) {
 }
 
 func TestFleetProfileEndpoints(t *testing.T) {
-	store := NewProfileStore(4)
+	store := newProfileStore(4)
 	pull := func(worker int, kind string, seconds int) (*Profile, error) {
 		if kind != "cpu" && kind != "heap" {
 			return nil, fmt.Errorf("unknown kind %q", kind)

@@ -20,8 +20,8 @@ type FlightEvent struct {
 // Time returns the event's wall-clock time.
 func (e FlightEvent) Time() time.Time { return time.UnixMicro(e.UnixMicro) }
 
-// DefaultFlightSize is the ring capacity used by NewFlightRecorder(0).
-const DefaultFlightSize = 256
+// flightSize is how many recent events a flight recorder keeps.
+const flightSize = 256
 
 // FlightRecorder is a fixed-size, always-on ring buffer of recent events,
 // cheap enough to leave enabled in production: recording is one short
@@ -30,19 +30,13 @@ const DefaultFlightSize = 256
 // dumped to stderr/file and served at /debug/flightrecorder. A nil
 // *FlightRecorder is a no-op sink.
 type FlightRecorder struct {
-	mu      sync.Mutex
-	buf     []FlightEvent
-	head, n int
-	total   uint64
+	mu   sync.Mutex
+	ring *Ring[FlightEvent]
 }
 
-// NewFlightRecorder returns a recorder holding the last size events
-// (DefaultFlightSize if size <= 0).
-func NewFlightRecorder(size int) *FlightRecorder {
-	if size <= 0 {
-		size = DefaultFlightSize
-	}
-	return &FlightRecorder{buf: make([]FlightEvent, size)}
+// NewFlightRecorder returns a recorder holding the last 256 events.
+func NewFlightRecorder() *FlightRecorder {
+	return &FlightRecorder{ring: NewRing[FlightEvent](flightSize)}
 }
 
 // Record appends an event, evicting the oldest when the ring is full.
@@ -56,13 +50,7 @@ func (r *FlightRecorder) Record(kind, format string, args ...any) {
 		Msg:       fmt.Sprintf(format, args...),
 	}
 	r.mu.Lock()
-	if r.n == len(r.buf) {
-		r.head = (r.head + 1) % len(r.buf)
-		r.n--
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = e
-	r.n++
-	r.total++
+	r.ring.Push(e)
 	r.mu.Unlock()
 }
 
@@ -79,15 +67,7 @@ func (r *FlightRecorder) Page(max int) []FlightEvent {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.n
-	if max > 0 && n > max {
-		n = max
-	}
-	out := make([]FlightEvent, 0, n)
-	for i := r.n - n; i < r.n; i++ {
-		out = append(out, r.buf[(r.head+i)%len(r.buf)])
-	}
-	return out
+	return r.ring.Last(max)
 }
 
 // Total returns how many events have ever been recorded (including ones
@@ -98,7 +78,7 @@ func (r *FlightRecorder) Total() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total
+	return r.ring.Total()
 }
 
 // WriteTo dumps the buffered events as human-readable lines, oldest first

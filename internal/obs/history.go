@@ -13,32 +13,25 @@ type HistPoint struct {
 	Value     float64 `json:"v"`
 }
 
+// historySamples is how many points History keeps per series.
+const historySamples = 512
+
 // History is a fixed-capacity time-series ring: the fleet health plane's
 // memory. Each named series (typically a registry Snapshot key such as
-// "s2_bdd_nodes{worker=\"2\"}") keeps its last capacity points; Record
+// "s2_bdd_nodes{worker=\"2\"}") keeps its last 512 points; Record
 // appends one sample round across many series at once. A nil *History is
 // a valid no-op, so callers wire it unconditionally and the disabled path
-// costs nothing (PR 7 contract).
+// costs nothing.
 type History struct {
 	mu     sync.Mutex
 	cap    int
-	series map[string]*histRing
+	series map[string]*Ring[HistPoint]
 	rounds uint64
 }
 
-type histRing struct {
-	pts   []HistPoint // ring storage, len == cap once full
-	next  int         // insertion index
-	count int         // points stored, ≤ cap
-}
-
-// NewHistory returns a ring keeping the last capacity points per series,
-// or nil (disabled) when capacity ≤ 0.
-func NewHistory(capacity int) *History {
-	if capacity <= 0 {
-		return nil
-	}
-	return &History{cap: capacity, series: make(map[string]*histRing)}
+// NewHistory returns a history keeping the last 512 points per series.
+func NewHistory() *History {
+	return &History{cap: historySamples, series: make(map[string]*Ring[HistPoint])}
 }
 
 // Record appends one sample round: every entry in sample becomes a point
@@ -54,14 +47,10 @@ func (h *History) Record(at time.Time, sample map[string]float64) {
 	for name, v := range sample {
 		r := h.series[name]
 		if r == nil {
-			r = &histRing{pts: make([]HistPoint, h.cap)}
+			r = NewRing[HistPoint](h.cap)
 			h.series[name] = r
 		}
-		r.pts[r.next] = HistPoint{UnixMilli: ms, Value: v}
-		r.next = (r.next + 1) % h.cap
-		if r.count < h.cap {
-			r.count++
-		}
+		r.Push(HistPoint{UnixMilli: ms, Value: v})
 	}
 }
 
@@ -74,20 +63,10 @@ func (h *History) Series(name string, max int) []HistPoint {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	r := h.series[name]
-	if r == nil || r.count == 0 {
+	if r == nil {
 		return nil
 	}
-	n := r.count
-	if max > 0 && max < n {
-		n = max
-	}
-	out := make([]HistPoint, n)
-	// Newest point sits at next-1; walk back n points and emit oldest-first.
-	start := r.next - n
-	for i := 0; i < n; i++ {
-		out[i] = r.pts[((start+i)%len(r.pts)+len(r.pts))%len(r.pts)]
-	}
-	return out
+	return r.Last(max)
 }
 
 // Names returns every recorded series name, sorted.
@@ -113,11 +92,10 @@ func (h *History) Latest(name string) (HistPoint, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	r := h.series[name]
-	if r == nil || r.count == 0 {
+	if r == nil {
 		return HistPoint{}, false
 	}
-	idx := ((r.next-1)%len(r.pts) + len(r.pts)) % len(r.pts)
-	return r.pts[idx], true
+	return r.At(r.Len() - 1), true
 }
 
 // Rounds counts Record calls — the dashboard's "is sampling alive" signal.
@@ -153,9 +131,6 @@ func (h *History) Dump(max int) map[string][]HistPoint {
 func (h *History) Start(interval time.Duration, fn func() map[string]float64) (stop func()) {
 	if h == nil || fn == nil {
 		return func() {}
-	}
-	if interval <= 0 {
-		interval = 5 * time.Second
 	}
 	done := make(chan struct{})
 	var wg sync.WaitGroup

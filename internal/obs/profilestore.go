@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -17,26 +18,20 @@ type Profile struct {
 	Data   []byte    `json:"-"`
 }
 
-// ProfileStore is the bounded ring of harvested profiles, with the same
-// retention contract as the TraceStore: capacity ≤ 0 disables the store
-// (NewProfileStore returns nil) and every method no-ops on a nil receiver.
-// Eviction is FIFO — continuous harvest keeps the newest window.
+// profileCapacity is how many harvested profiles a ProfileStore keeps.
+const profileCapacity = 32
+
+// ProfileStore is the bounded ring of harvested profiles. Every method
+// no-ops on a nil receiver. Eviction is FIFO — continuous harvest keeps
+// the newest window.
 type ProfileStore struct {
-	mu      sync.Mutex
-	cap     int
-	seq     uint64
-	list    []*Profile // insertion order, oldest first
-	added   uint64
-	evicted uint64
+	mu   sync.Mutex
+	ring *Ring[*Profile]
 }
 
-// NewProfileStore returns a store keeping the last capacity profiles, or
-// nil (disabled) when capacity ≤ 0.
-func NewProfileStore(capacity int) *ProfileStore {
-	if capacity <= 0 {
-		return nil
-	}
-	return &ProfileStore{cap: capacity}
+// NewProfileStore returns a store keeping the last 32 profiles.
+func NewProfileStore() *ProfileStore {
+	return &ProfileStore{ring: NewRing[*Profile](profileCapacity)}
 }
 
 // Add stores p, assigns it an ID ("p000001"-style), and returns the ID.
@@ -47,17 +42,9 @@ func (s *ProfileStore) Add(p *Profile) string {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.seq++
-	p.ID = fmt.Sprintf("p%06d", s.seq)
+	p.ID = fmt.Sprintf("p%06d", s.ring.Total()+1)
 	p.Bytes = len(p.Data)
-	s.list = append(s.list, p)
-	s.added++
-	if len(s.list) > s.cap {
-		n := copy(s.list, s.list[1:])
-		s.list[n] = nil
-		s.list = s.list[:n]
-		s.evicted++
-	}
+	s.ring.Push(p)
 	return p.ID
 }
 
@@ -68,8 +55,8 @@ func (s *ProfileStore) Get(id string) *Profile {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, p := range s.list {
-		if p.ID == id {
+	for i := 0; i < s.ring.Len(); i++ {
+		if p := s.ring.At(i); p.ID == id {
 			return p
 		}
 	}
@@ -84,10 +71,8 @@ func (s *ProfileStore) Profiles() []*Profile {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Profile, len(s.list))
-	for i, p := range s.list {
-		out[len(s.list)-1-i] = p
-	}
+	out := s.ring.Last(0)
+	slices.Reverse(out)
 	return out
 }
 
@@ -98,7 +83,7 @@ func (s *ProfileStore) Len() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.list)
+	return s.ring.Len()
 }
 
 // Stats reports lifetime added and evicted counts.
@@ -108,5 +93,5 @@ func (s *ProfileStore) Stats() (added, evicted uint64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.added, s.evicted
+	return s.ring.Total(), s.ring.Dropped()
 }

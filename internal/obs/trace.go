@@ -13,7 +13,7 @@
 // In distributed mode the tracer also crosses processes: spans carry a
 // TraceContext over the sidecar wire so server-side spans parent under the
 // remote caller, worker tracers buffer completed spans in a bounded export
-// ring (SetExportLimit/DrainExport), and the controller merges them into
+// ring (StartExport/DrainExport), and the controller merges them into
 // its own timeline with Ingest after estimating per-worker clock offset
 // (SkewEstimator).
 package obs
@@ -51,13 +51,15 @@ type Tracer struct {
 
 	// Export mode (remote workers): completed spans go into a bounded
 	// drop-oldest ring of SpanData instead of accumulating in done, and the
-	// controller drains them over RPC. Guarded by mu.
-	exportLimit   int
-	export        []SpanData
-	exportHead    int
-	exportLen     int
-	exportDropped uint64
+	// controller drains them over RPC. exportReported is the ring's drop
+	// count at the previous drain. Guarded by mu.
+	export         *Ring[SpanData]
+	exportReported uint64
 }
+
+// spanExportSize is how many completed spans an exporting tracer queues
+// between drains.
+const spanExportSize = 16384
 
 // NewTracer returns an empty tracer; its epoch is the creation time.
 func NewTracer() *Tracer {
@@ -79,34 +81,27 @@ func (t *Tracer) EnsureIDBase(base uint64) {
 	}
 }
 
-// SetExportLimit switches the tracer into export mode: completed spans are
-// queued as SpanData in a ring of at most limit entries (oldest dropped on
+// StartExport switches the tracer into export mode: completed spans are
+// queued as SpanData in a ring of the last 16384 (oldest dropped on
 // overflow, the drop count reported by DrainExport) instead of being held
-// for local Events/WriteChromeTrace. limit <= 0 disables export mode.
-func (t *Tracer) SetExportLimit(limit int) {
+// for local Events/WriteChromeTrace.
+func (t *Tracer) StartExport() {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.exportLimit = limit
-	if limit > 0 {
-		t.export = make([]SpanData, limit)
-		t.exportHead, t.exportLen = 0, 0
-	} else {
-		t.export = nil
-	}
+	t.export, t.exportReported = NewRing[SpanData](spanExportSize), 0
 }
 
-// Exporting reports whether the tracer is in export mode (a positive
-// SetExportLimit is in effect).
+// Exporting reports whether the tracer is in export mode.
 func (t *Tracer) Exporting() bool {
 	if t == nil {
 		return false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.exportLimit > 0
+	return t.export != nil
 }
 
 // DrainExport pops up to max queued SpanData (oldest first). dropped is the
@@ -118,21 +113,13 @@ func (t *Tracer) DrainExport(max int) (spans []SpanData, dropped uint64, more bo
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := t.exportLen
-	if n > max {
-		n = max
+	if t.export == nil {
+		return nil, 0, false
 	}
-	if n > 0 {
-		spans = make([]SpanData, 0, n)
-		for i := 0; i < n; i++ {
-			spans = append(spans, t.export[(t.exportHead+i)%t.exportLimit])
-		}
-		t.exportHead = (t.exportHead + n) % t.exportLimit
-		t.exportLen -= n
-	}
-	dropped = t.exportDropped
-	t.exportDropped = 0
-	return spans, dropped, t.exportLen > 0
+	spans = t.export.Drain(max)
+	dropped = t.export.Dropped() - t.exportReported
+	t.exportReported = t.export.Dropped()
+	return spans, dropped, t.export.Len() > 0
 }
 
 // Ingest merges remotely harvested spans into this tracer's timeline,
@@ -267,21 +254,14 @@ func (s *Span) End() {
 	t := s.tracer
 	t.mu.Lock()
 	s.endTime = end
-	if t.exportLimit > 0 {
-		d := SpanData{
+	if t.export != nil {
+		t.export.Push(SpanData{
 			ID: s.id, Parent: s.parent, TID: s.tid, PID: s.pid,
 			Name:  s.name,
 			Start: s.start.UnixMicro(),
 			End:   s.endTime.UnixMicro(),
 			Attrs: append([]Attr(nil), s.attrs...),
-		}
-		if t.exportLen == t.exportLimit {
-			t.exportHead = (t.exportHead + 1) % t.exportLimit
-			t.exportLen--
-			t.exportDropped++
-		}
-		t.export[(t.exportHead+t.exportLen)%t.exportLimit] = d
-		t.exportLen++
+		})
 	} else {
 		t.done = append(t.done, s)
 	}

@@ -84,7 +84,7 @@ func TestSpanAttrRace(t *testing.T) {
 	}
 	wg.Wait()
 	// Same hammer in export mode, where End serializes attrs into the ring.
-	tr.SetExportLimit(64)
+	tr.startExport(64)
 	for i := 0; i < 8; i++ {
 		s := tr.Start(fmt.Sprintf("export%d", i))
 		wg.Add(3)
@@ -107,7 +107,7 @@ func TestSpanAttrRace(t *testing.T) {
 }
 
 func TestIntrospectionContentTypes(t *testing.T) {
-	fr := NewFlightRecorder(8)
+	fr := newFlightRecorder(8)
 	fr.Record("test", "hello %d", 1)
 	srv, err := ServeIntrospection("127.0.0.1:0", ServerOptions{
 		Registry: NewRegistry(),
@@ -172,7 +172,7 @@ func TestFlightRecorderRing(t *testing.T) {
 		t.Fatal("nil recorder must be inert")
 	}
 
-	fr := NewFlightRecorder(4)
+	fr := newFlightRecorder(4)
 	for i := 0; i < 10; i++ {
 		fr.Record("phase", "event %d", i)
 	}
@@ -207,7 +207,7 @@ func TestFlightRecorderRing(t *testing.T) {
 }
 
 func TestFlightRecorderConcurrent(t *testing.T) {
-	fr := NewFlightRecorder(32)
+	fr := newFlightRecorder(32)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(2)
@@ -266,7 +266,7 @@ func TestSkewEstimator(t *testing.T) {
 
 func TestExportRingAndIngest(t *testing.T) {
 	remote := NewTracer()
-	remote.SetExportLimit(4)
+	remote.startExport(4)
 	remote.EnsureIDBase(1 << 40)
 
 	// Six spans through a ring of four: the two oldest drop.
@@ -322,7 +322,7 @@ func TestRemoteParenting(t *testing.T) {
 	rpcSpan := ctrl.Start("rpc:GatherBGP")
 
 	worker := NewTracer()
-	worker.SetExportLimit(16)
+	worker.startExport(16)
 	worker.EnsureIDBase(1 << 40)
 	remote := worker.StartRemote("gather-bgp", rpcSpan.TC()).SetWorker(0)
 	time.Sleep(2 * time.Millisecond)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -21,35 +22,33 @@ type RequestTrace struct {
 	Events   []TraceEvent
 }
 
+// Sizes of the request trace store: how many traces it holds, and how
+// many of the slowest residents eviction always spares.
+const (
+	traceCapacity    = 512
+	traceKeepSlowest = 16
+)
+
 // TraceStore keeps recent request traces in memory with tail-based
-// retention: when over capacity it evicts the oldest trace that is neither
-// an error nor among the keepSlowest slowest, so the interesting tail
-// (failures, latency outliers) survives a churn of fast healthy requests.
-// Errors become evictable only once every resident trace is protected.
+// retention: when full it evicts the oldest trace that is neither an error
+// nor among the keepSlowest slowest, so the interesting tail (failures,
+// latency outliers) survives a churn of fast healthy requests. Errors
+// become evictable only once every resident trace is protected. The
+// incoming trace is always stored.
 //
 // All methods are safe for concurrent use, and a nil *TraceStore is a
 // valid disabled store: every method no-ops or returns zero values.
 type TraceStore struct {
-	mu      sync.Mutex
-	cap     int
-	slowN   int
-	list    []*RequestTrace // insertion order: oldest first
-	added   uint64
-	evicted uint64
-	seq     atomic.Uint64
+	mu    sync.Mutex
+	slowN int
+	ring  *Ring[*RequestTrace]
+	seq   atomic.Uint64
 }
 
-// NewTraceStore returns a store holding at most capacity traces, always
-// retaining the keepSlowest slowest seen among residents. capacity <= 0
-// returns nil (tracing disabled).
-func NewTraceStore(capacity, keepSlowest int) *TraceStore {
-	if capacity <= 0 {
-		return nil
-	}
-	if keepSlowest < 0 {
-		keepSlowest = 0
-	}
-	return &TraceStore{cap: capacity, slowN: keepSlowest}
+// NewTraceStore returns a store holding the last 512 traces, always
+// retaining the 16 slowest among residents.
+func NewTraceStore() *TraceStore {
+	return &TraceStore{slowN: traceKeepSlowest, ring: NewRing[*RequestTrace](traceCapacity)}
 }
 
 // NextID returns a fresh request id ("r000001", ...). Unique per store
@@ -74,59 +73,38 @@ func (s *TraceStore) Add(tr *RequestTrace) {
 	tr.Spans = countSpans(tr.Events)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.list = append(s.list, tr)
-	s.added++
-	for len(s.list) > s.cap {
-		s.evictLocked()
+	if s.ring.Len() == s.ring.Cap() {
+		s.ring.Delete(s.victimLocked())
 	}
+	s.ring.Push(tr)
 }
 
-// evictLocked removes one trace: the oldest unprotected one, falling back
-// to the oldest non-slow, then the oldest outright.
-func (s *TraceStore) evictLocked() {
-	cut := s.slowCutLocked()
-	victim := -1
-	for i, tr := range s.list {
-		if !tr.Err && tr.Duration < cut {
-			victim = i
-			break
-		}
+// victimLocked picks the trace to evict from a full store: the oldest
+// that is neither an error nor among the slowN slowest, else the oldest
+// non-slow one, else the oldest.
+func (s *TraceStore) victimLocked() int {
+	n := s.ring.Len()
+	durs := make([]time.Duration, n)
+	for i := range durs {
+		durs[i] = s.ring.At(i).Duration
 	}
-	if victim < 0 {
-		for i, tr := range s.list {
-			if tr.Duration < cut {
-				victim = i
-				break
+	sort.Slice(durs, func(i, j int) bool { return durs[i] > durs[j] })
+	cut := time.Duration(1<<63 - 1)
+	if s.slowN > 0 {
+		cut = durs[min(s.slowN, n)-1]
+	}
+	nonSlow := -1
+	for i := 0; i < n; i++ {
+		if tr := s.ring.At(i); tr.Duration < cut {
+			if !tr.Err {
+				return i
+			}
+			if nonSlow < 0 {
+				nonSlow = i
 			}
 		}
 	}
-	if victim < 0 {
-		victim = 0
-	}
-	copy(s.list[victim:], s.list[victim+1:])
-	s.list[len(s.list)-1] = nil
-	s.list = s.list[:len(s.list)-1]
-	s.evicted++
-}
-
-// slowCutLocked returns the duration at and above which a resident trace
-// counts as one of the slowest-N. With slowN == 0 nothing qualifies.
-func (s *TraceStore) slowCutLocked() time.Duration {
-	if s.slowN <= 0 {
-		return 1<<63 - 1
-	}
-	durs := make([]time.Duration, len(s.list))
-	for i, tr := range s.list {
-		durs[i] = tr.Duration
-	}
-	sort.Slice(durs, func(i, j int) bool { return durs[i] > durs[j] })
-	if len(durs) <= s.slowN {
-		if len(durs) == 0 {
-			return 1<<63 - 1
-		}
-		return durs[len(durs)-1]
-	}
-	return durs[s.slowN-1]
+	return max(nonSlow, 0)
 }
 
 // Get returns the trace with the given id, or nil.
@@ -136,8 +114,8 @@ func (s *TraceStore) Get(id string) *RequestTrace {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, tr := range s.list {
-		if tr.ID == id {
+	for i := 0; i < s.ring.Len(); i++ {
+		if tr := s.ring.At(i); tr.ID == id {
 			return tr
 		}
 	}
@@ -151,10 +129,8 @@ func (s *TraceStore) Traces() []*RequestTrace {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*RequestTrace, len(s.list))
-	for i, tr := range s.list {
-		out[len(s.list)-1-i] = tr
-	}
+	out := s.ring.Last(0)
+	slices.Reverse(out)
 	return out
 }
 
@@ -165,7 +141,7 @@ func (s *TraceStore) Len() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.list)
+	return s.ring.Len()
 }
 
 // Stats returns the lifetime added and evicted counts.
@@ -175,7 +151,7 @@ func (s *TraceStore) Stats() (added, evicted uint64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.added, s.evicted
+	return s.ring.Total(), s.ring.Dropped()
 }
 
 func countSpans(events []TraceEvent) int {

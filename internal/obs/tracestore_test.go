@@ -15,7 +15,7 @@ func fastTrace(id string, dur time.Duration) *RequestTrace {
 // fast healthy requests, the error trace and the slowest-N survive while
 // the store stays bounded.
 func TestTraceStoreTailRetention(t *testing.T) {
-	s := NewTraceStore(8, 2)
+	s := newTraceStore(8, 2)
 	s.Add(&RequestTrace{ID: "err-1", Duration: 5 * time.Millisecond, Status: 422, Err: true})
 	s.Add(fastTrace("slow-1", 10*time.Second))
 	s.Add(fastTrace("slow-2", 9*time.Second))
@@ -52,7 +52,7 @@ func TestTraceStoreTailRetention(t *testing.T) {
 }
 
 func TestTraceStoreSpansAndIDs(t *testing.T) {
-	s := NewTraceStore(4, 0)
+	s := newTraceStore(4, 0)
 	if id := s.NextID(); id != "r000001" {
 		t.Fatalf("first id %q", id)
 	}
@@ -68,9 +68,6 @@ func TestTraceStoreSpansAndIDs(t *testing.T) {
 }
 
 func TestTraceStoreDisabled(t *testing.T) {
-	if NewTraceStore(0, 4) != nil {
-		t.Fatal("capacity 0 must return a nil store")
-	}
 	var s *TraceStore
 	if id := s.NextID(); id != "" {
 		t.Fatalf("nil store id %q", id)
@@ -89,7 +86,7 @@ func TestTraceStoreDisabled(t *testing.T) {
 // TestTraceStoreConcurrent hammers the store from many goroutines (run
 // under -race in CI) and checks the bound holds throughout.
 func TestTraceStoreConcurrent(t *testing.T) {
-	s := NewTraceStore(16, 4)
+	s := newTraceStore(16, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

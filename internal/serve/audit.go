@@ -12,6 +12,8 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"s2/internal/obs"
 )
 
 // AuditEntry is one delta's audit record.
@@ -51,26 +53,24 @@ type AuditEntry struct {
 	Error   string `json:"error,omitempty"`
 }
 
+// auditSize is how many audit entries a Journal keeps in memory.
+const auditSize = 1024
+
 // Journal is a bounded append-only ring of audit entries, optionally
 // mirrored to an io.Writer as JSON lines (the -audit-log file). A nil
 // *Journal is a valid disabled journal.
 type Journal struct {
 	mu      sync.Mutex
-	entries []AuditEntry
-	max     int
-	total   uint64
+	ring    *obs.Ring[AuditEntry]
 	sink    io.Writer
 	sinkErr error
 }
 
-// NewJournal returns a journal keeping the last max entries in memory
-// (max <= 0 defaults to 1024). sink, when non-nil, receives every entry as
-// one JSON line at record time; write errors are remembered, not fatal.
-func NewJournal(max int, sink io.Writer) *Journal {
-	if max <= 0 {
-		max = 1024
-	}
-	return &Journal{max: max, sink: sink}
+// NewJournal returns a journal keeping the last 1024 entries in memory.
+// sink, when non-nil, receives every entry as one JSON line at record
+// time; a write error is kept for SinkErr and does not stop recording.
+func NewJournal(sink io.Writer) *Journal {
+	return &Journal{ring: obs.NewRing[AuditEntry](auditSize), sink: sink}
 }
 
 // Record appends one entry, evicting the oldest past capacity.
@@ -80,12 +80,7 @@ func (j *Journal) Record(e AuditEntry) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.total++
-	j.entries = append(j.entries, e)
-	if len(j.entries) > j.max {
-		n := copy(j.entries, j.entries[len(j.entries)-j.max:])
-		j.entries = j.entries[:n]
-	}
+	j.ring.Push(e)
 	if j.sink != nil {
 		line, err := json.Marshal(e)
 		if err == nil {
@@ -98,6 +93,17 @@ func (j *Journal) Record(e AuditEntry) {
 	}
 }
 
+// SinkErr returns the most recent error writing an entry to the sink, or
+// nil. Once set it stays set: the durable record has a gap from then on.
+func (j *Journal) SinkErr() error {
+	if j == nil {
+		return nil
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.sinkErr
+}
+
 // Entries returns the resident entries, oldest first. limit > 0 restricts
 // to the newest limit entries.
 func (j *Journal) Entries(limit int) []AuditEntry {
@@ -106,11 +112,7 @@ func (j *Journal) Entries(limit int) []AuditEntry {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	n := len(j.entries)
-	if limit > 0 && limit < n {
-		n = limit
-	}
-	return append([]AuditEntry(nil), j.entries[len(j.entries)-n:]...)
+	return j.ring.Last(limit)
 }
 
 // Last returns the newest entry (nil when empty).
@@ -120,10 +122,10 @@ func (j *Journal) Last() *AuditEntry {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if len(j.entries) == 0 {
+	if j.ring.Len() == 0 {
 		return nil
 	}
-	e := j.entries[len(j.entries)-1]
+	e := j.ring.At(j.ring.Len() - 1)
 	return &e
 }
 
@@ -134,5 +136,5 @@ func (j *Journal) Total() uint64 {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.total
+	return j.ring.Total()
 }

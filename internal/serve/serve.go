@@ -57,6 +57,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -88,17 +89,11 @@ const (
 type Options struct {
 	// Registry backs GET /metrics and the RED metric series.
 	Registry *obs.Registry
-	// Tracer enables per-request tracing: it must be the same tracer
-	// passed to the verifier (s2.Options.Tracer), so pipeline spans land
-	// in the request's tree. Requests are traced only when TraceCapacity
-	// is also positive.
+	// Tracer enables per-request tracing into the bounded trace store
+	// behind /debug/traces. It must be the same tracer passed to the
+	// verifier (s2.Options.Tracer), so pipeline spans land in the
+	// request's tree.
 	Tracer *obs.Tracer
-	// TraceCapacity bounds the in-memory trace store behind /debug/traces
-	// (0 disables request tracing).
-	TraceCapacity int
-	// TraceKeepSlowest is the slowest-N always retained by eviction
-	// (default 16 when tracing is on).
-	TraceKeepSlowest int
 	// Logger receives one structured record per request plus serve-layer
 	// lifecycle events.
 	Logger *obs.Logger
@@ -160,13 +155,9 @@ func New(v *s2.Verifier, opts Options) *Server {
 		log:     opts.Logger,
 		audit:   opts.Audit,
 	}
-	if opts.Tracer != nil && opts.TraceCapacity > 0 {
+	if opts.Tracer != nil {
 		s.tracer = opts.Tracer
-		keep := opts.TraceKeepSlowest
-		if keep == 0 {
-			keep = 16
-		}
-		s.traces = obs.NewTraceStore(opts.TraceCapacity, keep)
+		s.traces = obs.NewTraceStore()
 		// The tracer already holds the boot verification's spans; fold them
 		// into a browsable "boot" trace so the store starts clean and the
 		// first request doesn't inherit them.
@@ -384,13 +375,36 @@ type configsRequest struct {
 	Snapshot map[string]string `json:"snapshot"`
 }
 
+// Request body limits. A config body may carry a whole snapshot; a query
+// body carries a batch of queries of a few hundred bytes each.
+const (
+	maxConfigsBody = 32 << 20
+	maxQueriesBody = 4 << 20
+)
+
+// decodeBody decodes r's JSON body, at most limit bytes, into v. A
+// non-zero status is the error response: 413 oversized, 400 malformed.
+// The reader gets no ResponseWriter: the server itself closes a
+// connection whose body was left unread.
+func decodeBody(r *http.Request, limit int64, v any) (int, any) {
+	err := json.NewDecoder(http.MaxBytesReader(nil, r.Body, limit)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return errBody(http.StatusRequestEntityTooLarge, "body exceeds %d bytes", limit)
+	}
+	if err != nil {
+		return errBody(http.StatusBadRequest, "bad JSON: %v", err)
+	}
+	return 0, nil
+}
+
 func (s *Server) handleConfigs(r *http.Request) (int, any) {
 	if r.Method != http.MethodPost {
 		return errBody(http.StatusMethodNotAllowed, "POST only")
 	}
 	var req configsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return errBody(http.StatusBadRequest, "bad JSON: %v", err)
+	if status, body := decodeBody(r, maxConfigsBody, &req); status != 0 {
+		return status, body
 	}
 	if len(req.Snapshot) > 0 && (len(req.Set) > 0 || len(req.Remove) > 0) {
 		return errBody(http.StatusBadRequest, "snapshot and set/remove are mutually exclusive")
@@ -611,8 +625,8 @@ func (s *Server) handleBatchQueries(r *http.Request) (int, any) {
 	var req struct {
 		Queries []batchQuery `json:"queries"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return errBody(http.StatusBadRequest, "bad JSON: %v", err)
+	if status, body := decodeBody(r, maxQueriesBody, &req); status != 0 {
+		return status, body
 	}
 	if len(req.Queries) == 0 {
 		return errBody(http.StatusBadRequest, "no queries")
@@ -676,6 +690,9 @@ func (s *Server) handleStatus(r *http.Request) (int, any) {
 	if s.audit != nil {
 		body["audit_entries"] = s.audit.Total()
 		body["last_audit"] = s.audit.Last()
+		if err := s.audit.SinkErr(); err != nil {
+			body["audit_sink_error"] = err.Error()
+		}
 	}
 	if s.traces != nil {
 		added, evicted := s.traces.Stats()

@@ -30,12 +30,10 @@ func bootObsServer(t *testing.T) (*httptest.Server, map[string]string, Options) 
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer()
 	opts := Options{
-		Registry:         reg,
-		Tracer:           tracer,
-		TraceCapacity:    64,
-		TraceKeepSlowest: 4,
-		Logger:           obs.NewLogger(io.Discard, obs.LevelDebug, true),
-		Audit:            NewJournal(64, nil),
+		Registry: reg,
+		Tracer:   tracer,
+		Logger:   obs.NewLogger(io.Discard, obs.LevelDebug, true),
+		Audit:    NewJournal(nil),
 	}
 	ts, texts, _ := bootServerOpts(t, func(o *s2.Options) {
 		o.Metrics = reg
@@ -610,4 +608,70 @@ func TestServeWarmReadsRunConcurrently(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// fill is an endless reader of 'a' bytes.
+type fill struct{}
+
+func (fill) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'a'
+	}
+	return len(p), nil
+}
+
+// postOversized sends h a POST whose body opens with prefix and then runs
+// past limit inside one JSON string, and wants a 413 with a JSON error.
+func postOversized(t *testing.T, h http.Handler, path, prefix string, limit int64) {
+	t.Helper()
+	body := io.MultiReader(strings.NewReader(prefix), io.LimitReader(fill{}, limit))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("POST %s oversized: status %d, want 413 (body %.200s)", path, rec.Code, rec.Body)
+	}
+	var reply map[string]any
+	if err := json.NewDecoder(rec.Body).Decode(&reply); err != nil || reply["error"] == nil {
+		t.Fatalf("POST %s oversized: reply %v (%v), want a JSON error", path, reply, err)
+	}
+}
+
+func TestServeConfigsBodyLimit(t *testing.T) {
+	ts, texts := bootServer(t)
+	postJSON(t, ts.URL+"/v1/configs",
+		map[string]any{"set": map[string]string{"agg-0-0": texts["agg-0-0"]}}, 200)
+	postOversized(t, ts.Config.Handler, "/v1/configs", `{"set": {"agg-0-1": "`, maxConfigsBody)
+	st := getJSON(t, ts.URL+"/v1/status", 200)
+	if st["staged"].(float64) != 1 || st["staged_removes"].(float64) != 0 {
+		t.Fatalf("oversized body changed the staged set: %v", st)
+	}
+}
+
+func TestServeQueriesBodyLimit(t *testing.T) {
+	ts, _ := bootServer(t)
+	postOversized(t, ts.Config.Handler, "/v1/queries", `{"queries": [{"dst_prefix": "`, maxQueriesBody)
+	st := getJSON(t, ts.URL+"/v1/status", 200)
+	if st["staged"].(float64) != 0 || st["epoch"].(float64) != 1 {
+		t.Fatalf("oversized query body changed state: %v", st)
+	}
+}
+
+// failingWriter fails every write, like a full disk under -audit-log.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, fmt.Errorf("no space left on device") }
+
+func TestServeAuditSinkError(t *testing.T) {
+	ts, _, _ := bootServerOpts(t, func(*s2.Options) {}, Options{Audit: NewJournal(failingWriter{})})
+	for i := 0; i < 2; i++ {
+		postJSON(t, ts.URL+"/v1/verify", map[string]any{}, 200)
+	}
+	st := getJSON(t, ts.URL+"/v1/status", 200)
+	if st["audit_sink_error"] != "no space left on device" {
+		t.Fatalf("status audit_sink_error = %v, want the sink's write error", st["audit_sink_error"])
+	}
+	audit := getJSON(t, ts.URL+"/v1/audit", 200)
+	if entries, _ := audit["entries"].([]any); len(entries) != 2 || st["audit_entries"].(float64) != 2 {
+		t.Fatalf("journal stopped recording after a sink error: %v", audit)
+	}
 }

@@ -122,23 +122,14 @@ type Options struct {
 	// Recover re-partitions a dead worker's segment onto the survivors
 	// and re-executes the in-flight phase instead of failing the run.
 	Recover bool
-	// HistorySamples sizes the fleet health time-series ring: every
-	// HistoryInterval the controller snapshots its metrics registry plus
+	// FleetPlane turns on the fleet health plane: every HeartbeatInterval
+	// (else every 5s) the controller snapshots its metrics registry plus
 	// per-worker vitals pulled over the sidecar PullStats RPC into a ring
-	// of this many points per series (0 disables the history plane and its
-	// sampler goroutine entirely; cmd/s2serve -history).
-	HistorySamples int
-	// HistoryInterval is the fleet sampling cadence (default: the
-	// heartbeat interval, else 5s).
-	HistoryInterval time.Duration
-	// ProfileCapacity bounds the controller-side pprof profile ring
-	// harvested from workers over PullProfile (0 disables profile storage;
-	// cmd/s2serve -profile-store).
-	ProfileCapacity int
-	// ProfileInterval paces the periodic heap-profile harvest when the
-	// profile store is enabled (default 60s; < 0 disables periodic
-	// harvest, leaving only on-demand pulls).
-	ProfileInterval time.Duration
+	// of 512 points per series, and it keeps a ring of the last 32 pprof
+	// profiles harvested from workers (on demand, plus every worker's heap
+	// every 60s). Off, no sampler goroutine starts. cmd/s2serve always
+	// sets it; cmd/s2 sets it with -obs-addr.
+	FleetPlane bool
 	// SlowWorkerDelay, when > 0, wraps worker SlowWorker's transport with
 	// a persistent per-call delay on every phase RPC — an injected
 	// straggler for exercising the fleet health plane (cmd/s2serve
@@ -242,10 +233,7 @@ func NewVerifier(n *Network, opts Options) (*Verifier, error) {
 		Recover:           opts.Recover,
 		WrapWorker:        wrap,
 
-		HistorySamples:  opts.HistorySamples,
-		HistoryInterval: opts.HistoryInterval,
-		ProfileCapacity: opts.ProfileCapacity,
-		ProfileInterval: opts.ProfileInterval,
+		FleetPlane: opts.FleetPlane,
 
 		Tracer:  opts.Tracer,
 		Metrics: opts.Metrics,
@@ -612,7 +600,7 @@ func (v *Verifier) HarvestSpans() { v.ctrl.HarvestSpans() }
 func (v *Verifier) FlightRecorder() *obs.FlightRecorder { return v.ctrl.FlightRecorder() }
 
 // History exposes the fleet health time-series ring (nil unless
-// Options.HistorySamples > 0). Safe to read concurrently with a run.
+// Options.FleetPlane is set). Safe to read concurrently with a run.
 func (v *Verifier) History() *obs.History { return v.ctrl.History() }
 
 // FleetHealth assembles the live fleet snapshot — per-worker vitals from
@@ -621,13 +609,13 @@ func (v *Verifier) History() *obs.History { return v.ctrl.History() }
 func (v *Verifier) FleetHealth() core.FleetHealth { return v.ctrl.FleetHealth() }
 
 // Profiles exposes the bounded ring of pprof profiles harvested from
-// workers (nil unless Options.ProfileCapacity > 0).
+// workers (nil unless Options.FleetPlane is set).
 func (v *Verifier) Profiles() *obs.ProfileStore { return v.ctrl.Profiles() }
 
 // PullWorkerProfile captures a pprof profile ("cpu" or "heap") from one
 // worker over the sidecar PullProfile RPC and stores it in the profile
 // ring; seconds bounds CPU capture duration (0 = 2s default). Requires
-// Options.ProfileCapacity > 0.
+// Options.FleetPlane.
 func (v *Verifier) PullWorkerProfile(worker int, kind string, seconds int) (*obs.Profile, error) {
 	return v.ctrl.PullWorkerProfile(worker, kind, seconds)
 }
