@@ -67,9 +67,9 @@ type Options struct {
 	Sequential bool
 	// Parallelism is the per-worker goroutine pool for the per-node loops
 	// of the simulation phases (gather/apply, FIB compile, symbolic
-	// forwarding). 0 means runtime.NumCPU(); 1 is strictly sequential and
-	// reproduces the single-threaded results byte-for-byte. Propagated to
-	// every worker via SetupRequest.
+	// forwarding). 0 means runtime.NumCPU(); 1 runs the same chunked
+	// bodies inline on one goroutine, with byte-identical results.
+	// Propagated to every worker via SetupRequest.
 	Parallelism int
 	// GCStress makes every worker's BDD GC pacer collect at each safe
 	// point where the node table grew at all — maximizing collection count
@@ -466,9 +466,7 @@ func (c *Controller) provision() error {
 // eviction, with fewer workers. All downstream stage flags reset: the
 // control and data planes must re-run against the new partition.
 func (c *Controller) configure() error {
-	return c.timer.Time("partition+setup", func() error {
-		return c.stage("partition+setup", c.configureBody)
-	})
+	return c.stage("partition+setup", c.configureBody)
 }
 
 func (c *Controller) configureBody() error {
@@ -850,29 +848,27 @@ func (c *Controller) runControlPlane() error {
 		}
 	}
 	if hasOSPF {
-		err := c.timer.Time("cp-ospf", func() error {
-			return c.stage("cp-ospf", func() error {
-				for round := 0; ; round++ {
-					if round > c.opts.maxRounds() {
-						return fmt.Errorf("core: OSPF did not converge in %d rounds", c.opts.maxRounds())
-					}
-					endRound := c.startSpan("round", obs.Int("round", round))
-					if _, err := c.eachPhase("cp", func(_ int, w sidecar.WorkerAPI) (bool, error) { return false, w.GatherOSPF() }); err != nil {
-						endRound()
-						return err
-					}
-					changed, err := c.applyRound("ospf", 0, round,
-						func(w sidecar.WorkerAPI) (sidecar.ApplyReply, error) { return w.ApplyOSPF() })
-					endRound()
-					if err != nil {
-						return err
-					}
-					c.cpRounds++
-					if !changed {
-						return nil
-					}
+		err := c.stage("cp-ospf", func() error {
+			for round := 0; ; round++ {
+				if round > c.opts.maxRounds() {
+					return fmt.Errorf("core: OSPF did not converge in %d rounds", c.opts.maxRounds())
 				}
-			})
+				endRound := c.startSpan("round", obs.Int("round", round))
+				if _, err := c.eachPhase("cp", func(_ int, w sidecar.WorkerAPI) (bool, error) { return false, w.GatherOSPF() }); err != nil {
+					endRound()
+					return err
+				}
+				changed, err := c.applyRound("ospf", 0, round,
+					func(w sidecar.WorkerAPI) (sidecar.ApplyReply, error) { return w.ApplyOSPF() })
+				endRound()
+				if err != nil {
+					return err
+				}
+				c.cpRounds++
+				if !changed {
+					return nil
+				}
+			}
 		})
 		if err != nil {
 			return err
@@ -898,9 +894,7 @@ func (c *Controller) runControlPlane() error {
 	}
 	c.shards = shards
 
-	err := c.timer.Time("cp-bgp", func() error {
-		return c.stage("cp-bgp", c.runBGPShards)
-	})
+	err := c.stage("cp-bgp", c.runBGPShards)
 	if err != nil {
 		return err
 	}
@@ -1098,22 +1092,20 @@ func (c *Controller) computeDataPlane() (dpSummary, error) {
 		}
 	}
 	var mu sync.Mutex
-	err := c.timer.Time("dp-compute", func() error {
-		return c.stage("dp-compute", func() error {
-			_, err := c.eachPhase("dp-compute", func(_ int, w sidecar.WorkerAPI) (bool, error) {
-				reply, err := w.ComputeDP()
-				if err != nil {
-					return false, err
-				}
-				mu.Lock()
-				sum.warnings = append(sum.warnings, reply.Errors...)
-				sum.recompiledNodes += reply.RecompiledNodes
-				sum.patchedPrefixes += reply.PatchedPrefixes
-				mu.Unlock()
-				return false, nil
-			})
-			return err
+	err := c.stage("dp-compute", func() error {
+		_, err := c.eachPhase("dp-compute", func(_ int, w sidecar.WorkerAPI) (bool, error) {
+			reply, err := w.ComputeDP()
+			if err != nil {
+				return false, err
+			}
+			mu.Lock()
+			sum.warnings = append(sum.warnings, reply.Errors...)
+			sum.recompiledNodes += reply.RecompiledNodes
+			sum.patchedPrefixes += reply.PatchedPrefixes
+			mu.Unlock()
+			return false, nil
 		})
+		return err
 	})
 	if err != nil {
 		return dpSummary{}, err
@@ -1236,9 +1228,7 @@ func (c *Controller) runQueryBatch(qs []*dataplane.Query, constrainSrc bool) ([]
 	for i, q := range qs {
 		cols[i] = dataplane.NewCollector(c.engine, q)
 	}
-	err := c.timer.Time("dp-forward", func() error {
-		return c.stage("dp-forward", func() error { return c.forwardQueryBatch(qs, sources, constrainSrc, cols) })
-	})
+	err := c.stage("dp-forward", func() error { return c.forwardQueryBatch(qs, sources, constrainSrc, cols) })
 	if err != nil {
 		return nil, err
 	}

@@ -372,15 +372,13 @@ func (c *Controller) deltaShards(newSnap *config.Snapshot, newTexts map[string]s
 	res.DirtyShards = nDirty
 	c.flight.Record("delta", "dirty shards %d/%d, purging %d prefixes", nDirty, len(shards), len(purge))
 
-	err := c.timer.Time("cp-bgp", func() error {
-		return c.stage("cp-bgp", func() error {
-			runs, err := c.runDirtyShards(dirty)
-			res.DirtyShardIDs = runs
-			if len(runs) > res.DirtyShards {
-				res.DirtyShards = len(runs) // §7 merges pulled in clean shards
-			}
-			return err
-		})
+	err := c.stage("cp-bgp", func() error {
+		runs, err := c.runDirtyShards(dirty)
+		res.DirtyShardIDs = runs
+		if len(runs) > res.DirtyShards {
+			res.DirtyShards = len(runs) // §7 merges pulled in clean shards
+		}
+		return err
 	})
 	if err != nil {
 		c.cpDone = false // a failed shard round leaves partial CP state

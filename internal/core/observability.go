@@ -215,7 +215,8 @@ func (c *Controller) startSpan(name string, attrs ...obs.Attr) func() {
 }
 
 // stage opens a stage span named "stage:<name>", publishes the stage to the
-// progress view, runs fn, and closes the span.
+// progress view, runs fn under the phase timer's name total, and closes the
+// span.
 func (c *Controller) stage(name string, fn func() error) error {
 	end := c.startSpan("stage:" + name)
 	c.flight.Record("stage", "enter %s", name)
@@ -224,7 +225,7 @@ func (c *Controller) stage(name string, fn func() error) error {
 	c.prog.Stage = name
 	c.pmu.Unlock()
 	start := time.Now()
-	err := fn()
+	err := c.timer.Time(name, fn)
 	end()
 	if err != nil {
 		c.flight.Record("stage", "leave %s: %v", name, err)

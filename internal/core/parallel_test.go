@@ -178,8 +178,8 @@ func TestParallelRunIsByteIdentical(t *testing.T) {
 // trigger site), with a sequential or a parallel mark. GC placement may
 // change *when* nodes are rebuilt, never *what* the verification computes.
 func TestGCStressRunIsByteIdentical(t *testing.T) {
-	run := func(procs int, stress bool) (string, string) {
-		snap, texts := fatTreeSnap(t, 4)
+	run := func(k, procs int, stress bool) (string, string) {
+		snap, texts := fatTreeSnap(t, k)
 		c := newS2(t, snap, texts, Options{
 			Workers:     3,
 			Shards:      2,
@@ -197,24 +197,34 @@ func TestGCStressRunIsByteIdentical(t *testing.T) {
 		return ribsFingerprint(ribs), checkFingerprint(c, res)
 	}
 
-	baseRIBs, baseCheck := run(1, false)
-	if !strings.Contains(baseRIBs, "node edge-0-0") {
-		t.Fatalf("baseline fingerprint looks empty:\n%.200s", baseRIBs)
-	}
+	type base struct{ ribs, check string }
+	bases := map[int]base{}
 	for _, cfg := range []struct {
 		name   string
+		k      int
 		procs  int
 		stress bool
 	}{
-		{"stress procs=1", 1, true},
-		{"stress procs=8", 8, true},
+		{"stress procs=1", 4, 1, true},
+		{"stress procs=8", 4, 8, true},
+		// k=6 gives a worker 270 slots in a round, so at procs=1 a round
+		// spans several chunks and collects at their boundaries.
+		{"k=6 stress procs=1", 6, 1, true},
 	} {
-		ribs, check := run(cfg.procs, cfg.stress)
-		if ribs != baseRIBs {
+		b, ok := bases[cfg.k]
+		if !ok {
+			b.ribs, b.check = run(cfg.k, 1, false)
+			if !strings.Contains(b.ribs, "node edge-0-0") {
+				t.Fatalf("k=%d baseline fingerprint looks empty:\n%.200s", cfg.k, b.ribs)
+			}
+			bases[cfg.k] = b
+		}
+		ribs, check := run(cfg.k, cfg.procs, cfg.stress)
+		if ribs != b.ribs {
 			t.Errorf("%s: RIBs differ from the default-collector baseline", cfg.name)
 		}
-		if check != baseCheck {
-			t.Errorf("%s: verification outcomes differ:\nbase:\n%s\ngot:\n%s", cfg.name, baseCheck, check)
+		if check != b.check {
+			t.Errorf("%s: verification outcomes differ:\nbase:\n%s\ngot:\n%s", cfg.name, b.check, check)
 		}
 	}
 }

@@ -68,9 +68,9 @@ type Worker struct {
 
 	// procs bounds intra-phase parallelism: the per-node loops of the
 	// gather/apply/compute/forward phases run on up to procs goroutines.
-	// procs<=1 is strictly sequential and reproduces the single-threaded
-	// behavior exactly. defProcs is the worker-process default (s2worker
-	// -procs) used when SetupRequest.Parallelism is unset.
+	// procs 1 runs the same chunked bodies inline on the phase goroutine,
+	// with identical results. defProcs is the worker-process default
+	// (s2worker -procs) used when SetupRequest.Parallelism is unset.
 	procs    int
 	defProcs int
 	// sendSessions is the sender half of the per-peer wire delta protocol
@@ -194,6 +194,34 @@ type packetSlot struct {
 	inPort string
 }
 
+// sortedSlots returns m's slots in (node, inPort, source) order, the one
+// deterministic order in which a round forwards them and FinishQuery
+// records its loops.
+func sortedSlots(m map[packetSlot]bdd.Ref) []packetSlot {
+	slots := make([]packetSlot, 0, len(m))
+	for s := range m {
+		slots = append(slots, s)
+	}
+	sort.Slice(slots, func(i, j int) bool {
+		a, b := slots[i], slots[j]
+		if a.node != b.node {
+			return a.node < b.node
+		}
+		if a.inPort != b.inPort {
+			return a.inPort < b.inPort
+		}
+		return a.source < b.source
+	})
+	return slots
+}
+
+// dpChunkPerProc is how many slots per pool goroutine DPRound forwards
+// between two chunk boundaries. The boundaries are the only safe points for
+// the mid-round adaptive GC: the collector is stop-the-world and cannot run
+// under the pool, but heavy rounds still need their garbage bounded before
+// the round ends.
+const dpChunkPerProc = 64
+
 // NewWorker creates an unconfigured worker; Setup must be called before
 // any phase method.
 func NewWorker() *Worker {
@@ -286,13 +314,11 @@ func (w *Worker) Setup(req sidecar.SetupRequest) error {
 	w.tracker = metrics.NewTracker(fmt.Sprintf("worker%d", req.WorkerID), req.MemoryBudget)
 	w.adjacencies = req.Adjacencies
 	w.sessions = req.Sessions
-	w.procs = req.Parallelism
-	if w.procs <= 0 {
-		w.procs = w.defProcs
+	procs := req.Parallelism
+	if procs <= 0 {
+		procs = w.defProcs
 	}
-	if w.procs <= 0 {
-		w.procs = 1
-	}
+	w.procs = max(procs, 1)
 
 	snap, err := config.ParseTexts(req.Configs)
 	if err != nil {
@@ -1346,10 +1372,11 @@ func (w *Worker) Inject(req sidecar.InjectRequest) error {
 
 // DPRound implements sidecar.WorkerAPI: process one wavefront hop for all
 // queued packets on local nodes (Figure 3's per-worker forwarding), sending
-// boundary-crossing packets to peer sidecars. At procs>1 the per-slot
-// Forward calls run concurrently against the shared engine (see
-// dpRoundParallel); procs<=1 keeps the original sequential body, including
-// its mid-round adaptive GC.
+// boundary-crossing packets to peer sidecars. The slots' Forward calls run
+// on the pool against the concurrent engine, chunk by chunk; classification,
+// next-wavefront merging and peer delivery follow sequentially in slot
+// order, so outcomes and deliveries are the same at every pool size (at
+// procs 1 runIndexed runs each chunk inline, in index order).
 func (w *Worker) DPRound() error {
 	w.phaseMu.Lock()
 	defer w.phaseMu.Unlock()
@@ -1358,10 +1385,6 @@ func (w *Worker) DPRound() error {
 	}
 	span := w.obsWorkerSpan("dp-round")
 	defer span.End()
-	if w.procs > 1 {
-		return w.dpRoundParallel()
-	}
-	// Drain the inbox into the queue (deserializing on our goroutine).
 	// Only deliveries stamped for this round or earlier materialize;
 	// later-stamped ones park until their round.
 	w.qmu.Lock()
@@ -1378,161 +1401,7 @@ func (w *Worker) DPRound() error {
 		return nil
 	}
 
-	// Deterministic processing order.
-	slots := make([]packetSlot, 0, len(cur))
-	for s := range cur {
-		slots = append(slots, s)
-	}
-	sort.Slice(slots, func(i, j int) bool {
-		a, b := slots[i], slots[j]
-		if a.node != b.node {
-			return a.node < b.node
-		}
-		if a.inPort != b.inPort {
-			return a.inPort < b.inPort
-		}
-		return a.source < b.source
-	})
-
-	nextLocal := map[packetSlot]bdd.Ref{}
-	remote := map[int][]wireItem{}
-	for si, s := range slots {
-		// Mid-round adaptive GC: heavy rounds create garbage faster than
-		// the between-round collection can bound. Pending slots, the
-		// partial next wavefront, and packets awaiting shipment to other
-		// workers (live refs until ship time, when the whole round shares
-		// one substrate per peer) are extra roots.
-		if w.engine.NodeCount() > w.pacer.midThreshold() {
-			remap := w.gcWithExtraRoots(func(add func(bdd.Ref)) {
-				for _, rest := range slots[si:] {
-					add(cur[rest])
-				}
-				for _, r := range nextLocal {
-					add(r)
-				}
-				for _, items := range remote {
-					for _, it := range items {
-						add(it.out)
-					}
-				}
-			})
-			for _, rest := range slots[si:] {
-				cur[rest] = remap(cur[rest])
-			}
-			for k, r := range nextLocal {
-				nextLocal[k] = remap(r)
-			}
-			for _, items := range remote {
-				for i := range items {
-					items[i].out = remap(items[i].out)
-				}
-			}
-		}
-		n, ok := w.nodesDP[s.node]
-		if !ok {
-			return fmt.Errorf("core: worker %d received packet for non-local node %q", w.id, s.node)
-		}
-		res, err := n.Forward(w.engine, cur[s], s.inPort)
-		if err != nil {
-			return err
-		}
-		w.classify(s.source, s.node, dataplane.Arrive, res.Local)
-		w.classify(s.source, s.node, dataplane.Blackhole, res.Dropped)
-		for port, out := range res.Out {
-			dest, ok := w.adjIndex[s.node][port]
-			if !ok {
-				// Edge port: leaves the network here.
-				state := dataplane.Exit
-				if w.isDest(s.source, s.node) {
-					state = dataplane.Arrive
-				}
-				w.classify(s.source, s.node, state, out)
-				continue
-			}
-			owner := w.assignment[dest.Node]
-			if owner == w.id {
-				slot := packetSlot{source: s.source, node: dest.Node, inPort: dest.Port}
-				if prev, ok := nextLocal[slot]; ok {
-					merged, err := w.engine.Or(prev, out)
-					if err != nil {
-						return err
-					}
-					nextLocal[slot] = merged
-				} else {
-					nextLocal[slot] = out
-				}
-			} else {
-				remote[owner] = append(remote[owner], wireItem{
-					source: s.source,
-					node:   dest.Node,
-					inPort: dest.Port,
-					out:    out,
-				})
-			}
-		}
-	}
-
-	// Ship boundary crossings (③→④→⑤ in Figure 3): one shared-substrate
-	// message per destination worker. The crossings belong to the next
-	// round.
-	if err := w.shipRemote(remote, round+1); err != nil {
-		return err
-	}
-
-	w.qmu.Lock()
-	w.queue = nextLocal
-	w.queueLen = len(nextLocal)
-	w.qmu.Unlock()
-
-	// Adaptive BDD garbage collection: intermediate packet sets from
-	// this round are dead; only predicates, queued packets, and recorded
-	// outcomes stay live. Per-worker engines keep these collections small
-	// and un-contended (§4.3). The grow observer has already charged the
-	// intra-round high water to the tracker, so the peak is preserved.
-	// The pacer picks the growth threshold from measured pause cost and
-	// reclaim yield (see gcpacer.go).
-	if w.engine.NodeCount() > w.pacer.postThreshold() {
-		w.gcEngine()
-	}
-	return w.tracker.CheckBudget()
-}
-
-// dpRoundParallel is DPRound's multi-core body: the slots' Forward calls
-// run on the pool against the concurrent engine, then classification,
-// next-wavefront merging, and peer delivery happen sequentially in slot
-// order so outcomes and deliveries stay deterministic. The mid-round
-// adaptive GC runs at chunk boundaries (see below) — the engine's collector
-// is stop-the-world and must not run under the pool.
-func (w *Worker) dpRoundParallel() error {
-	w.qmu.Lock()
-	cur := w.queue
-	w.queue = map[packetSlot]bdd.Ref{}
-	w.queueLen = 0
-	round := w.qround
-	w.qround++
-	w.qmu.Unlock()
-	if err := w.drainInbox(cur, round); err != nil {
-		return err
-	}
-	if len(cur) == 0 {
-		return nil
-	}
-
-	// Deterministic processing order.
-	slots := make([]packetSlot, 0, len(cur))
-	for s := range cur {
-		slots = append(slots, s)
-	}
-	sort.Slice(slots, func(i, j int) bool {
-		a, b := slots[i], slots[j]
-		if a.node != b.node {
-			return a.node < b.node
-		}
-		if a.inPort != b.inPort {
-			return a.inPort < b.inPort
-		}
-		return a.source < b.source
-	})
+	slots := sortedSlots(cur)
 
 	type portOut struct {
 		out   bdd.Ref
@@ -1546,18 +1415,14 @@ func (w *Worker) dpRoundParallel() error {
 	}
 	nextLocal := map[packetSlot]bdd.Ref{}
 	res := make([]fwdRes, len(slots))
-	// Slots are processed in chunks: each chunk's Forward calls run on the
-	// pool, then classification and next-wavefront merging happen
-	// sequentially in slot order. Chunk boundaries are the
-	// safe points for the mid-round adaptive GC the sequential path does per
-	// slot — the collector is stop-the-world, so it cannot run under the
-	// pool, but heavy rounds still need garbage bounded mid-round.
-	chunk := 64 * w.procs
+	chunk := dpChunkPerProc * w.procs
 	for lo := 0; lo < len(slots); lo += chunk {
 		hi := lo + chunk
 		if hi > len(slots) {
 			hi = len(slots)
 		}
+		// The slots not yet forwarded and the partial next wavefront are
+		// live across a mid-round collection.
 		if w.engine.NodeCount() > w.pacer.midThreshold() {
 			remap := w.gcWithExtraRoots(func(add func(bdd.Ref)) {
 				for _, rest := range slots[lo:] {
@@ -1659,6 +1524,9 @@ func (w *Worker) dpRoundParallel() error {
 	w.queueLen = len(nextLocal)
 	w.qmu.Unlock()
 
+	// This round's intermediate packet sets are dead; predicates, queued
+	// packets and recorded outcomes stay live (§4.3). The grow observer has
+	// already charged the intra-round high water, so the peak is preserved.
 	if w.engine.NodeCount() > w.pacer.postThreshold() {
 		w.gcEngine()
 	}
@@ -1811,20 +1679,7 @@ func (w *Worker) FinishQuery() (sidecar.OutcomeBatch, error) {
 	if err := w.drainInbox(stragglers, math.MaxInt); err != nil {
 		return sidecar.OutcomeBatch{}, err
 	}
-	slots := make([]packetSlot, 0, len(stragglers))
-	for s := range stragglers {
-		slots = append(slots, s)
-	}
-	sort.Slice(slots, func(i, j int) bool {
-		a, b := slots[i], slots[j]
-		if a.node != b.node {
-			return a.node < b.node
-		}
-		if a.inPort != b.inPort {
-			return a.inPort < b.inPort
-		}
-		return a.source < b.source
-	})
+	slots := sortedSlots(stragglers)
 	for _, s := range slots {
 		w.outcomes = append(w.outcomes, dataplane.Outcome{Source: s.source, Node: s.node, State: dataplane.Loop, Packet: stragglers[s]})
 	}

@@ -376,10 +376,12 @@ type configsRequest struct {
 }
 
 // Request body limits. A config body may carry a whole snapshot; a query
-// body carries a batch of queries of a few hundred bytes each.
+// body carries a batch of queries of a few hundred bytes each; a verify
+// body takes no parameters.
 const (
 	maxConfigsBody = 32 << 20
 	maxQueriesBody = 4 << 20
+	maxVerifyBody  = 1 << 20
 )
 
 // decodeBody decodes r's JSON body, at most limit bytes, into v. A
@@ -448,9 +450,15 @@ func (s *Server) handleVerify(r *http.Request) (status int, body any) {
 	}
 	// The request takes no parameters, but a malformed body is a client
 	// error, not something to silently ignore (or 500 on).
-	if raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<20)); err != nil {
+	raw, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxVerifyBody))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return errBody(http.StatusRequestEntityTooLarge, "body exceeds %d bytes", maxVerifyBody)
+	}
+	if err != nil {
 		return errBody(http.StatusBadRequest, "reading body: %v", err)
-	} else if trimmed := strings.TrimSpace(string(raw)); trimmed != "" {
+	}
+	if trimmed := strings.TrimSpace(string(raw)); trimmed != "" {
 		var ignored map[string]any
 		if err := json.Unmarshal([]byte(trimmed), &ignored); err != nil {
 			return errBody(http.StatusBadRequest, "bad JSON: %v", err)

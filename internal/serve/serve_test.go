@@ -656,6 +656,25 @@ func TestServeQueriesBodyLimit(t *testing.T) {
 	}
 }
 
+func TestServeVerifyBodyLimit(t *testing.T) {
+	ts, texts := bootServer(t)
+	postJSON(t, ts.URL+"/v1/configs",
+		map[string]any{"set": map[string]string{"agg-0-0": texts["agg-0-0"]}}, 200)
+	// Cutting this body at the limit would leave only blanks, which read
+	// as an empty request; the garbage past the limit must not be ignored.
+	body := strings.NewReader(strings.Repeat(" ", maxVerifyBody) + "not json")
+	rec := httptest.NewRecorder()
+	ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/verify", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("POST /v1/verify blanks past the limit: status %d, want 413 (body %.200s)", rec.Code, rec.Body)
+	}
+	postOversized(t, ts.Config.Handler, "/v1/verify", `{"note": "`, maxVerifyBody)
+	st := getJSON(t, ts.URL+"/v1/status", 200)
+	if st["staged"].(float64) != 1 || st["epoch"].(float64) != 1 {
+		t.Fatalf("oversized verify body ran a verify or changed staging: %v", st)
+	}
+}
+
 // failingWriter fails every write, like a full disk under -audit-log.
 type failingWriter struct{}
 

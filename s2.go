@@ -103,7 +103,8 @@ type Options struct {
 	// estimates (see FatTreeLoadEstimator).
 	LoadEstimator func(device string) int64
 	// Parallelism bounds each worker's goroutine pool for the per-node
-	// simulation loops (0 = all CPUs, 1 = sequential; cmd/s2 -procs).
+	// simulation loops (0 = all CPUs; 1 runs the same chunked bodies inline
+	// on one goroutine, with identical results; cmd/s2 -procs).
 	Parallelism int
 	// GCStress makes every worker's BDD GC pacer collect at each safe
 	// point where the node table grew at all (cmd/s2 -gc-stress). Results
