@@ -182,7 +182,7 @@ func (b *Batfish) runOSPF() error {
 					continue
 				}
 				st := getPull(pulls, name, nb)
-				lsas, ver, fresh := exp.LSAsTo(name, st.version, st.seen)
+				lsas, ver, fresh := exp.ExportsTo(name, st.version, st.seen)
 				if fresh {
 					st.version, st.seen = ver, true
 					pending[name] = append(pending[name], lsas...)

@@ -137,6 +137,8 @@ func FuzzDeserializeSet(f *testing.F) {
 	f.Add(seed.Serialize(g))
 	f.Add([]byte{})
 	f.Add([]byte{0xd3, 0xea, 0xc9, 0x9a, 0x05})
+	f.Add(hugeSetNodeCount())
+	f.Add(hugeSetRootCount())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := New(8, 1<<16)
 		v, err := e.Var(3)

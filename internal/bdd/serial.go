@@ -98,6 +98,9 @@ func (e *Engine) Deserialize(data []byte) (Ref, error) {
 		return False, fmt.Errorf("bdd: truncated serialization")
 	}
 	data = data[n:]
+	if count > uint64(len(data)) {
+		return False, fmt.Errorf("bdd: node count %d exceeds remaining %d bytes", count, len(data))
+	}
 
 	refs := make([]Ref, count+2)
 	refs[0], refs[1] = False, True

@@ -75,7 +75,8 @@ func TestDeserializeVarMismatch(t *testing.T) {
 
 func TestDeserializeGarbage(t *testing.T) {
 	e := New(8, 0)
-	for _, data := range [][]byte{nil, {1}, {0xff, 0xff, 0xff}, []byte("hello world")} {
+	// The last row claims 2^40 nodes and carries none.
+	for _, data := range [][]byte{nil, {1}, {0xff, 0xff, 0xff}, []byte("hello world"), uvarints(serialMagic, 8, 1<<40)} {
 		if _, err := e.Deserialize(data); err == nil {
 			t.Fatalf("garbage %v should fail", data)
 		}

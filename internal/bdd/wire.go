@@ -72,6 +72,11 @@ func parseWireHeader(data []byte) (h wireHeader, rest []byte, err error) {
 	if h.count, err = next(); err != nil {
 		return h, nil, err
 	}
+	// Every node takes at least three bytes: a count past what remains is
+	// corrupt and must not size an allocation.
+	if h.count > uint64(len(data)) {
+		return h, nil, fmt.Errorf("bdd: wire node count %d exceeds remaining %d bytes", h.count, len(data))
+	}
 	return h, data, nil
 }
 
@@ -189,6 +194,9 @@ func (e *Engine) DeserializeSet(data []byte) ([]Ref, error) {
 		return nil, fmt.Errorf("bdd: truncated wire roots")
 	}
 	rest = rest[n:]
+	if rootCount > uint64(len(rest)) {
+		return nil, fmt.Errorf("bdd: wire root count %d exceeds remaining %d bytes", rootCount, len(rest))
+	}
 	roots := make([]Ref, rootCount)
 	for i := range roots {
 		id, n := binary.Uvarint(rest)

@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -131,6 +132,8 @@ func TestDeserializeSetRejectsGarbage(t *testing.T) {
 	cases := [][]byte{nil, {1}, []byte("not a wire message"), good[:len(good)-1]}
 	// A Serialize payload must not decode as a set message (distinct magic).
 	cases = append(cases, e.Serialize(f))
+	// Counts past the payload must fail before they size an allocation.
+	cases = append(cases, hugeSetNodeCount(), hugeSetRootCount())
 	for _, data := range cases {
 		if _, err := e.DeserializeSet(data); err == nil {
 			t.Fatalf("garbage %v should fail", data)
@@ -140,6 +143,22 @@ func TestDeserializeSetRejectsGarbage(t *testing.T) {
 		t.Fatal("variable count mismatch must error")
 	}
 }
+
+// uvarints appends each value as a uvarint.
+func uvarints(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// hugeSetNodeCount is a set-message header (8 variables, epoch 0) that
+// claims 2^40 nodes and carries none.
+func hugeSetNodeCount() []byte { return uvarints(wireMagic, 8, 0, wireBase, 1<<40) }
+
+// hugeSetRootCount is an empty set message that claims 2^40 roots.
+func hugeSetRootCount() []byte { return uvarints(wireMagic, 8, 0, wireBase, 0, 1<<40) }
 
 // deliver runs one sender→receiver message exchange: Accept then
 // Materialize, returning the receiver-local refs for the roots.

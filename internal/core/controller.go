@@ -849,26 +849,7 @@ func (c *Controller) runControlPlane() error {
 	}
 	if hasOSPF {
 		err := c.stage("cp-ospf", func() error {
-			for round := 0; ; round++ {
-				if round > c.opts.maxRounds() {
-					return fmt.Errorf("core: OSPF did not converge in %d rounds", c.opts.maxRounds())
-				}
-				endRound := c.startSpan("round", obs.Int("round", round))
-				if _, err := c.eachPhase("cp", func(_ int, w sidecar.WorkerAPI) (bool, error) { return false, w.GatherOSPF() }); err != nil {
-					endRound()
-					return err
-				}
-				changed, err := c.applyRound("ospf", 0, round,
-					func(w sidecar.WorkerAPI) (sidecar.ApplyReply, error) { return w.ApplyOSPF() })
-				endRound()
-				if err != nil {
-					return err
-				}
-				c.cpRounds++
-				if !changed {
-					return nil
-				}
-			}
+			return c.converge("ospf", 0, sidecar.WorkerAPI.GatherOSPF, sidecar.WorkerAPI.ApplyOSPF)
 		})
 		if err != nil {
 			return err
@@ -971,6 +952,32 @@ func (c *Controller) runDirtyShards(dirty []bool) ([]int, error) {
 	return runs, nil
 }
 
+// converge runs one protocol's pull-model fixed point (Algorithm 1) on every
+// worker: a gather phase, then an apply phase, until no node changes.
+func (c *Controller) converge(protocol string, shardIdx int,
+	gather func(sidecar.WorkerAPI) error, apply func(sidecar.WorkerAPI) (sidecar.ApplyReply, error)) error {
+	for round := 0; ; round++ {
+		if round > c.opts.maxRounds() {
+			return fmt.Errorf("core: %s shard %d did not converge in %d rounds (the network may oscillate, §7)",
+				protocol, shardIdx, c.opts.maxRounds())
+		}
+		endRound := c.startSpan("round", obs.Int("round", round))
+		if _, err := c.eachPhase("cp", func(_ int, w sidecar.WorkerAPI) (bool, error) { return false, gather(w) }); err != nil {
+			endRound()
+			return err
+		}
+		changed, err := c.applyRound(protocol, shardIdx, round, apply)
+		endRound()
+		if err != nil {
+			return err
+		}
+		c.cpRounds++
+		if !changed {
+			return nil
+		}
+	}
+}
+
 // runShard executes one full shard round (reset, fixed point, harvest) and
 // returns the workers' condition reports.
 func (c *Controller) runShard(i int, sh *shard.Shard) (reports []sidecar.ConditionReport, err error) {
@@ -983,25 +990,8 @@ func (c *Controller) runShard(i int, sh *shard.Shard) (reports []sidecar.Conditi
 	if err := c.each(func(_ int, w sidecar.WorkerAPI) error { return w.BeginShard(req) }); err != nil {
 		return nil, err
 	}
-	for round := 0; ; round++ {
-		if round > c.opts.maxRounds() {
-			return nil, fmt.Errorf("core: BGP shard %d did not converge in %d rounds (the network may oscillate, §7)", i, c.opts.maxRounds())
-		}
-		endRound := c.startSpan("round", obs.Int("round", round))
-		if _, err := c.eachPhase("cp", func(_ int, w sidecar.WorkerAPI) (bool, error) { return false, w.GatherBGP() }); err != nil {
-			endRound()
-			return nil, err
-		}
-		changed, err := c.applyRound("bgp", i, round,
-			func(w sidecar.WorkerAPI) (sidecar.ApplyReply, error) { return w.ApplyBGP() })
-		endRound()
-		if err != nil {
-			return nil, err
-		}
-		c.cpRounds++
-		if !changed {
-			break
-		}
+	if err := c.converge("bgp", i, sidecar.WorkerAPI.GatherBGP, sidecar.WorkerAPI.ApplyBGP); err != nil {
+		return nil, err
 	}
 	var mu sync.Mutex
 	if _, err := c.eachPhase("cp", func(_ int, w sidecar.WorkerAPI) (bool, error) {

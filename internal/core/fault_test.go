@@ -331,11 +331,11 @@ func TestRPCDeadlinesBoundAllCalls(t *testing.T) {
 		"ApplyOSPF":  func() error { _, err := rw.ApplyOSPF(); return err },
 		"EndShard":   func() error { _, err := rw.EndShard(); return err },
 		"PullBGPBatch": func() error {
-			_, err := rw.PullBGPBatch([]sidecar.PullBGPRequest{{Exporter: "a", Puller: "b"}})
+			_, err := rw.PullBGPBatch([]sidecar.PullRequest{{Exporter: "a", Puller: "b"}})
 			return err
 		},
 		"PullLSABatch": func() error {
-			_, err := rw.PullLSABatch([]sidecar.PullLSAsRequest{{Exporter: "a", Puller: "b"}})
+			_, err := rw.PullLSABatch([]sidecar.PullRequest{{Exporter: "a", Puller: "b"}})
 			return err
 		},
 		"ComputeDP":       func() error { _, err := rw.ComputeDP(); return err },

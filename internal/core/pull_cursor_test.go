@@ -53,20 +53,20 @@ func convergeCP(t *testing.T, c *Controller, gather func(*Worker) error, apply f
 // pullBGP issues one pull as a batch of one, the unit every other batch
 // is checked against.
 func pullBGP(w *Worker, exporter, puller string, since uint64, seen bool) ([]bgp.Advertisement, uint64, bool, error) {
-	replies, err := w.PullBGPBatch([]sidecar.PullBGPRequest{{Exporter: exporter, Puller: puller, Since: since, Seen: seen}})
+	replies, err := w.PullBGPBatch([]sidecar.PullRequest{{Exporter: exporter, Puller: puller, Since: since, Seen: seen}})
 	if err != nil {
 		return nil, 0, false, err
 	}
-	return replies[0].Advs, replies[0].Version, replies[0].Fresh, nil
+	return replies[0].Items, replies[0].Version, replies[0].Fresh, nil
 }
 
 // pullLSAs is the OSPF analogue of pullBGP.
 func pullLSAs(w *Worker, exporter, puller string, since uint64, seen bool) ([]*ospf.LSA, uint64, bool, error) {
-	replies, err := w.PullLSABatch([]sidecar.PullLSAsRequest{{Exporter: exporter, Puller: puller, Since: since, Seen: seen}})
+	replies, err := w.PullLSABatch([]sidecar.PullRequest{{Exporter: exporter, Puller: puller, Since: since, Seen: seen}})
 	if err != nil {
 		return nil, 0, false, err
 	}
-	return replies[0].LSAs, replies[0].Version, replies[0].Fresh, nil
+	return replies[0].Items, replies[0].Version, replies[0].Fresh, nil
 }
 
 // pullCursorWorker converges a 2-worker FatTree BGP control plane and
@@ -157,7 +157,7 @@ func TestPullBGPBatchMatchesSingles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := []sidecar.PullBGPRequest{
+	reqs := []sidecar.PullRequest{
 		{Exporter: exporter, Puller: puller, Since: 0, Seen: false},
 		{Exporter: exporter, Puller: puller, Since: ver, Seen: true},
 		{Exporter: exporter, Puller: puller, Since: ver - 1, Seen: true},
@@ -169,16 +169,16 @@ func TestPullBGPBatchMatchesSingles(t *testing.T) {
 	if len(replies) != len(reqs) {
 		t.Fatalf("got %d replies for %d requests", len(replies), len(reqs))
 	}
-	if !replies[0].Fresh || !reflect.DeepEqual(replies[0].Advs, advs) {
+	if !replies[0].Fresh || !reflect.DeepEqual(replies[0].Items, advs) {
 		t.Fatalf("batch[0] should match the initial single pull")
 	}
-	if replies[1].Fresh || replies[1].Advs != nil || replies[1].Version != ver {
+	if replies[1].Fresh || replies[1].Items != nil || replies[1].Version != ver {
 		t.Fatalf("batch[1] should be a stale no-op, got fresh=%v ver=%d", replies[1].Fresh, replies[1].Version)
 	}
-	if !replies[2].Fresh || len(replies[2].Advs) != len(advs) {
+	if !replies[2].Fresh || len(replies[2].Items) != len(advs) {
 		t.Fatalf("batch[2] should re-export for the stale cursor")
 	}
-	if _, err := w.PullBGPBatch([]sidecar.PullBGPRequest{{Exporter: "no-such-node", Puller: puller}}); err == nil {
+	if _, err := w.PullBGPBatch([]sidecar.PullRequest{{Exporter: "no-such-node", Puller: puller}}); err == nil {
 		t.Fatal("batch with a non-hosted exporter must error")
 	}
 }
@@ -217,7 +217,7 @@ func TestPullBGPConcurrentPullers(t *testing.T) {
 				var nv uint64
 				var fresh bool
 				if i%3 == 2 {
-					replies, err := w.PullBGPBatch([]sidecar.PullBGPRequest{
+					replies, err := w.PullBGPBatch([]sidecar.PullRequest{
 						{Exporter: exporter, Puller: puller, Since: ver, Seen: seen},
 						{Exporter: exporter, Puller: puller, Since: ver, Seen: seen},
 					})
@@ -225,7 +225,7 @@ func TestPullBGPConcurrentPullers(t *testing.T) {
 						errs <- err
 						return
 					}
-					advs, nv, fresh = len(replies[0].Advs), replies[0].Version, replies[0].Fresh
+					advs, nv, fresh = len(replies[0].Items), replies[0].Version, replies[0].Fresh
 				} else {
 					a, v, f, err := pullBGP(w, exporter, puller, ver, seen)
 					if err != nil {
@@ -296,7 +296,7 @@ router ospf 1
 	}
 }
 
-// TestPullLSACursorSemantics is the OSPF analogue: LSAsTo floods the full
+// TestPullLSACursorSemantics is the OSPF analogue: ExportsTo floods the full
 // LSDB on a stale or unseen cursor and no-ops on an up-to-date one, for
 // batches of one and of several alike, under concurrent pullers.
 func TestPullLSACursorSemantics(t *testing.T) {
@@ -340,17 +340,17 @@ func TestPullLSACursorSemantics(t *testing.T) {
 		t.Fatal("LSA pull from a non-hosted exporter must error")
 	}
 
-	replies, err := w.PullLSABatch([]sidecar.PullLSAsRequest{
+	replies, err := w.PullLSABatch([]sidecar.PullRequest{
 		{Exporter: "r2", Puller: "r1", Since: 0, Seen: false},
 		{Exporter: "r2", Puller: "r1", Since: ver, Seen: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !replies[0].Fresh || len(replies[0].LSAs) != 3 {
-		t.Fatalf("LSA batch[0]: fresh=%v lsas=%d, want full flood", replies[0].Fresh, len(replies[0].LSAs))
+	if !replies[0].Fresh || len(replies[0].Items) != 3 {
+		t.Fatalf("LSA batch[0]: fresh=%v lsas=%d, want full flood", replies[0].Fresh, len(replies[0].Items))
 	}
-	if replies[1].Fresh || replies[1].LSAs != nil {
+	if replies[1].Fresh || replies[1].Items != nil {
 		t.Fatalf("LSA batch[1]: fresh=%v, want stale no-op", replies[1].Fresh)
 	}
 

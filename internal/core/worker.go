@@ -403,32 +403,33 @@ func (w *Worker) Setup(req sidecar.SetupRequest) error {
 // PullBGPBatch implements sidecar.WorkerAPI: it serves one peer's shadow-
 // node pulls for a whole gather phase in a single round trip (Algorithm 1,
 // line 15 arriving at the real node); replies align with reqs by index.
-// statsPulls counts logical pulls, not RPCs.
-func (w *Worker) PullBGPBatch(reqs []sidecar.PullBGPRequest) ([]sidecar.PullBGPReply, error) {
-	replies := make([]sidecar.PullBGPReply, len(reqs))
-	for i, q := range reqs {
-		proc, ok := w.bgpProcs[q.Exporter]
-		if !ok {
-			return nil, fmt.Errorf("core: worker %d does not host %q", w.id, q.Exporter)
-		}
-		advs, ver, fresh := proc.ExportsTo(q.Puller, q.Since, q.Seen)
-		replies[i] = sidecar.PullBGPReply{Advs: advs, Version: ver, Fresh: fresh}
-	}
-	w.countPulls(len(reqs))
-	return replies, nil
+func (w *Worker) PullBGPBatch(reqs []sidecar.PullRequest) ([]sidecar.PullReply[bgp.Advertisement], error) {
+	return servePulls(w, w.bgpProcs, reqs)
 }
 
 // PullLSABatch implements sidecar.WorkerAPI (the OSPF analogue of
 // PullBGPBatch).
-func (w *Worker) PullLSABatch(reqs []sidecar.PullLSAsRequest) ([]sidecar.PullLSAsReply, error) {
-	replies := make([]sidecar.PullLSAsReply, len(reqs))
+func (w *Worker) PullLSABatch(reqs []sidecar.PullRequest) ([]sidecar.PullReply[*ospf.LSA], error) {
+	return servePulls(w, w.ospfProcs, reqs)
+}
+
+// servePulls answers a batch of pulls from procs. An exporter this worker
+// hosts but that runs no process of the protocol — a non-OSPF neighbor of
+// an OSPF interface — has nothing to export and gets an empty, non-fresh
+// reply, as a local pull would skip it; an exporter hosted elsewhere is an
+// error. statsPulls counts logical pulls, not RPCs.
+func servePulls[T any, P exporter[T]](w *Worker, procs map[string]P, reqs []sidecar.PullRequest) ([]sidecar.PullReply[T], error) {
+	replies := make([]sidecar.PullReply[T], len(reqs))
 	for i, q := range reqs {
-		proc, ok := w.ospfProcs[q.Exporter]
+		proc, ok := procs[q.Exporter]
 		if !ok {
-			return nil, fmt.Errorf("core: worker %d does not host %q", w.id, q.Exporter)
+			if w.devices[q.Exporter] == nil {
+				return nil, fmt.Errorf("core: worker %d does not host %q", w.id, q.Exporter)
+			}
+			continue
 		}
-		lsas, ver, fresh := proc.LSAsTo(q.Puller, q.Since, q.Seen)
-		replies[i] = sidecar.PullLSAsReply{LSAs: lsas, Version: ver, Fresh: fresh}
+		r := &replies[i]
+		r.Items, r.Version, r.Fresh = proc.ExportsTo(q.Puller, q.Since, q.Seen)
 	}
 	w.countPulls(len(reqs))
 	return replies, nil
@@ -471,34 +472,76 @@ func (w *Worker) BeginShard(req sidecar.BeginShardRequest) error {
 	return nil
 }
 
+// exporter is what a node's protocol process offers its neighbors' pulls,
+// identical for BGP (advertisements) and OSPF (LSAs): the neighbors it
+// pulls from, and its exports to one puller since that puller's cursor.
+type exporter[T any] interface {
+	NeighborNames() []string
+	ExportsTo(puller string, since uint64, seen bool) ([]T, uint64, bool)
+}
+
 // pullSlot is one (node, neighbor) pull's result, filled either directly
 // (local exporters) or by a batched round trip. A nil st means the pull was
 // skipped (no exporter).
-type pullSlot struct {
+type pullSlot[T any] struct {
 	st    *sim.PullState
 	ver   uint64
 	fresh bool
-	advs  []bgp.Advertisement // BGP gathers
-	lsas  []*ospf.LSA         // OSPF gathers
+	items []T
 }
 
 // batchRef addresses a pullSlot awaiting a batched reply.
 type batchRef struct{ i, j int }
 
 // GatherBGP implements sidecar.WorkerAPI: phase 1 of one round — every
-// local node pulls route deltas from all neighbors (real or shadow), with
-// no writes to any node state, so all workers gather concurrently against
-// the quiesced previous round. Within the worker the per-node pulls run on
-// up to procs goroutines, and pulls bound for the same remote worker are
-// coalesced into one batch RPC.
+// local node pulls route deltas from all neighbors (real or shadow).
 func (w *Worker) GatherBGP() error {
 	w.phaseMu.Lock()
 	defer w.phaseMu.Unlock()
 	span := w.obsWorkerSpan("gather-bgp")
 	defer span.End()
+	pending := map[string]map[string][]bgp.Advertisement{}
+	err := gather(w, "bgp", w.bgpProcs, w.bgpPulls, sidecar.WorkerAPI.PullBGPBatch,
+		func(name, nb string, advs []bgp.Advertisement) {
+			if pending[name] == nil {
+				pending[name] = map[string][]bgp.Advertisement{}
+			}
+			pending[name][nb] = advs
+		})
+	if err == nil {
+		w.pendingBGP = pending
+	}
+	return err
+}
+
+// GatherOSPF implements sidecar.WorkerAPI (phase 1 for LSA flooding). The
+// flat per-node LSA list is assembled in neighbor order, which MergeLSAs
+// depends on (a later LSA from the same router supersedes an earlier one).
+func (w *Worker) GatherOSPF() error {
+	w.phaseMu.Lock()
+	defer w.phaseMu.Unlock()
+	span := w.obsWorkerSpan("gather-ospf")
+	defer span.End()
+	pending := map[string][]*ospf.LSA{}
+	err := gather(w, "ospf", w.ospfProcs, w.ospfPulls, sidecar.WorkerAPI.PullLSABatch,
+		func(name, _ string, lsas []*ospf.LSA) { pending[name] = append(pending[name], lsas...) })
+	if err == nil {
+		w.pendingLSAs = pending
+	}
+	return err
+}
+
+// gather is the body of both gather phases. It writes no node state, so all
+// workers gather concurrently against the quiesced previous round. Within
+// the worker the per-node pulls run on up to procs goroutines, and pulls
+// bound for the same remote worker are coalesced into one batch RPC. take
+// receives every fresh pull in (node, neighbor) order.
+func gather[T any, P exporter[T]](w *Worker, protocol string, procs map[string]P, pulls *sim.PullTracker,
+	batchPull func(sidecar.WorkerAPI, []sidecar.PullRequest) ([]sidecar.PullReply[T], error),
+	take func(name, nb string, items []T)) error {
 	names := w.localNames
 	nbLists := make([][]string, len(names))
-	slots := make([][]pullSlot, len(names))
+	slots := make([][]pullSlot[T], len(names))
 	var batchMu sync.Mutex
 	batch := map[int][]batchRef{}
 
@@ -506,31 +549,30 @@ func (w *Worker) GatherBGP() error {
 	// only record their cursor.
 	err := runIndexed(w.procs, len(names), func(i int) error {
 		name := names[i]
-		proc, ok := w.bgpProcs[name]
+		proc, ok := procs[name]
 		if !ok {
 			return nil
 		}
 		nbs := proc.NeighborNames()
 		nbLists[i] = nbs
-		ss := make([]pullSlot, len(nbs))
+		ss := make([]pullSlot[T], len(nbs))
 		slots[i] = ss
 		for j, nb := range nbs {
 			owner := w.assignment[nb]
 			if owner == w.id {
-				p, ok := w.bgpProcs[nb]
+				p, ok := procs[nb]
 				if !ok {
 					continue
 				}
-				st := w.bgpPulls.Get(name, nb)
-				advs, ver, fresh := p.ExportsTo(name, st.Version, st.Seen)
-				ss[j] = pullSlot{st: st, ver: ver, fresh: fresh, advs: advs}
+				st := pulls.Get(name, nb)
+				items, ver, fresh := p.ExportsTo(name, st.Version, st.Seen)
+				ss[j] = pullSlot[T]{st: st, ver: ver, fresh: fresh, items: items}
 				continue
 			}
-			peer := w.peers[owner]
-			if peer == nil {
+			if w.peers[owner] == nil {
 				continue
 			}
-			ss[j].st = w.bgpPulls.Get(name, nb)
+			ss[j].st = pulls.Get(name, nb)
 			batchMu.Lock()
 			batch[owner] = append(batch[owner], batchRef{i, j})
 			batchMu.Unlock()
@@ -550,25 +592,24 @@ func (w *Worker) GatherBGP() error {
 	err = runIndexed(w.procs, len(owners), func(oi int) error {
 		owner := owners[oi]
 		refs := batch[owner]
-		peer := w.peers[owner]
-		reqs := make([]sidecar.PullBGPRequest, len(refs))
+		reqs := make([]sidecar.PullRequest, len(refs))
 		for k, ref := range refs {
 			st := slots[ref.i][ref.j].st
-			reqs[k] = sidecar.PullBGPRequest{
+			reqs[k] = sidecar.PullRequest{
 				Exporter: nbLists[ref.i][ref.j], Puller: names[ref.i],
 				Since: st.Version, Seen: st.Seen,
 			}
 		}
-		replies, err := peer.PullBGPBatch(reqs)
+		replies, err := batchPull(w.peers[owner], reqs)
 		if err != nil {
-			return fmt.Errorf("core: worker %d batch-pulling %d exports from worker %d: %w", w.id, len(reqs), owner, err)
+			return fmt.Errorf("core: worker %d batch-pulling %d %s exports from worker %d: %w", w.id, len(reqs), protocol, owner, err)
 		}
 		if len(replies) != len(reqs) {
 			return fmt.Errorf("core: worker %d: batch pull from worker %d returned %d replies for %d requests", w.id, owner, len(replies), len(reqs))
 		}
 		for k, ref := range refs {
 			s := &slots[ref.i][ref.j]
-			s.ver, s.fresh, s.advs = replies[k].Version, replies[k].Fresh, replies[k].Advs
+			s.ver, s.fresh, s.items = replies[k].Version, replies[k].Fresh, replies[k].Items
 		}
 		return nil
 	})
@@ -579,7 +620,6 @@ func (w *Worker) GatherBGP() error {
 	// Phase C: deterministic assembly in (node, neighbor) order — identical
 	// to the sequential walk.
 	exchanged := 0
-	pending := map[string]map[string][]bgp.Advertisement{}
 	for i, name := range names {
 		for j := range slots[i] {
 			s := &slots[i][j]
@@ -587,231 +627,77 @@ func (w *Worker) GatherBGP() error {
 				continue
 			}
 			s.st.Version, s.st.Seen = s.ver, true
-			if pending[name] == nil {
-				pending[name] = map[string][]bgp.Advertisement{}
-			}
-			pending[name][nbLists[i][j]] = s.advs
-			exchanged += len(s.advs)
+			take(name, nbLists[i][j], s.items)
+			exchanged += len(s.items)
 		}
 	}
-	w.pendingBGP = pending
-	w.obsRoutesExchanged("bgp", exchanged)
+	w.obsRoutesExchanged(protocol, exchanged)
 	return nil
 }
 
 // ApplyBGP implements sidecar.WorkerAPI: phase 2 — apply the gathered
-// imports and rerun decisions. The reply carries per-iteration progress:
-// how many local nodes changed and how many Loc-RIB routes are settled.
-// Each node mutates only its own process, so the per-node work runs on the
-// pool; the needsRun map is read-only during the tasks (every node ends the
-// phase with needsRun=false, applied in the sequential merge).
+// imports and rerun decisions. needsRun is read-only during the node tasks;
+// every node ends the phase with it cleared.
 func (w *Worker) ApplyBGP() (sidecar.ApplyReply, error) {
 	w.phaseMu.Lock()
 	defer w.phaseMu.Unlock()
 	span := w.obsWorkerSpan("apply-bgp")
 	defer span.End()
-	var reply sidecar.ApplyReply
-	names := w.localNames
-	type applyRes struct {
-		isProc, ran, changed bool
-		routes               int
-	}
-	res := make([]applyRes, len(names))
-	err := runIndexed(w.procs, len(names), func(i int) error {
-		proc, ok := w.bgpProcs[names[i]]
-		if !ok {
-			return nil
-		}
-		res[i].isProc = true
+	reply, err := applyNodes(w, w.bgpProcs, func(name string, proc *bgp.Process) (bool, int) {
 		imported := false
-		for nb, advs := range w.pendingBGP[names[i]] {
+		for nb, advs := range w.pendingBGP[name] {
 			if proc.ImportFrom(nb, advs) {
 				imported = true
 			}
 		}
-		if w.needsRun[names[i]] || imported {
-			res[i].ran = true
-			res[i].changed = proc.RunDecision()
-		}
-		res[i].routes = proc.LocRIB().RouteCount()
-		return nil
+		changed := (w.needsRun[name] || imported) && proc.RunDecision()
+		return changed, proc.LocRIB().RouteCount()
 	})
-	if err != nil {
-		return reply, err
-	}
-	for i, name := range names {
-		if !res[i].isProc {
-			continue
-		}
-		w.needsRun[name] = false
-		if res[i].ran && res[i].changed {
-			reply.Changed = true
-			reply.ChangedNodes++
-		}
-		reply.Routes += res[i].routes
-	}
+	clear(w.needsRun)
 	w.pendingBGP = nil
-	if err := w.tracker.CheckBudget(); err != nil {
-		return reply, err
-	}
-	return reply, nil
-}
-
-// GatherOSPF implements sidecar.WorkerAPI (phase 1 for LSA flooding).
-// Parallel/batched exactly like GatherBGP; the flat per-node LSA list is
-// reassembled in neighbor order, which MergeLSAs depends on (a later LSA
-// from the same router supersedes an earlier one).
-func (w *Worker) GatherOSPF() error {
-	w.phaseMu.Lock()
-	defer w.phaseMu.Unlock()
-	span := w.obsWorkerSpan("gather-ospf")
-	defer span.End()
-	names := w.localNames
-	nbLists := make([][]string, len(names))
-	slots := make([][]pullSlot, len(names))
-	var batchMu sync.Mutex
-	batch := map[int][]batchRef{}
-
-	err := runIndexed(w.procs, len(names), func(i int) error {
-		name := names[i]
-		proc, ok := w.ospfProcs[name]
-		if !ok {
-			return nil
-		}
-		nbs := proc.NeighborNames()
-		nbLists[i] = nbs
-		ss := make([]pullSlot, len(nbs))
-		slots[i] = ss
-		for j, nb := range nbs {
-			owner := w.assignment[nb]
-			if owner == w.id {
-				p, ok := w.ospfProcs[nb]
-				if !ok {
-					continue
-				}
-				st := w.ospfPulls.Get(name, nb)
-				lsas, ver, fresh := p.LSAsTo(name, st.Version, st.Seen)
-				ss[j] = pullSlot{st: st, ver: ver, fresh: fresh, lsas: lsas}
-				continue
-			}
-			peer := w.peers[owner]
-			if peer == nil {
-				continue
-			}
-			ss[j].st = w.ospfPulls.Get(name, nb)
-			batchMu.Lock()
-			batch[owner] = append(batch[owner], batchRef{i, j})
-			batchMu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	owners := make([]int, 0, len(batch))
-	for o := range batch {
-		owners = append(owners, o)
-	}
-	sort.Ints(owners)
-	err = runIndexed(w.procs, len(owners), func(oi int) error {
-		owner := owners[oi]
-		refs := batch[owner]
-		peer := w.peers[owner]
-		reqs := make([]sidecar.PullLSAsRequest, len(refs))
-		for k, ref := range refs {
-			st := slots[ref.i][ref.j].st
-			reqs[k] = sidecar.PullLSAsRequest{
-				Exporter: nbLists[ref.i][ref.j], Puller: names[ref.i],
-				Since: st.Version, Seen: st.Seen,
-			}
-		}
-		replies, err := peer.PullLSABatch(reqs)
-		if err != nil {
-			return fmt.Errorf("core: worker %d batch-pulling %d LSA exports from worker %d: %w", w.id, len(reqs), owner, err)
-		}
-		if len(replies) != len(reqs) {
-			return fmt.Errorf("core: worker %d: batch pull from worker %d returned %d replies for %d requests", w.id, owner, len(replies), len(reqs))
-		}
-		for k, ref := range refs {
-			s := &slots[ref.i][ref.j]
-			s.ver, s.fresh, s.lsas = replies[k].Version, replies[k].Fresh, replies[k].LSAs
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	exchanged := 0
-	pending := map[string][]*ospf.LSA{}
-	for i, name := range names {
-		for j := range slots[i] {
-			s := &slots[i][j]
-			if s.st == nil || !s.fresh {
-				continue
-			}
-			s.st.Version, s.st.Seen = s.ver, true
-			pending[name] = append(pending[name], s.lsas...)
-			exchanged += len(s.lsas)
-		}
-	}
-	w.pendingLSAs = pending
-	w.obsRoutesExchanged("ospf", exchanged)
-	return nil
+	return reply, err
 }
 
 // ApplyOSPF implements sidecar.WorkerAPI (phase 2 for LSA merge + SPF).
-// Per-node LSDB merges and SPF runs are independent, so they run on the
-// pool with a deterministic sequential merge of the reply counters.
 func (w *Worker) ApplyOSPF() (sidecar.ApplyReply, error) {
 	w.phaseMu.Lock()
 	defer w.phaseMu.Unlock()
 	span := w.obsWorkerSpan("apply-ospf")
 	defer span.End()
-	var reply sidecar.ApplyReply
+	reply, err := applyNodes(w, w.ospfProcs, func(name string, proc *ospf.Process) (bool, int) {
+		changed := proc.MergeLSAs(w.pendingLSAs[name])
+		if changed || proc.Routes().Len() == 0 {
+			changed = proc.RunSPF() || changed
+		}
+		return changed, proc.Routes().RouteCount()
+	})
+	w.pendingLSAs = nil
+	return reply, err
+}
+
+// applyNodes runs step — one node's apply, which mutates only that node's
+// process — for every local node with a process, on the pool, and tallies
+// the reply in node order: how many nodes changed and how many routes
+// their RIBs hold.
+func applyNodes[P any](w *Worker, procs map[string]P, step func(name string, proc P) (changed bool, routes int)) (sidecar.ApplyReply, error) {
 	names := w.localNames
-	type applyRes struct {
-		isProc, changed bool
-		routes          int
-	}
-	res := make([]applyRes, len(names))
-	err := runIndexed(w.procs, len(names), func(i int) error {
-		proc, ok := w.ospfProcs[names[i]]
-		if !ok {
-			return nil
+	changed := make([]bool, len(names))
+	routes := make([]int, len(names))
+	_ = runIndexed(w.procs, len(names), func(i int) error { // no task returns an error
+		if proc, ok := procs[names[i]]; ok {
+			changed[i], routes[i] = step(names[i], proc)
 		}
-		res[i].isProc = true
-		merged := proc.MergeLSAs(w.pendingLSAs[names[i]])
-		if merged || proc.Routes().Len() == 0 {
-			if proc.RunSPF() {
-				res[i].changed = true
-			}
-		}
-		if merged {
-			res[i].changed = true
-		}
-		res[i].routes = proc.Routes().RouteCount()
 		return nil
 	})
-	if err != nil {
-		return reply, err
-	}
+	var reply sidecar.ApplyReply
 	for i := range names {
-		if !res[i].isProc {
-			continue
-		}
-		if res[i].changed {
+		if changed[i] {
 			reply.Changed = true
 			reply.ChangedNodes++
 		}
-		reply.Routes += res[i].routes
+		reply.Routes += routes[i]
 	}
-	w.pendingLSAs = nil
-	if err := w.tracker.CheckBudget(); err != nil {
-		return reply, err
-	}
-	return reply, nil
+	return reply, w.tracker.CheckBudget()
 }
 
 // liteRoute strips heavyweight path attributes, keeping only what FIB

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"s2/internal/bgp"
 	"s2/internal/metrics"
+	"s2/internal/ospf"
 	"s2/internal/route"
 	"s2/internal/sidecar"
 )
@@ -311,11 +313,11 @@ func (n *nullWorker) ApplyBGP() (sidecar.ApplyReply, error)      { return sideca
 func (n *nullWorker) GatherOSPF() error                          { return nil }
 func (n *nullWorker) ApplyOSPF() (sidecar.ApplyReply, error)     { return sidecar.ApplyReply{}, nil }
 func (n *nullWorker) EndShard() (sidecar.EndShardReply, error)   { return sidecar.EndShardReply{}, nil }
-func (n *nullWorker) PullBGPBatch(reqs []sidecar.PullBGPRequest) ([]sidecar.PullBGPReply, error) {
-	return make([]sidecar.PullBGPReply, len(reqs)), nil
+func (n *nullWorker) PullBGPBatch(reqs []sidecar.PullRequest) ([]sidecar.PullReply[bgp.Advertisement], error) {
+	return make([]sidecar.PullReply[bgp.Advertisement], len(reqs)), nil
 }
-func (n *nullWorker) PullLSABatch(reqs []sidecar.PullLSAsRequest) ([]sidecar.PullLSAsReply, error) {
-	return make([]sidecar.PullLSAsReply, len(reqs)), nil
+func (n *nullWorker) PullLSABatch(reqs []sidecar.PullRequest) ([]sidecar.PullReply[*ospf.LSA], error) {
+	return make([]sidecar.PullReply[*ospf.LSA], len(reqs)), nil
 }
 func (n *nullWorker) ComputeDP() (sidecar.ComputeDPReply, error) {
 	return sidecar.ComputeDPReply{}, nil

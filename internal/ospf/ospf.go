@@ -62,7 +62,7 @@ func (l *LSA) equal(o *LSA) bool {
 
 // Process is the OSPF speaker for one device. Like bgp.Process, a mutex
 // serializes the entry points parallel node tasks share: gather tasks for
-// many pullers call LSAsTo on the same exporter while only the owner's
+// many pullers call ExportsTo on the same exporter while only the owner's
 // apply task calls MergeLSAs/RunSPF — but those phases themselves run
 // concurrently across nodes, so every state-touching method locks.
 type Process struct {
@@ -184,10 +184,11 @@ func (p *Process) SetPrefixFilter(f func(route.Prefix) bool) {
 	p.filter = f
 }
 
-// LSAsTo returns the full LSDB if it changed since sinceVersion. OSPF floods
-// the database rather than per-neighbor exports, so the neighbor argument
-// only exists for interface symmetry with BGP.
-func (p *Process) LSAsTo(_ string, sinceVersion uint64, haveSeen bool) ([]*LSA, uint64, bool) {
+// ExportsTo returns the full LSDB if it changed since sinceVersion. OSPF
+// floods the database rather than per-neighbor exports, so the neighbor
+// argument is unused; the signature is bgp.Process.ExportsTo's, which lets
+// one gather body pull from either protocol.
+func (p *Process) ExportsTo(_ string, sinceVersion uint64, haveSeen bool) ([]*LSA, uint64, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if haveSeen && sinceVersion == p.version {

@@ -51,7 +51,7 @@ func runFlooding(t *testing.T, procs map[string]*Process) {
 					s = &st{}
 					pulls[key] = s
 				}
-				lsas, ver, fresh := exp.LSAsTo(name, s.ver, s.seen)
+				lsas, ver, fresh := exp.ExportsTo(name, s.ver, s.seen)
 				if fresh {
 					s.ver, s.seen = ver, true
 					if p.MergeLSAs(lsas) {

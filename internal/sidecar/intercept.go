@@ -1,6 +1,10 @@
 package sidecar
 
-import "s2/internal/route"
+import (
+	"s2/internal/bgp"
+	"s2/internal/ospf"
+	"s2/internal/route"
+)
 
 // methodClass is what every layer of the worker call stack needs to know
 // about one WorkerAPI method.
@@ -117,12 +121,12 @@ func (x *intercepted) EndShard() (EndShardReply, error) {
 	return result(x.ic, "EndShard", func() (EndShardReply, error) { return x.api.EndShard() })
 }
 
-func (x *intercepted) PullBGPBatch(reqs []PullBGPRequest) ([]PullBGPReply, error) {
-	return result(x.ic, "PullBGPBatch", func() ([]PullBGPReply, error) { return x.api.PullBGPBatch(reqs) })
+func (x *intercepted) PullBGPBatch(reqs []PullRequest) ([]PullReply[bgp.Advertisement], error) {
+	return result(x.ic, "PullBGPBatch", func() ([]PullReply[bgp.Advertisement], error) { return x.api.PullBGPBatch(reqs) })
 }
 
-func (x *intercepted) PullLSABatch(reqs []PullLSAsRequest) ([]PullLSAsReply, error) {
-	return result(x.ic, "PullLSABatch", func() ([]PullLSAsReply, error) { return x.api.PullLSABatch(reqs) })
+func (x *intercepted) PullLSABatch(reqs []PullRequest) ([]PullReply[*ospf.LSA], error) {
+	return result(x.ic, "PullLSABatch", func() ([]PullReply[*ospf.LSA], error) { return x.api.PullLSABatch(reqs) })
 }
 
 func (x *intercepted) ApplyDelta(req DeltaRequest) (DeltaReply, error) {

@@ -146,9 +146,10 @@ type ApplyReply struct {
 	Routes int
 }
 
-// PullBGPRequest is one shadow node's route pull, relayed to the real node
-// inside a PullBGPBatch.
-type PullBGPRequest struct {
+// PullRequest is one shadow node's pull of a real node's exports ("what
+// changed since version Since"), relayed inside a PullBGPBatch or
+// PullLSABatch. The request is the same for both protocols.
+type PullRequest struct {
 	Exporter string
 	Puller   string
 	Since    uint64
@@ -156,25 +157,11 @@ type PullBGPRequest struct {
 	TC       TraceContext
 }
 
-// PullBGPReply carries the exported advertisements.
-type PullBGPReply struct {
-	Advs    []bgp.Advertisement
-	Version uint64
-	Fresh   bool
-}
-
-// PullLSAsRequest is one shadow node's LSA pull inside a PullLSABatch.
-type PullLSAsRequest struct {
-	Exporter string
-	Puller   string
-	Since    uint64
-	Seen     bool
-	TC       TraceContext
-}
-
-// PullLSAsReply carries the flooded LSAs.
-type PullLSAsReply struct {
-	LSAs    []*ospf.LSA
+// PullReply carries one pull's exports — BGP advertisements or OSPF LSAs —
+// and the exporter's version. Fresh is false when nothing changed since the
+// request's cursor, and then Items is empty.
+type PullReply[T any] struct {
+	Items   []T
 	Version uint64
 	Fresh   bool
 }
@@ -424,8 +411,8 @@ type WorkerAPI interface {
 	// a gather phase in one round trip; replies align with reqs by index.
 	// Across a process boundary the reply set travels varint-encoded
 	// (PullWireReply); in-process there is no encoding at all.
-	PullBGPBatch(reqs []PullBGPRequest) ([]PullBGPReply, error)
-	PullLSABatch(reqs []PullLSAsRequest) ([]PullLSAsReply, error)
+	PullBGPBatch(reqs []PullRequest) ([]PullReply[bgp.Advertisement], error)
+	PullLSABatch(reqs []PullRequest) ([]PullReply[*ospf.LSA], error)
 
 	// ApplyDelta swaps changed local device models into resident state
 	// after a converged run, without a full re-Setup.
@@ -566,34 +553,30 @@ func (s *Service) EndShard(args CallMeta, reply *EndShardReply) error {
 }
 
 // PullBGPBatch RPC: the reply set crosses the wire as one varint payload
-// instead of gob structs. The trace context rides on the first request.
-func (s *Service) PullBGPBatch(reqs []PullBGPRequest, reply *PullWireReply) error {
-	var tc TraceContext
-	if len(reqs) > 0 {
-		tc = reqs[0].TC
-	}
-	return s.do("PullBGPBatch", tc, func() error {
-		replies, err := s.api.PullBGPBatch(reqs)
-		if err != nil {
-			return err
-		}
-		reply.Payload = EncodeBGPReplies(replies)
-		return nil
-	})
+// instead of gob structs.
+func (s *Service) PullBGPBatch(reqs []PullRequest, reply *PullWireReply) error {
+	return servePull(s, "PullBGPBatch", reqs, s.api.PullBGPBatch, (*wireEnc).adv, reply)
 }
 
 // PullLSABatch RPC.
-func (s *Service) PullLSABatch(reqs []PullLSAsRequest, reply *PullWireReply) error {
+func (s *Service) PullLSABatch(reqs []PullRequest, reply *PullWireReply) error {
+	return servePull(s, "PullLSABatch", reqs, s.api.PullLSABatch, (*wireEnc).lsa, reply)
+}
+
+// servePull serves one batch pull and packs its reply set with the item
+// encoder. The trace context rides on the first request.
+func servePull[T any](s *Service, method string, reqs []PullRequest,
+	pull func([]PullRequest) ([]PullReply[T], error), item func(*wireEnc, T), reply *PullWireReply) error {
 	var tc TraceContext
 	if len(reqs) > 0 {
 		tc = reqs[0].TC
 	}
-	return s.do("PullLSABatch", tc, func() error {
-		replies, err := s.api.PullLSABatch(reqs)
+	return s.do(method, tc, func() error {
+		replies, err := pull(reqs)
 		if err != nil {
 			return err
 		}
-		reply.Payload = EncodeLSAReplies(replies)
+		reply.Payload = encodeReplies(replies, item)
 		return nil
 	})
 }
@@ -1004,29 +987,27 @@ func (r *RemoteWorker) EndShard() (EndShardReply, error) {
 }
 
 // PullBGPBatch implements WorkerAPI: the reply set arrives as one varint
-// payload and is decoded client-side. The trace context rides on the first
-// request of the batch.
-func (r *RemoteWorker) PullBGPBatch(reqs []PullBGPRequest) ([]PullBGPReply, error) {
-	if len(reqs) > 0 {
-		reqs[0].TC = r.takeTC()
-	}
-	reply, err := rcall[PullWireReply](r, "PullBGPBatch", reqs)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeBGPReplies(reply.Payload)
+// payload and is decoded client-side.
+func (r *RemoteWorker) PullBGPBatch(reqs []PullRequest) ([]PullReply[bgp.Advertisement], error) {
+	return remotePull(r, "PullBGPBatch", reqs, (*wireDec).adv)
 }
 
 // PullLSABatch implements WorkerAPI.
-func (r *RemoteWorker) PullLSABatch(reqs []PullLSAsRequest) ([]PullLSAsReply, error) {
+func (r *RemoteWorker) PullLSABatch(reqs []PullRequest) ([]PullReply[*ospf.LSA], error) {
+	return remotePull(r, "PullLSABatch", reqs, (*wireDec).lsa)
+}
+
+// remotePull issues one batch pull and decodes its reply set with the item
+// decoder. The trace context rides on the first request of the batch.
+func remotePull[T any](r *RemoteWorker, method string, reqs []PullRequest, item func(*wireDec) (T, error)) ([]PullReply[T], error) {
 	if len(reqs) > 0 {
 		reqs[0].TC = r.takeTC()
 	}
-	reply, err := rcall[PullWireReply](r, "PullLSABatch", reqs)
+	reply, err := rcall[PullWireReply](r, method, reqs)
 	if err != nil {
 		return nil, err
 	}
-	return DecodeLSAReplies(reply.Payload)
+	return decodeReplies(reply.Payload, item)
 }
 
 // ApplyDelta implements WorkerAPI.

@@ -55,24 +55,24 @@ func (s *stubWorker) EndShard() (EndShardReply, error) {
 	return EndShardReply{Routes: 42, ModelBytes: 1000}, nil
 }
 
-func (s *stubWorker) PullBGPBatch(reqs []PullBGPRequest) ([]PullBGPReply, error) {
-	replies := make([]PullBGPReply, len(reqs))
+func (s *stubWorker) PullBGPBatch(reqs []PullRequest) ([]PullReply[bgp.Advertisement], error) {
+	replies := make([]PullReply[bgp.Advertisement], len(reqs))
 	for i, q := range reqs {
 		if s.failPull {
 			return nil, fmt.Errorf("no node %s", q.Exporter)
 		}
 		r := &route.Route{Prefix: route.MustParsePrefix("10.0.0.0/24"), Protocol: route.BGP,
 			ASPath: []uint32{65001}, LocalPref: 100}
-		replies[i] = PullBGPReply{Advs: []bgp.Advertisement{{Route: r}}, Version: 9, Fresh: true}
+		replies[i] = PullReply[bgp.Advertisement]{Items: []bgp.Advertisement{{Route: r}}, Version: 9, Fresh: true}
 	}
 	return replies, nil
 }
 
-func (s *stubWorker) PullLSABatch(reqs []PullLSAsRequest) ([]PullLSAsReply, error) {
-	replies := make([]PullLSAsReply, len(reqs))
+func (s *stubWorker) PullLSABatch(reqs []PullRequest) ([]PullReply[*ospf.LSA], error) {
+	replies := make([]PullReply[*ospf.LSA], len(reqs))
 	for i, q := range reqs {
 		lsas := []*ospf.LSA{{Router: q.Exporter, Stubs: []ospf.LSAStub{{Prefix: route.MustParsePrefix("10.0.0.0/31"), Cost: 1}}}}
-		replies[i] = PullLSAsReply{LSAs: lsas, Version: 4, Fresh: true}
+		replies[i] = PullReply[*ospf.LSA]{Items: lsas, Version: 4, Fresh: true}
 	}
 	return replies, nil
 }
@@ -180,24 +180,24 @@ func TestRPCRoundTripAllMethods(t *testing.T) {
 	}
 
 	// Batched pulls: one round trip, replies aligned with the requests.
-	bgpBatch, err := client.PullBGPBatch([]PullBGPRequest{
+	bgpBatch, err := client.PullBGPBatch([]PullRequest{
 		{Exporter: "r9", Puller: "r1"}, {Exporter: "r8", Puller: "r2", Since: 3, Seen: true},
 	})
-	if err != nil || len(bgpBatch) != 2 || bgpBatch[0].Version != 9 || !bgpBatch[1].Fresh || len(bgpBatch[0].Advs) != 1 {
+	if err != nil || len(bgpBatch) != 2 || bgpBatch[0].Version != 9 || !bgpBatch[1].Fresh || len(bgpBatch[0].Items) != 1 {
 		t.Fatalf("PullBGPBatch: %+v %v", bgpBatch, err)
 	}
 	// Route attributes survive the varint encoding.
-	if r := bgpBatch[0].Advs[0].Route; r.ASPath[0] != 65001 || r.Prefix.String() != "10.0.0.0/24" {
+	if r := bgpBatch[0].Items[0].Route; r.ASPath[0] != 65001 || r.Prefix.String() != "10.0.0.0/24" {
 		t.Fatalf("route mangled: %+v", r)
 	}
 	stub.failPull = true
-	if _, err := client.PullBGPBatch([]PullBGPRequest{{Exporter: "ghost", Puller: "r1"}}); err == nil {
+	if _, err := client.PullBGPBatch([]PullRequest{{Exporter: "ghost", Puller: "r1"}}); err == nil {
 		t.Fatal("pull error must propagate")
 	}
 	stub.failPull = false
-	lsaBatch, err := client.PullLSABatch([]PullLSAsRequest{{Exporter: "r7", Puller: "r1"}})
-	if err != nil || len(lsaBatch) != 1 || lsaBatch[0].Version != 4 || lsaBatch[0].LSAs[0].Router != "r7" ||
-		len(lsaBatch[0].LSAs[0].Stubs) != 1 {
+	lsaBatch, err := client.PullLSABatch([]PullRequest{{Exporter: "r7", Puller: "r1"}})
+	if err != nil || len(lsaBatch) != 1 || lsaBatch[0].Version != 4 || lsaBatch[0].Items[0].Router != "r7" ||
+		len(lsaBatch[0].Items[0].Stubs) != 1 {
 		t.Fatalf("PullLSABatch: %+v %v", lsaBatch, err)
 	}
 

@@ -68,6 +68,17 @@ func (d *wireDec) uvarint() (uint64, error) {
 	return v, nil
 }
 
+// count reads a length prefix. Every counted element takes at least one
+// byte, so a count larger than what remains is corrupt; rejecting it here
+// keeps an untrusted prefix from sizing an allocation.
+func (d *wireDec) count() (uint64, error) {
+	n, err := d.uvarint()
+	if err == nil && n > uint64(len(d.buf)) {
+		err = fmt.Errorf("sidecar: wire codec: count %d exceeds remaining %d bytes", n, len(d.buf))
+	}
+	return n, err
+}
+
 func (d *wireDec) byte() (byte, error) {
 	if len(d.buf) == 0 {
 		return 0, fmt.Errorf("sidecar: wire codec: truncated byte")
@@ -165,7 +176,7 @@ func (d *wireDec) route() (*route.Route, error) {
 		return nil, err
 	}
 	r.Metric = uint32(metric)
-	n, err := d.uvarint()
+	n, err := d.count()
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +200,7 @@ func (d *wireDec) route() (*route.Route, error) {
 		return nil, err
 	}
 	r.Origin = route.Origin(origin)
-	if n, err = d.uvarint(); err != nil {
+	if n, err = d.count(); err != nil {
 		return nil, err
 	}
 	if n > 0 {
@@ -215,29 +226,116 @@ func (d *wireDec) route() (*route.Route, error) {
 	return r, nil
 }
 
-// EncodeBGPReplies packs a batch-pull reply set into the varint wire form.
-func EncodeBGPReplies(replies []PullBGPReply) []byte {
+func (e *wireEnc) adv(a bgp.Advertisement) { e.route(a.Route) }
+
+func (d *wireDec) adv() (bgp.Advertisement, error) {
+	r, err := d.route()
+	return bgp.Advertisement{Route: r}, err
+}
+
+func (e *wireEnc) lsa(lsa *ospf.LSA) {
+	if lsa == nil {
+		e.bool(false)
+		return
+	}
+	e.bool(true)
+	e.str(lsa.Router)
+	e.uvarint(uint64(lsa.RouterID))
+	e.uvarint(uint64(len(lsa.Links)))
+	for _, l := range lsa.Links {
+		e.str(l.Neighbor)
+		e.uvarint(uint64(l.Cost))
+	}
+	e.uvarint(uint64(len(lsa.Stubs)))
+	for _, s := range lsa.Stubs {
+		e.uvarint(uint64(s.Prefix.Addr))
+		e.byte(s.Prefix.Len)
+		e.uvarint(uint64(s.Cost))
+	}
+}
+
+func (d *wireDec) lsa() (*ospf.LSA, error) {
+	present, err := d.bool()
+	if err != nil || !present {
+		return nil, err
+	}
+	lsa := &ospf.LSA{}
+	if lsa.Router, err = d.str(); err != nil {
+		return nil, err
+	}
+	rid, err := d.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	lsa.RouterID = uint32(rid)
+	nlinks, err := d.count()
+	if err != nil {
+		return nil, err
+	}
+	if nlinks > 0 {
+		lsa.Links = make([]ospf.LSALink, nlinks)
+		for k := range lsa.Links {
+			if lsa.Links[k].Neighbor, err = d.str(); err != nil {
+				return nil, err
+			}
+			cost, err := d.uvarint()
+			if err != nil {
+				return nil, err
+			}
+			lsa.Links[k].Cost = uint32(cost)
+		}
+	}
+	nstubs, err := d.count()
+	if err != nil {
+		return nil, err
+	}
+	if nstubs > 0 {
+		lsa.Stubs = make([]ospf.LSAStub, nstubs)
+		for k := range lsa.Stubs {
+			addr, err := d.uvarint()
+			if err != nil {
+				return nil, err
+			}
+			plen, err := d.byte()
+			if err != nil {
+				return nil, err
+			}
+			lsa.Stubs[k].Prefix = route.Prefix{Addr: uint32(addr), Len: plen}
+			cost, err := d.uvarint()
+			if err != nil {
+				return nil, err
+			}
+			lsa.Stubs[k].Cost = uint32(cost)
+		}
+	}
+	return lsa, nil
+}
+
+// encodeReplies packs a batch-pull reply set into the varint wire form:
+// the reply count, then per reply its version, fresh flag, item count and
+// items in the protocol's item encoding.
+func encodeReplies[T any](replies []PullReply[T], item func(*wireEnc, T)) []byte {
 	e := newWireEnc()
 	e.uvarint(uint64(len(replies)))
 	for _, rep := range replies {
 		e.uvarint(rep.Version)
 		e.bool(rep.Fresh)
-		e.uvarint(uint64(len(rep.Advs)))
-		for _, adv := range rep.Advs {
-			e.route(adv.Route)
+		e.uvarint(uint64(len(rep.Items)))
+		for _, it := range rep.Items {
+			item(e, it)
 		}
 	}
 	return e.buf
 }
 
-// DecodeBGPReplies unpacks EncodeBGPReplies output.
-func DecodeBGPReplies(payload []byte) ([]PullBGPReply, error) {
+// decodeReplies unpacks encodeReplies output.
+func decodeReplies[T any](payload []byte, item func(*wireDec) (T, error)) ([]PullReply[T], error) {
 	d := &wireDec{buf: payload}
-	n, err := d.uvarint()
+	n, err := d.count()
 	if err != nil {
 		return nil, err
 	}
-	replies := make([]PullBGPReply, n)
+	replies := make([]PullReply[T], n)
 	for i := range replies {
 		if replies[i].Version, err = d.uvarint(); err != nil {
 			return nil, err
@@ -245,142 +343,18 @@ func DecodeBGPReplies(payload []byte) ([]PullBGPReply, error) {
 		if replies[i].Fresh, err = d.bool(); err != nil {
 			return nil, err
 		}
-		na, err := d.uvarint()
+		ni, err := d.count()
 		if err != nil {
 			return nil, err
 		}
-		if na == 0 {
+		if ni == 0 {
 			continue
 		}
-		replies[i].Advs = make([]bgp.Advertisement, na)
-		for j := range replies[i].Advs {
-			r, err := d.route()
-			if err != nil {
+		replies[i].Items = make([]T, ni)
+		for j := range replies[i].Items {
+			if replies[i].Items[j], err = item(d); err != nil {
 				return nil, err
 			}
-			replies[i].Advs[j].Route = r
-		}
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("sidecar: wire codec: %d trailing bytes", len(d.buf))
-	}
-	return replies, nil
-}
-
-// EncodeLSAReplies packs an LSA batch-pull reply set into the varint wire
-// form.
-func EncodeLSAReplies(replies []PullLSAsReply) []byte {
-	e := newWireEnc()
-	e.uvarint(uint64(len(replies)))
-	for _, rep := range replies {
-		e.uvarint(rep.Version)
-		e.bool(rep.Fresh)
-		e.uvarint(uint64(len(rep.LSAs)))
-		for _, lsa := range rep.LSAs {
-			if lsa == nil {
-				e.bool(false)
-				continue
-			}
-			e.bool(true)
-			e.str(lsa.Router)
-			e.uvarint(uint64(lsa.RouterID))
-			e.uvarint(uint64(len(lsa.Links)))
-			for _, l := range lsa.Links {
-				e.str(l.Neighbor)
-				e.uvarint(uint64(l.Cost))
-			}
-			e.uvarint(uint64(len(lsa.Stubs)))
-			for _, s := range lsa.Stubs {
-				e.uvarint(uint64(s.Prefix.Addr))
-				e.byte(s.Prefix.Len)
-				e.uvarint(uint64(s.Cost))
-			}
-		}
-	}
-	return e.buf
-}
-
-// DecodeLSAReplies unpacks EncodeLSAReplies output.
-func DecodeLSAReplies(payload []byte) ([]PullLSAsReply, error) {
-	d := &wireDec{buf: payload}
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	replies := make([]PullLSAsReply, n)
-	for i := range replies {
-		if replies[i].Version, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		if replies[i].Fresh, err = d.bool(); err != nil {
-			return nil, err
-		}
-		nl, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nl == 0 {
-			continue
-		}
-		replies[i].LSAs = make([]*ospf.LSA, nl)
-		for j := range replies[i].LSAs {
-			present, err := d.bool()
-			if err != nil {
-				return nil, err
-			}
-			if !present {
-				continue
-			}
-			lsa := &ospf.LSA{}
-			if lsa.Router, err = d.str(); err != nil {
-				return nil, err
-			}
-			rid, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			lsa.RouterID = uint32(rid)
-			nlinks, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if nlinks > 0 {
-				lsa.Links = make([]ospf.LSALink, nlinks)
-				for k := range lsa.Links {
-					if lsa.Links[k].Neighbor, err = d.str(); err != nil {
-						return nil, err
-					}
-					cost, err := d.uvarint()
-					if err != nil {
-						return nil, err
-					}
-					lsa.Links[k].Cost = uint32(cost)
-				}
-			}
-			nstubs, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if nstubs > 0 {
-				lsa.Stubs = make([]ospf.LSAStub, nstubs)
-				for k := range lsa.Stubs {
-					addr, err := d.uvarint()
-					if err != nil {
-						return nil, err
-					}
-					plen, err := d.byte()
-					if err != nil {
-						return nil, err
-					}
-					lsa.Stubs[k].Prefix = route.Prefix{Addr: uint32(addr), Len: plen}
-					cost, err := d.uvarint()
-					if err != nil {
-						return nil, err
-					}
-					lsa.Stubs[k].Cost = uint32(cost)
-				}
-			}
-			replies[i].LSAs[j] = lsa
 		}
 	}
 	if len(d.buf) != 0 {

@@ -1,6 +1,7 @@
 package sidecar
 
 import (
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -9,23 +10,39 @@ import (
 	"s2/internal/route"
 )
 
-func TestBGPWireCodecRoundTrip(t *testing.T) {
-	mkRoute := func(addr uint32, nhNode string, path []uint32) *route.Route {
-		return &route.Route{
-			Prefix:       route.MakePrefix(addr, 24),
-			Protocol:     route.BGP,
-			NextHop:      0x0a000001,
-			NextHopNode:  nhNode,
-			Metric:       5,
-			ASPath:       path,
-			LocalPref:    100,
-			Origin:       route.OriginIGP,
-			Communities:  []route.Community{route.MakeCommunity(65000, 7)},
-			OriginatorID: 0x01000002,
-			PeerAS:       65002,
-		}
+type (
+	bgpReplies = []PullReply[bgp.Advertisement]
+	lsaReplies = []PullReply[*ospf.LSA]
+)
+
+func encodeBGP(r bgpReplies) []byte { return encodeReplies(r, (*wireEnc).adv) }
+func encodeLSA(r lsaReplies) []byte { return encodeReplies(r, (*wireEnc).lsa) }
+func decodeBGP(b []byte) (bgpReplies, error) {
+	return decodeReplies(b, (*wireDec).adv)
+}
+func decodeLSA(b []byte) (lsaReplies, error) {
+	return decodeReplies(b, (*wireDec).lsa)
+}
+
+func wireRoute(addr uint32, nhNode string, path []uint32, comms []route.Community) *route.Route {
+	return &route.Route{
+		Prefix:       route.MakePrefix(addr, 24),
+		Protocol:     route.BGP,
+		NextHop:      0x0a000001,
+		NextHopNode:  nhNode,
+		Metric:       5,
+		ASPath:       path,
+		LocalPref:    100,
+		Origin:       route.OriginIGP,
+		Communities:  comms,
+		OriginatorID: 0x01000002,
+		PeerAS:       65002,
 	}
-	cases := [][]PullBGPReply{
+}
+
+func TestBGPWireCodecRoundTrip(t *testing.T) {
+	comm := []route.Community{route.MakeCommunity(65000, 7)}
+	cases := []bgpReplies{
 		nil,
 		{},
 		{{Version: 3, Fresh: false}},
@@ -33,42 +50,27 @@ func TestBGPWireCodecRoundTrip(t *testing.T) {
 			{
 				Version: 42,
 				Fresh:   true,
-				Advs: []bgp.Advertisement{
-					{Route: mkRoute(0x0a800000, "edge-0-0", []uint32{65001, 65002})},
-					{Route: mkRoute(0x0a800100, "edge-0-0", []uint32{65001})},
-					{Route: mkRoute(0x0a800200, "agg-1-1", nil)},
+				Items: []bgp.Advertisement{
+					{Route: wireRoute(0x0a800000, "edge-0-0", []uint32{65001, 65002}, comm)},
+					{Route: wireRoute(0x0a800100, "edge-0-0", []uint32{65001}, comm)},
+					{Route: wireRoute(0x0a800200, "agg-1-1", nil, comm)},
 				},
 			},
-			{Version: 7, Fresh: true, Advs: []bgp.Advertisement{{Route: mkRoute(0x0a800300, "edge-0-0", nil)}}},
+			{Version: 7, Fresh: true, Items: []bgp.Advertisement{{Route: wireRoute(0x0a800300, "edge-0-0", nil, comm)}}},
 			{Version: 9, Fresh: false},
 		},
 	}
 	for i, replies := range cases {
-		payload := EncodeBGPReplies(replies)
-		got, err := DecodeBGPReplies(payload)
+		got, err := decodeBGP(encodeBGP(replies))
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
 		want := replies
 		if want == nil {
-			want = []PullBGPReply{}
+			want = bgpReplies{}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("case %d: got %d replies, want %d", i, len(got), len(want))
-		}
-		for j := range want {
-			if got[j].Version != want[j].Version || got[j].Fresh != want[j].Fresh {
-				t.Fatalf("case %d reply %d: header mismatch: %+v vs %+v", i, j, got[j], want[j])
-			}
-			if len(got[j].Advs) != len(want[j].Advs) {
-				t.Fatalf("case %d reply %d: %d advs, want %d", i, j, len(got[j].Advs), len(want[j].Advs))
-			}
-			for k := range want[j].Advs {
-				if !got[j].Advs[k].Route.Equal(want[j].Advs[k].Route) {
-					t.Fatalf("case %d reply %d adv %d: route mismatch:\n got %v\nwant %v",
-						i, j, k, got[j].Advs[k].Route, want[j].Advs[k].Route)
-				}
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: round trip mismatch:\n got %+v\nwant %+v", i, got, want)
 		}
 	}
 }
@@ -85,7 +87,7 @@ func TestBGPWireCodecSmallerThanNaive(t *testing.T) {
 			ASPath:      []uint32{65001, 65002, 65003},
 		}})
 	}
-	payload := EncodeBGPReplies([]PullBGPReply{{Version: 1, Fresh: true, Advs: advs}})
+	payload := encodeBGP(bgpReplies{{Version: 1, Fresh: true, Items: advs}})
 	naive := 200 * len("a-rather-long-device-hostname-0-0")
 	if len(payload) >= naive {
 		t.Fatalf("payload %d bytes, expected well under the %d bytes of repeated names alone", len(payload), naive)
@@ -93,8 +95,8 @@ func TestBGPWireCodecSmallerThanNaive(t *testing.T) {
 }
 
 func TestLSAWireCodecRoundTrip(t *testing.T) {
-	replies := []PullLSAsReply{
-		{Version: 11, Fresh: true, LSAs: []*ospf.LSA{
+	replies := lsaReplies{
+		{Version: 11, Fresh: true, Items: []*ospf.LSA{
 			{
 				Router:   "r1",
 				RouterID: 0x01000001,
@@ -106,8 +108,7 @@ func TestLSAWireCodecRoundTrip(t *testing.T) {
 		}},
 		{Version: 12, Fresh: false},
 	}
-	payload := EncodeLSAReplies(replies)
-	got, err := DecodeLSAReplies(payload)
+	got, err := decodeLSA(encodeLSA(replies))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -116,12 +117,105 @@ func TestLSAWireCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPullReplyWireBytesPinned pins the reply payloads of protocol version
+// 1 byte for byte: a change to them is a wire change and needs a new
+// ProtocolVersion.
+func TestPullReplyWireBytesPinned(t *testing.T) {
+	bgpSet := bgpReplies{
+		{Version: 42, Fresh: true, Items: []bgp.Advertisement{
+			{Route: wireRoute(0x0a800000, "edge-0-0", []uint32{65001, 65002}, []route.Community{route.MakeCommunity(65000, 7)})},
+			{Route: wireRoute(0x0a800100, "edge-0-0", []uint32{65001}, nil)},
+			{Route: nil},
+			{Route: wireRoute(0x0a800200, "agg-1-1", nil, nil)},
+		}},
+		{Version: 7, Fresh: false},
+		{Version: 9, Fresh: true, Items: []bgp.Advertisement{}},
+		{Version: 3, Fresh: true, Items: []bgp.Advertisement{{Route: wireRoute(0x0a800300, "agg-1-1", []uint32{300000}, nil)}}},
+	}
+	lsaSet := lsaReplies{
+		{Version: 11, Fresh: true, Items: []*ospf.LSA{
+			{Router: "r1", RouterID: 0x01000001,
+				Links: []ospf.LSALink{{Neighbor: "r2", Cost: 10}, {Neighbor: "r3", Cost: 20}},
+				Stubs: []ospf.LSAStub{{Prefix: route.MakePrefix(0x0a800000, 24), Cost: 1}}},
+			nil,
+			{Router: "r2", RouterID: 0x01000002, Links: []ospf.LSALink{{Neighbor: "r1", Cost: 10}}},
+			{Router: "r3", RouterID: 0x01000003},
+		}},
+		{Version: 12, Fresh: false},
+		{Version: 13, Fresh: true, Items: []*ospf.LSA{nil, {Router: "r1", Links: []ospf.LSALink{{Neighbor: "r3", Cost: 1}}}}},
+	}
+	for _, tc := range []struct {
+		name, want string
+		got        []byte
+	}{
+		{"bgp", "042a010401808080541803818080500008656467652d302d300502e9fb03eafb036400018780a0ef0f82808008eafb03" +
+			"0180828054180381808050010501e9fb0364000082808008eafb0300018084805418038180805000076167672d312d3105" +
+			"0064000082808008eafb030700000901000301010180868054180381808050020501e0a71264000082808008eafb03",
+			encodeBGP(bgpSet)},
+		{"lsa", "030b010401000272318180800802000272320a0002723314018080805418010001028280800801010a00010383808008" +
+			"00000c00000d01020001010001030100",
+			encodeLSA(lsaSet)},
+		{"empty", "00", encodeBGP(nil)},
+	} {
+		if got := hex.EncodeToString(tc.got); got != tc.want {
+			t.Errorf("%s reply bytes changed:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestWireCodecRejectsGarbage(t *testing.T) {
-	if _, err := DecodeBGPReplies([]byte{0xff, 0xff, 0xff}); err == nil {
-		t.Fatal("expected error on truncated payload")
+	good := encodeBGP(bgpReplies{{Version: 1, Fresh: true}})
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"truncated varint", []byte{0xff, 0xff, 0xff}},
+		{"trailing bytes", append(good, 0x00)},
+		// Length prefixes larger than the payload: each must fail before
+		// it sizes an allocation (the first one asks for 2^32 replies).
+		{"huge reply count", []byte{0xff, 0xff, 0xff, 0xff, 0x0f}},
+		{"huge item count", []byte{0x01, 0x01, 0x01, 0xff, 0xff, 0xff, 0xff, 0x0f}},
+		{"huge as-path", []byte{0x01, 0x01, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f}},
+	} {
+		if _, err := decodeBGP(tc.data); err == nil {
+			t.Errorf("bgp %s: expected an error", tc.name)
+		}
 	}
-	good := EncodeBGPReplies([]PullBGPReply{{Version: 1, Fresh: true}})
-	if _, err := DecodeBGPReplies(append(good, 0x00)); err == nil {
-		t.Fatal("expected error on trailing bytes")
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"huge reply count", []byte{0xff, 0xff, 0xff, 0xff, 0x0f}},
+		{"huge link count", []byte{0x01, 0x01, 0x01, 0x01, 0x01, 0x00, 0x01, 0x72, 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f}},
+	} {
+		if _, err := decodeLSA(tc.data); err == nil {
+			t.Errorf("lsa %s: expected an error", tc.name)
+		}
 	}
+}
+
+// FuzzDecodePullReplies feeds arbitrary bytes to both reply decoders. They
+// must never panic, and whatever decodes must survive a round trip.
+func FuzzDecodePullReplies(f *testing.F) {
+	comm := []route.Community{route.MakeCommunity(65000, 7)}
+	f.Add(encodeBGP(bgpReplies{{Version: 4, Fresh: true, Items: []bgp.Advertisement{
+		{Route: wireRoute(0x0a800000, "edge-0-0", []uint32{65001}, comm)}, {Route: nil}}}}))
+	f.Add(encodeLSA(lsaReplies{{Version: 2, Fresh: true, Items: []*ospf.LSA{
+		{Router: "r1", Links: []ospf.LSALink{{Neighbor: "r2", Cost: 1}}}, nil}}, {Version: 3}}))
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, err := decodeBGP(data); err == nil {
+			again, err := decodeBGP(encodeBGP(got))
+			if err != nil || !reflect.DeepEqual(again, got) {
+				t.Fatalf("bgp round trip: %v\n got %+v\nwant %+v", err, again, got)
+			}
+		}
+		if got, err := decodeLSA(data); err == nil {
+			again, err := decodeLSA(encodeLSA(got))
+			if err != nil || !reflect.DeepEqual(again, got) {
+				t.Fatalf("lsa round trip: %v\n got %+v\nwant %+v", err, again, got)
+			}
+		}
+	})
 }
