@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -143,7 +144,10 @@ func TestConditionalDependencyInDPDG(t *testing.T) {
 // WITHOUT conditional dependencies split the backup from the primary; the
 // runtime detector notices the consulted condition references an
 // out-of-shard prefix, merges the shards, recomputes, and the final RIBs
-// match the unsharded run.
+// match the unsharded run. The sharded run spills, so its harvests are
+// deferred: the merged recompute rewrites its shard's spill file, which must
+// drain after (and so supersede) the shards it absorbed, and the compiled
+// data plane must match the unsharded run's too.
 func TestRuntimeShardMerge(t *testing.T) {
 	snap, texts := condSnap(t, true)
 	ref := newS2(t, snap, texts, Options{Workers: 2, Shards: 1, KeepRIBs: true, Seed: 1})
@@ -155,7 +159,7 @@ func TestRuntimeShardMerge(t *testing.T) {
 
 	snap2, _ := condSnap(t, true)
 	c := newS2(t, snap2, texts, Options{
-		Workers: 2, Shards: 5, KeepRIBs: true, Seed: 1,
+		Workers: 2, Shards: 5, KeepRIBs: true, Seed: 1, SpillDir: t.TempDir(),
 		IgnoreConditionalDeps: true,
 	})
 	runCP(t, c)
@@ -175,6 +179,20 @@ func TestRuntimeShardMerge(t *testing.T) {
 	for node, rib := range want {
 		if !rib.Equal(got[node]) {
 			t.Fatalf("%s differs after runtime merge: %v", node, rib.Diff(got[node]))
+		}
+	}
+	for _, v := range []*Controller{ref, c} {
+		if _, err := v.ComputeDataPlane(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantDP, gotDP := predicates(ref), predicates(c)
+	if len(gotDP) != len(wantDP) {
+		t.Fatalf("%d compiled nodes, want %d", len(gotDP), len(wantDP))
+	}
+	for name, p := range wantDP {
+		if !bytes.Equal(gotDP[name], p) {
+			t.Fatalf("compiled predicates of %s differ from the unsharded run", name)
 		}
 	}
 }

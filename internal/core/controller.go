@@ -43,7 +43,8 @@ type Options struct {
 	MemoryBudget int64
 	// MaxBDDNodes bounds each worker's BDD node table (0 = unlimited).
 	MaxBDDNodes int
-	// SpillDir enables writing shard results to disk between rounds.
+	// SpillDir keeps shard results on disk until the next data-plane
+	// compute harvests them (see sidecar.SetupRequest.SpillDir).
 	SpillDir string
 	// KeepRIBs retains full RIBs for CollectRIBs (equivalence testing).
 	KeepRIBs bool

@@ -30,6 +30,17 @@ func benchRIB(prefixes, routesPer int) *route.RIB {
 	return rib
 }
 
+// liteRoute strips heavyweight path attributes, keeping only what FIB
+// construction needs — one fresh Route per call, as the naive harvest did.
+func liteRoute(r *route.Route) *route.Route {
+	return &route.Route{
+		Prefix:      r.Prefix,
+		Protocol:    r.Protocol,
+		NextHop:     r.NextHop,
+		NextHopNode: r.NextHopNode,
+	}
+}
+
 // BenchmarkEndShardHarvest compares the two harvest strategies for one
 // shard's routes (the per-shard hot loop of EndShard):
 //
@@ -78,36 +89,6 @@ func BenchmarkEndShardHarvest(b *testing.B) {
 				off += len(rs)
 				out[k], k = lites, k+1
 			})
-		}
-	})
-
-	// Spill mode's variant: the scratch block survives across shards, so
-	// the steady state allocates nothing at all for the stripped copies.
-	b.Run("spill-scratch", func(b *testing.B) {
-		b.ReportAllocs()
-		var scratchBlock []route.Route
-		for i := 0; i < b.N; i++ {
-			scratchOff := 0
-			scratch := func(n int) []route.Route {
-				if scratchOff+n > len(scratchBlock) {
-					scratchBlock = make([]route.Route, 2*(scratchOff+n))
-					scratchOff = 0
-				}
-				s := scratchBlock[scratchOff : scratchOff+n : scratchOff+n]
-				scratchOff += n
-				return s
-			}
-			lites := make([]*route.Route, 0, rib.RouteCount())
-			rib.Range(func(p route.Prefix, rs []*route.Route) {
-				backing := scratch(len(rs))
-				for j, r := range rs {
-					backing[j] = route.Route{Prefix: r.Prefix, Protocol: r.Protocol, NextHop: r.NextHop, NextHopNode: r.NextHopNode}
-					lites = append(lites, &backing[j])
-				}
-			})
-			if len(lites) != prefixes*routesPer {
-				b.Fatalf("harvested %d routes", len(lites))
-			}
 		}
 	})
 }

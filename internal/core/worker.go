@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -97,19 +98,16 @@ type Worker struct {
 	needsRun    map[string]bool
 	shardIndex  int
 	// shardPrefixes is the current shard's prefix set (nil = unfiltered);
-	// EndShard clears these from accumulated results before harvesting so
-	// a merged-shard recompute (§7) replaces stale entries.
+	// the harvest replaces the accumulated results for exactly these, so a
+	// merged-shard recompute (§7) replaces stale entries.
 	shardPrefixes []route.Prefix
 
 	// Results accumulated across shards.
 	fibRIBs   map[string]*route.RIB // attribute-stripped routes for FIB building
 	finalRIBs map[string]*route.RIB // full routes (only when keepRIBs)
-	spills    []string
-	// liteScratch backs the attribute-stripped route copies of spill-mode
-	// EndShard harvests. The copies are dead once the shard is encoded to
-	// disk, so the buffer is reused across shards (it converges to the
-	// largest shard's size after the first few harvests).
-	liteScratch []route.Route
+	// spills are the pending spill files, one per shard index, in write
+	// order (spillShard); drainSpills harvests and deletes them.
+	spills []string
 
 	// Data plane. The engine and the compiled nodes stay resident across
 	// ComputeDP calls; dpDirty records, per local node, what changed in the
@@ -168,10 +166,10 @@ type Worker struct {
 }
 
 // spillPayload is one shard round's on-disk result: the shard's prefix
-// set plus the attribute-stripped routes per node.
+// set plus the attribute-stripped routes per node, grouped by prefix.
 type spillPayload struct {
 	Prefixes []route.Prefix
-	Routes   map[string][]*route.Route
+	Routes   map[string][]route.Route
 }
 
 // dirtyNode is one node's pending data-plane work: the prefixes whose
@@ -700,21 +698,10 @@ func applyNodes[P any](w *Worker, procs map[string]P, step func(name string, pro
 	return reply, w.tracker.CheckBudget()
 }
 
-// liteRoute strips heavyweight path attributes, keeping only what FIB
-// construction needs. This is what lets prefix sharding lower the live
-// footprint: the full attribute set is freed with the shard.
-func liteRoute(r *route.Route) *route.Route {
-	return &route.Route{
-		Prefix:      r.Prefix,
-		Protocol:    r.Protocol,
-		NextHop:     r.NextHop,
-		NextHopNode: r.NextHopNode,
-	}
-}
-
-// EndShard implements sidecar.WorkerAPI: harvest the shard's routes into
-// the FIB-building state (or spill them to disk) and free the shard's
-// full-attribute RIBs.
+// EndShard implements sidecar.WorkerAPI: free the shard's full-attribute
+// RIBs and harvest its routes into the FIB-building state. In spill mode the
+// harvest is deferred: the shard's stripped routes go to disk and the next
+// ComputeDP (or ApplyDelta) drains them through the same harvest.
 func (w *Worker) EndShard() (sidecar.EndShardReply, error) {
 	w.phaseMu.Lock()
 	defer w.phaseMu.Unlock()
@@ -725,131 +712,149 @@ func (w *Worker) EndShard() (sidecar.EndShardReply, error) {
 	}()
 	w.flight.Record("phase", "end-shard %d", w.shardIndex)
 	reply := sidecar.EndShardReply{}
-	// Drop any previously harvested results for this shard's prefixes: a
-	// merged-shard recompute must replace them wholesale, including
-	// prefixes the recompute decided NOT to install. An in-memory run's
-	// FIB-building routes are not dropped but diffed against the new harvest
-	// (harvestFIB below) — the difference is what ComputeDP has to patch.
-	clearShard := func(rib *route.RIB) {
-		for _, p := range w.shardPrefixes {
-			rib.Remove(p)
-		}
-		if w.shardPrefixes == nil {
-			rib.Clear()
-		}
-	}
+	locs := make(map[string]*route.RIB, len(w.bgpProcs))
 	for _, name := range w.localNames {
-		if w.spillDir != "" {
-			clearShard(w.fibRIBs[name])
-		}
 		if w.keepRIBs {
-			clearShard(w.finalRIBs[name])
+			// A merged-shard recompute (§7) replaces the shard's full
+			// routes wholesale, including prefixes it decided NOT to install.
+			final := w.finalRIBs[name]
+			for _, p := range w.shardPrefixes {
+				final.Remove(p)
+			}
+			if w.shardPrefixes == nil {
+				final.Clear()
+			}
 		}
-	}
-	// Harvest with one backing array of stripped copies per node (plus one
-	// pointer array) instead of a fresh slice per prefix and a fresh Route
-	// per entry — the dominant allocation churn of the shard loop (see
-	// BenchmarkEndShardHarvest; the in-memory side is harvestFIB). Spill mode
-	// reuses w.liteScratch across shards: the copies are dead once the shard
-	// hits disk.
-	shardLite := map[string][]*route.Route{}
-	scratchOff := 0
-	scratch := func(n int) []route.Route {
-		if scratchOff+n > len(w.liteScratch) {
-			// A fresh, larger block. Pointers already handed out keep
-			// referencing the old block, which stays correct; the new block
-			// is what future shards reuse.
-			size := 2 * (scratchOff + n)
-			w.liteScratch = make([]route.Route, size)
-			scratchOff = 0
-		}
-		s := w.liteScratch[scratchOff : scratchOff+n : scratchOff+n]
-		scratchOff += n
-		return s
-	}
-	for _, name := range w.localNames {
 		proc, ok := w.bgpProcs[name]
 		if !ok {
-			if w.spillDir == "" {
-				w.harvestFIB(name, nil)
-			}
 			continue
 		}
 		for _, list := range proc.UsedConditions() {
 			reply.Conditions = append(reply.Conditions, sidecar.ConditionReport{Device: name, PrefixList: list})
 		}
 		rib := proc.LocRIB()
-		total := rib.RouteCount()
-		reply.Routes += total
-		if w.spillDir != "" {
-			lites := make([]*route.Route, 0, total)
+		reply.Routes += rib.RouteCount()
+		if w.keepRIBs {
 			rib.Range(func(p route.Prefix, rs []*route.Route) {
-				backing := scratch(len(rs))
-				for i, r := range rs {
-					backing[i] = route.Route{Prefix: r.Prefix, Protocol: r.Protocol, NextHop: r.NextHop, NextHopNode: r.NextHopNode}
-					lites = append(lites, &backing[i])
-				}
-				if w.keepRIBs {
-					w.finalRIBs[name].SetRoutes(p, rs)
-				}
+				w.finalRIBs[name].SetRoutes(p, rs)
 			})
-			shardLite[name] = lites
-		} else {
-			w.harvestFIB(name, rib)
-			if w.keepRIBs {
-				rib.Range(func(p route.Prefix, rs []*route.Route) {
-					w.finalRIBs[name].SetRoutes(p, rs)
-				})
-			}
 		}
+		locs[name] = rib
 		// Free the shard's full-attribute state now; the next BeginShard
 		// would do it anyway, but the paper's point is that the peak
-		// drops when the shard's routes leave memory.
+		// drops when the shard's routes leave memory. The reset swaps in a
+		// fresh Loc-RIB, so rib stays intact for the harvest.
 		proc.ResetForShard(nil)
 	}
 	if w.spillDir != "" {
-		path := filepath.Join(w.spillDir, fmt.Sprintf("w%d-shard%d-run%d.gob", w.id, w.shardIndex, len(w.spills)))
-		f, err := os.Create(path)
-		if err != nil {
-			return reply, fmt.Errorf("core: worker %d spilling shard %d: %w", w.id, w.shardIndex, err)
+		if err := w.spillShard(locs); err != nil {
+			return reply, err
 		}
-		payload := spillPayload{Prefixes: w.shardPrefixes, Routes: shardLite}
-		// On any failure, close AND remove the partial file: a truncated
-		// .gob left behind would fail to decode at ComputeDP reload time.
-		if err := gob.NewEncoder(f).Encode(payload); err != nil {
-			f.Close()
-			os.Remove(path)
-			return reply, fmt.Errorf("core: worker %d spilling shard %d: %w", w.id, w.shardIndex, err)
-		}
-		if err := f.Close(); err != nil {
-			os.Remove(path)
-			return reply, fmt.Errorf("core: worker %d spilling shard %d: %w", w.id, w.shardIndex, err)
-		}
-		if st, err := os.Stat(path); err == nil {
-			w.obsSpill(st.Size())
-		}
-		w.spills = append(w.spills, path)
 	} else {
-		var bytes int64
-		for _, rib := range w.fibRIBs {
-			bytes += int64(rib.RouteCount()) * route.LiteModelBytes
-		}
-		w.tracker.Set("fib.accum", bytes)
+		w.harvest(w.shardPrefixes, locs)
 	}
 	reply.ModelBytes = w.tracker.Current()
 	return reply, w.tracker.CheckBudget()
 }
 
-// harvestFIB replaces node name's FIB-building routes for the current
-// shard's prefixes with attribute-stripped copies of the shard round's
-// Loc-RIB (nil = the node runs no BGP). Only prefixes whose forwarding-
-// relevant content differs from what is resident are rewritten, and exactly
-// those are marked dirty for the next ComputeDP: a re-run shard that
-// converges to the same next hops costs the data plane nothing. The copies
-// share one backing array sized to the changed routes — the whole shard on a
-// cold run, a handful on a delta, so a delta never pins a shard-sized array
-// behind one live route.
-func (w *Worker) harvestFIB(name string, loc *route.RIB) {
+// harvest lands one shard round in the FIB-building state — locs[name] is
+// node name's Loc-RIB, absent when the node runs no BGP; prefixes is the
+// round's prefix set, nil = unfiltered — and re-measures that state's
+// modelled footprint. An in-memory EndShard calls it at once; spill mode
+// calls it from drainSpills.
+func (w *Worker) harvest(prefixes []route.Prefix, locs map[string]*route.RIB) {
+	var bytes int64
+	for _, name := range w.localNames {
+		w.harvestFIB(name, locs[name], prefixes)
+		bytes += int64(w.fibRIBs[name].RouteCount()) * route.LiteModelBytes
+	}
+	w.tracker.Set("fib.accum", bytes)
+}
+
+// spillShard writes the shard round's routes, attribute-stripped, to the
+// file of its shard index and queues that file last for the next drain. A
+// rewritten index (a §7 merged recompute) overwrites its file and moves
+// behind every shard it may supersede, so pending files stay bounded by the
+// shard count and drain in the order an in-memory run harvests.
+func (w *Worker) spillShard(locs map[string]*route.RIB) error {
+	payload := spillPayload{Prefixes: w.shardPrefixes, Routes: make(map[string][]route.Route, len(locs))}
+	for name, rib := range locs {
+		lites := make([]route.Route, 0, rib.RouteCount())
+		rib.Range(func(_ route.Prefix, rs []*route.Route) {
+			for _, r := range rs {
+				lites = append(lites, route.Route{Prefix: r.Prefix, Protocol: r.Protocol, NextHop: r.NextHop, NextHopNode: r.NextHopNode})
+			}
+		})
+		payload.Routes[name] = lites
+	}
+	path := filepath.Join(w.spillDir, fmt.Sprintf("w%d-shard%d.gob", w.id, w.shardIndex))
+	f, err := os.Create(path)
+	if err == nil {
+		err = gob.NewEncoder(f).Encode(payload)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	w.spills = slices.DeleteFunc(w.spills, func(p string) bool { return p == path })
+	if err != nil {
+		// A truncated file would fail to decode at drain time.
+		os.Remove(path)
+		return fmt.Errorf("core: worker %d spilling shard %d: %w", w.id, w.shardIndex, err)
+	}
+	if st, err := os.Stat(path); err == nil {
+		w.obsSpill(st.Size())
+	}
+	w.spills = append(w.spills, path)
+	return nil
+}
+
+// drainSpills harvests every pending spill file in write order and deletes
+// it. A file's routes come back grouped by prefix, in the order spillShard
+// ranged them.
+func (w *Worker) drainSpills() error {
+	for len(w.spills) > 0 {
+		path := w.spills[0]
+		f, err := os.Open(path)
+		if err != nil {
+			return fmt.Errorf("core: worker %d loading spill: %w", w.id, err)
+		}
+		var payload spillPayload
+		err = gob.NewDecoder(f).Decode(&payload)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("core: worker %d decoding spill: %w", w.id, err)
+		}
+		locs := make(map[string]*route.RIB, len(payload.Routes))
+		var run []*route.Route
+		for name, rs := range payload.Routes {
+			rib := route.NewRIB()
+			for i := range rs {
+				run = append(run, &rs[i])
+				if i+1 == len(rs) || rs[i+1].Prefix != rs[i].Prefix {
+					rib.SetRoutes(rs[i].Prefix, run) // copies run
+					run = run[:0]
+				}
+			}
+			locs[name] = rib
+		}
+		w.harvest(payload.Prefixes, locs)
+		w.spills = w.spills[1:]
+		if err := os.Remove(path); err != nil {
+			return fmt.Errorf("core: worker %d removing drained spill: %w", w.id, err)
+		}
+	}
+	return nil
+}
+
+// harvestFIB replaces node name's FIB-building routes for the prefixes of
+// the shard round with attribute-stripped copies of the round's Loc-RIB (nil
+// = the node runs no BGP). Only prefixes whose forwarding-relevant content
+// differs from what is resident are rewritten, and exactly those are marked
+// dirty for the next ComputeDP: a re-run shard that converges to the same
+// next hops costs the data plane nothing. The copies share one backing array
+// sized to the changed routes — the whole shard on a cold run, a handful on
+// a delta, so a delta never pins a shard-sized array behind one live route.
+func (w *Worker) harvestFIB(name string, loc *route.RIB, prefixes []route.Prefix) {
 	fib := w.fibRIBs[name]
 	type change struct {
 		p  route.Prefix
@@ -884,10 +889,10 @@ func (w *Worker) harvestFIB(name string, loc *route.RIB) {
 			w.markDirty(name, p)
 		}
 	}
-	if w.shardPrefixes == nil {
+	if prefixes == nil {
 		fib.Range(func(p route.Prefix, _ []*route.Route) { retire(p) })
 	}
-	for _, p := range w.shardPrefixes {
+	for _, p := range prefixes {
 		retire(p)
 	}
 }
@@ -943,6 +948,11 @@ func (w *Worker) ApplyDelta(req sidecar.DeltaRequest) (sidecar.DeltaReply, error
 		obs.FInt("configs", len(req.Configs)),
 		obs.FInt("purge_prefixes", len(req.PurgePrefixes)))
 	var reply sidecar.DeltaReply
+	// Pending spilled harvests land first, or a later drain would
+	// resurrect what the purge below removes.
+	if err := w.drainSpills(); err != nil {
+		return reply, err
+	}
 	if len(req.Configs) > 0 {
 		files := make(map[string]string, len(req.Configs))
 		for name, text := range req.Configs {
@@ -983,28 +993,6 @@ func (w *Worker) ApplyDelta(req sidecar.DeltaRequest) (sidecar.DeltaReply, error
 				}
 			}
 		}
-		// In spill mode the in-memory removal above is not enough: ComputeDP
-		// replays every spill file in write order, which would resurrect the
-		// purged prefixes. Append a purge record — non-nil Prefixes (nil
-		// means clear-all) with no routes — so the replay forgets them too.
-		if w.spillDir != "" && len(w.spills) > 0 {
-			path := filepath.Join(w.spillDir, fmt.Sprintf("w%d-delta-purge-run%d.gob", w.id, len(w.spills)))
-			f, err := os.Create(path)
-			if err != nil {
-				return reply, fmt.Errorf("core: worker %d spilling delta purge: %w", w.id, err)
-			}
-			payload := spillPayload{Prefixes: req.PurgePrefixes, Routes: map[string][]*route.Route{}}
-			if err := gob.NewEncoder(f).Encode(payload); err != nil {
-				f.Close()
-				os.Remove(path)
-				return reply, fmt.Errorf("core: worker %d spilling delta purge: %w", w.id, err)
-			}
-			if err := f.Close(); err != nil {
-				os.Remove(path)
-				return reply, fmt.Errorf("core: worker %d spilling delta purge: %w", w.id, err)
-			}
-			w.spills = append(w.spills, path)
-		}
 	}
 	return reply, nil
 }
@@ -1015,60 +1003,24 @@ func (w *Worker) ApplyDelta(req sidecar.DeltaRequest) (sidecar.DeltaReply, error
 // only what dpDirty recorded since the last call is touched: a node whose
 // forwarding config changed is compiled afresh, a node with changed prefixes
 // is patched inside the region they cover (dataplane.NodeDP.Patch), and a
-// clean node is left alone. The first call after Setup, and every call in
-// spill mode (whose replay rebuilds the RIBs wholesale), finds everything
-// dirty: the same code compiles all nodes into a fresh engine.
+// clean node is left alone. Pending spill files are harvested first, so in
+// spill mode too only the prefixes their shards changed are dirty. The first
+// call after Setup finds everything dirty: the same code compiles all nodes
+// into a fresh engine.
 func (w *Worker) ComputeDP() (sidecar.ComputeDPReply, error) {
 	w.phaseMu.Lock()
 	defer w.phaseMu.Unlock()
 	span := w.obsWorkerSpan("compute-dp")
 	defer span.End()
 	reply := sidecar.ComputeDPReply{}
-	// Reload spilled shard results in write order: each file first clears
-	// its shard's prefixes so a merged-shard recompute supersedes earlier
-	// stale spills.
-	for _, path := range w.spills {
-		f, err := os.Open(path)
-		if err != nil {
-			return reply, fmt.Errorf("core: worker %d loading spill: %w", w.id, err)
-		}
-		var payload spillPayload
-		err = gob.NewDecoder(f).Decode(&payload)
-		f.Close()
-		if err != nil {
-			return reply, fmt.Errorf("core: worker %d decoding spill: %w", w.id, err)
-		}
-		for _, name := range w.localNames {
-			for _, p := range payload.Prefixes {
-				w.fibRIBs[name].Remove(p)
-			}
-			if payload.Prefixes == nil {
-				w.fibRIBs[name].Clear()
-			}
-		}
-		for name, routes := range payload.Routes {
-			byPrefix := map[route.Prefix][]*route.Route{}
-			for _, r := range routes {
-				byPrefix[r.Prefix] = append(byPrefix[r.Prefix], r)
-			}
-			for p, rs := range byPrefix {
-				w.fibRIBs[name].SetRoutes(p, rs)
-			}
-		}
+	if err := w.drainSpills(); err != nil {
+		return reply, err
 	}
-	if w.spillDir != "" {
-		var bytes int64
-		for _, rib := range w.fibRIBs {
-			bytes += int64(rib.RouteCount()) * route.LiteModelBytes
-		}
-		w.tracker.Set("fib.accum", bytes)
-	}
-
 	// A recompute ends whatever query pass came before it: queued packets,
 	// wire tables and delta sessions hold refs to predicates that are about
 	// to change (or, on the cold path, to an engine about to be dropped).
 	w.clearQueryState()
-	cold := w.engine == nil || w.spillDir != ""
+	cold := w.engine == nil
 	if cold {
 		w.newEngine()
 		w.nodesDP = map[string]*dataplane.NodeDP{}

@@ -60,6 +60,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -413,29 +414,35 @@ func (s *Server) handleConfigs(r *http.Request) (int, any) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	staged, removed := maps.Clone(s.staged), maps.Clone(s.removed)
 	if len(req.Snapshot) > 0 {
 		// Full replacement: stage every snapshot device and the removal of
 		// every current device the snapshot no longer has.
-		s.staged = map[string]string{}
-		s.removed = map[string]bool{}
-		for name, text := range req.Snapshot {
-			s.staged[name] = text
-		}
+		staged, removed = maps.Clone(req.Snapshot), map[string]bool{}
 		for _, name := range s.v.Devices() {
 			if _, ok := req.Snapshot[name]; !ok {
-				s.removed[name] = true
+				removed[name] = true
 			}
 		}
-	} else {
-		for name, text := range req.Set {
-			delete(s.removed, name)
-			s.staged[name] = text
-		}
-		for _, name := range req.Remove {
-			delete(s.staged, name)
-			s.removed[name] = true
-		}
 	}
+	for name, text := range req.Set {
+		delete(removed, name)
+		staged[name] = text
+	}
+	for _, name := range req.Remove {
+		delete(staged, name)
+		removed[name] = true
+	}
+	// Repeated posts must not grow the staged set past what one body may
+	// carry; a rejected post stages nothing.
+	total := 0
+	for _, text := range staged {
+		total += len(text)
+	}
+	if total > maxConfigsBody {
+		return errBody(http.StatusRequestEntityTooLarge, "staged configs would total %d bytes, over %d", total, maxConfigsBody)
+	}
+	s.staged, s.removed = staged, removed
 	s.stagedGauge.Set(float64(len(s.staged) + len(s.removed)))
 	return http.StatusOK, map[string]any{
 		"staged":  len(s.staged),

@@ -647,6 +647,28 @@ func TestServeConfigsBodyLimit(t *testing.T) {
 	}
 }
 
+// TestServeStagedConfigsBound: each /v1/configs body is capped, and so is
+// what repeated posts stage between verifies. A post after which the staged
+// texts would exceed one body's limit is a 413 that stages nothing;
+// replacing a staged text counts it once.
+func TestServeStagedConfigsBound(t *testing.T) {
+	ts, _ := bootServer(t)
+	half := strings.Repeat("!", maxConfigsBody/2+1)
+	postJSON(t, ts.URL+"/v1/configs", map[string]any{"set": map[string]string{"agg-0-0": half}}, 200)
+	postJSON(t, ts.URL+"/v1/configs", map[string]any{"set": map[string]string{"agg-0-0": half + "!"}}, 200)
+	reply := postJSON(t, ts.URL+"/v1/configs",
+		map[string]any{"set": map[string]string{"agg-0-1": half}, "remove": []string{"edge-0-0"}}, 413)
+	if reply["error"] == nil {
+		t.Fatalf("over-bound post: reply %v, want a JSON error", reply)
+	}
+	st := getJSON(t, ts.URL+"/v1/status", 200)
+	if st["staged"].(float64) != 1 || st["staged_removes"].(float64) != 0 {
+		t.Fatalf("over-bound post changed the staged set: %v", st)
+	}
+	postJSON(t, ts.URL+"/v1/configs", map[string]any{"remove": []string{"agg-0-0"}}, 200)
+	postJSON(t, ts.URL+"/v1/configs", map[string]any{"set": map[string]string{"agg-0-1": half}}, 200)
+}
+
 func TestServeQueriesBodyLimit(t *testing.T) {
 	ts, _ := bootServer(t)
 	postOversized(t, ts.Config.Handler, "/v1/queries", `{"queries": [{"dst_prefix": "`, maxQueriesBody)

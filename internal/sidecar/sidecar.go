@@ -84,8 +84,9 @@ type SetupRequest struct {
 	// for worker-to-worker calls; empty strings mean "local" (in-process
 	// mode wires peers directly instead).
 	PeerAddrs []string
-	// SpillDir, when non-empty, enables writing per-shard results to
-	// disk between shard rounds (§3.1, "write it to persistent storage").
+	// SpillDir, when non-empty, makes EndShard write the shard's results
+	// to disk (§3.1, "write it to persistent storage"), one file per shard
+	// index, for the next ComputeDP or ApplyDelta to harvest and delete.
 	SpillDir string
 	// KeepRIBs retains full per-node RIBs in memory for CollectRIBs
 	// (equivalence testing); disable for large runs.

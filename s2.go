@@ -95,7 +95,9 @@ type Options struct {
 	// MemoryBudgetBytes is the modelled per-worker memory budget
 	// (0 = unlimited).
 	MemoryBudgetBytes int64
-	// SpillDir writes per-shard results to disk between rounds.
+	// SpillDir keeps each shard's results on disk, one file per shard,
+	// from the shard's end until the next data-plane compute harvests and
+	// deletes them.
 	SpillDir string
 	// KeepRIBs retains full RIBs for the RIBs accessor.
 	KeepRIBs bool
