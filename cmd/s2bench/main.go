@@ -105,9 +105,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "s2bench:", err)
 		os.Exit(2)
 	}
-	if level != obs.LevelOff {
-		experiments.SetLogger(obs.NewLogger(os.Stderr, level, *logJSON))
-	}
+	experiments.SetLogger(obs.NewLogger(os.Stderr, level, *logJSON))
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)

@@ -25,8 +25,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -73,7 +75,8 @@ func main() {
 
 	network, err := s2.LoadDirectory(*configs)
 	fatal(err)
-	logger.Info("configs parsed", obs.FInt("devices", network.Size()), obs.FStr("dir", *configs))
+	logger.LogAttrs(context.Background(), slog.LevelInfo, "configs parsed",
+		slog.Int("devices", network.Size()), slog.String("dir", *configs))
 
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer()
@@ -104,7 +107,7 @@ func main() {
 	fatal(err)
 	defer v.Close()
 	for _, warn := range v.TopologyWarnings() {
-		logger.Warn("topology warning", obs.FStr("warning", warn))
+		logger.LogAttrs(context.Background(), slog.LevelWarn, "topology warning", slog.String("warning", warn))
 	}
 
 	var journal *serve.Journal
@@ -124,13 +127,12 @@ func main() {
 	report, err := v.CheckAllPairs()
 	fatal(err)
 	bootTook := time.Since(start)
-	logger.Info("boot verification done",
-		obs.FDur("took", bootTook.Round(time.Millisecond)),
-		obs.FUint64("epoch", v.Epoch()),
-		obs.FInt("shards", v.ShardCount()))
+	logger.LogAttrs(context.Background(), slog.LevelInfo, "boot verification done",
+		slog.Duration("took", bootTook.Round(time.Millisecond)),
+		slog.Uint64("epoch", v.Epoch()), slog.Int("shards", v.ShardCount()))
 	if *verbose {
 		for _, warn := range warnings {
-			logger.Warn("FIB warning", obs.FStr("warning", warn))
+			logger.LogAttrs(context.Background(), slog.LevelWarn, "FIB warning", slog.String("warning", warn))
 		}
 		fmt.Println(report)
 	}

@@ -17,8 +17,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"os"
 	"os/signal"
@@ -121,7 +123,8 @@ func main() {
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
 	go func() {
 		sig := <-sigs
-		logger.Info("draining on signal", obs.FStr("signal", sig.String()), obs.FDur("grace", *grace))
+		logger.LogAttrs(context.Background(), slog.LevelInfo, "draining on signal",
+			slog.String("signal", sig.String()), slog.Duration("grace", *grace))
 		srv.Shutdown(*grace)
 	}()
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"runtime"
 	"sort"
 	"sync"
@@ -112,9 +114,10 @@ type Options struct {
 	Metrics *obs.Registry
 	// Logger, when set, receives leveled structured logs from the
 	// controller, delta planner, and in-process workers (stage progress,
-	// delta classifications, recovery events). A nil logger makes every
-	// site a nil-check no-op.
-	Logger *obs.Logger
+	// delta classifications, recovery events). Every record also lands in
+	// the flight recorder of the controller or worker that wrote it, at
+	// any level; with a nil Logger that ring is all that keeps them.
+	Logger *slog.Logger
 
 	// FleetPlane turns on the fleet health plane: the history ring fed by
 	// a sampler that pulls every registry metric plus per-worker vitals
@@ -181,7 +184,7 @@ type Controller struct {
 	// clientHook builds the per-worker traced RPC hook (nil with obs off).
 	tracer     *obs.Tracer
 	reg        *obs.Registry
-	log        *obs.Logger
+	log        *slog.Logger
 	curSpan    atomic.Value
 	clientHook func(workerID int) sidecar.TraceHook
 	pmu        sync.Mutex
@@ -417,7 +420,8 @@ func (c *Controller) newWorkerTransport(id int, base sidecar.WorkerAPI) sidecar.
 	if p := c.opts.faultPolicy(); p.Timeout > 0 || p.Retries > 0 {
 		caller := fault.NewCaller(p, c.faults)
 		caller.SetNotify(func(event, method string, err error) {
-			c.flight.Record("rpc", "worker %d %s %s: %v", id, event, method, err)
+			c.log.LogAttrs(context.Background(), slog.LevelDebug, "worker rpc fault", obs.Kind("rpc"), slog.Int("worker", id),
+				slog.String("event", event), slog.String("method", method), slog.Any("error", err))
 		})
 		w = fault.Wrap(w, caller)
 	}
@@ -452,7 +456,7 @@ func (c *Controller) provision() error {
 	for i := range workers {
 		locals[i] = NewWorker()
 		locals[i].SetObservability(c.tracer, c.reg)
-		locals[i].SetLogger(c.log)
+		locals[i].SetLogger(c.opts.Logger)
 		workers[i] = c.newWorkerTransport(i, locals[i])
 	}
 	c.wmu.Lock()
@@ -554,8 +558,7 @@ func (c *Controller) startDetector() {
 		return probe.Do("Ping", false, w.Ping)
 	}, c.faults)
 	d.OnDead(func(id int) {
-		c.flight.Record("detector", "worker %d declared dead after missed heartbeats", id)
-		c.log.Warn("worker declared dead", obs.FInt("worker", id))
+		c.log.LogAttrs(context.Background(), slog.LevelWarn, "worker declared dead", obs.Kind("detector"), slog.Int("worker", id))
 		c.wmu.RLock()
 		var client *sidecar.RemoteWorker
 		if id < len(c.clients) {
@@ -600,9 +603,8 @@ func (c *Controller) recoverable(body func() error) error {
 // of retrying forever.
 func (c *Controller) repair() error {
 	c.recoveries++
-	c.flight.Record("recovery", "attempt %d/%d", c.recoveries, c.opts.maxRecoveries())
-	c.log.Warn("recovery attempt",
-		obs.FInt("attempt", c.recoveries), obs.FInt("budget", c.opts.maxRecoveries()))
+	c.log.LogAttrs(context.Background(), slog.LevelWarn, "recovery attempt", obs.Kind("recovery"),
+		slog.Int("attempt", c.recoveries), slog.Int("budget", c.opts.maxRecoveries()))
 	if c.recoveries > c.opts.maxRecoveries() {
 		return fmt.Errorf("core: recovery budget exhausted after %d attempts", c.opts.maxRecoveries())
 	}
@@ -656,8 +658,7 @@ func (c *Controller) evict(dead []int) error {
 	if len(dead) == 0 {
 		return nil
 	}
-	c.flight.Record("evict", "evicting workers %v", dead)
-	c.log.Warn("evicting dead workers", obs.FStr("workers", fmt.Sprint(dead)))
+	c.log.LogAttrs(context.Background(), slog.LevelWarn, "evicting dead workers", obs.Kind("evict"), slog.Any("workers", dead))
 	c.evictCapture(dead)
 	isDead := map[int]bool{}
 	for _, id := range dead {
@@ -941,8 +942,8 @@ func (c *Controller) runDirtyShards(dirty []bool) ([]int, error) {
 				mergedAny = true
 				c.shardMerge = append(c.shardMerge,
 					fmt.Sprintf("shard %d merged into shard %d (unforeseen conditional dependency)", j, i))
-				c.log.Warn("shard merged on unforeseen dependency",
-					obs.FInt("shard", j), obs.FInt("into", i))
+				c.log.LogAttrs(context.Background(), slog.LevelWarn, "shard merged on unforeseen dependency",
+					slog.Int("shard", j), slog.Int("into", i))
 			}
 		}
 		if mergedAny {
@@ -1123,7 +1124,7 @@ func (c *Controller) bumpEpoch() {
 		c.reg.Gauge(MetricEpoch, "Verified-state epoch (advances per completed verification).").
 			Set(float64(e))
 	}
-	c.log.Debug("epoch advanced", obs.FUint64("epoch", e))
+	c.log.LogAttrs(context.Background(), slog.LevelDebug, "epoch advanced", slog.Uint64("epoch", e))
 }
 
 // OwnedPrefixes returns the prefixes a node originates (its BGP network

@@ -23,7 +23,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"sort"
 	"time"
 
@@ -135,13 +137,9 @@ func (c *Controller) ApplyDelta(set map[string]string, remove []string) (*DeltaR
 		obs.Int("added", len(diff.Added)),
 		obs.Int("removed", len(diff.Removed)))
 	defer end()
-	c.flight.Record("delta", "class=%s changed=%d added=%d removed=%d",
-		diff.Class(), len(diff.Changed), len(diff.Added), len(diff.Removed))
-	c.log.Info("delta classified",
-		obs.FStr("class", diff.Class().String()),
-		obs.FInt("changed", len(diff.Changed)),
-		obs.FInt("added", len(diff.Added)),
-		obs.FInt("removed", len(diff.Removed)))
+	c.log.LogAttrs(context.Background(), slog.LevelInfo, "delta classified", obs.Kind("delta"),
+		slog.String("class", diff.Class().String()), slog.Int("changed", len(diff.Changed)),
+		slog.Int("added", len(diff.Added)), slog.Int("removed", len(diff.Removed)))
 	started := time.Now()
 	before := c.timer.Totals()
 	err := c.timer.Time("delta", func() error {
@@ -158,25 +156,17 @@ func (c *Controller) ApplyDelta(set map[string]string, remove []string) (*DeltaR
 		}
 	}
 	if err != nil {
-		c.log.Error("delta failed",
-			obs.FStr("class", diff.Class().String()),
-			obs.FStr("mode", res.Mode),
-			obs.FDur("took", time.Since(started)),
-			obs.FErr(err))
+		c.log.LogAttrs(context.Background(), slog.LevelError, "delta failed", obs.Kind("delta"),
+			slog.String("class", diff.Class().String()), slog.String("mode", res.Mode),
+			slog.Duration("took", time.Since(started)), slog.Any("error", err))
 		return nil, err
 	}
 	res.Epoch = c.epoch.Load()
-	c.flight.Record("delta", "done mode=%s dirty=%d/%d recompiled=%d patched=%d epoch=%d",
-		res.Mode, res.DirtyShards, res.TotalShards, res.RecompiledNodes, res.PatchedPrefixes, res.Epoch)
-	c.log.Info("delta applied",
-		obs.FStr("class", res.Class.String()),
-		obs.FStr("mode", res.Mode),
-		obs.FInt("dirty_shards", res.DirtyShards),
-		obs.FInt("total_shards", res.TotalShards),
-		obs.FInt("recompiled_nodes", res.RecompiledNodes),
-		obs.FInt("patched_prefixes", res.PatchedPrefixes),
-		obs.FUint64("epoch", res.Epoch),
-		obs.FDur("took", time.Since(started)))
+	c.log.LogAttrs(context.Background(), slog.LevelInfo, "delta applied", obs.Kind("delta"),
+		slog.String("class", res.Class.String()), slog.String("mode", res.Mode),
+		slog.Int("dirty_shards", res.DirtyShards), slog.Int("total_shards", res.TotalShards),
+		slog.Int("recompiled_nodes", res.RecompiledNodes), slog.Int("patched_prefixes", res.PatchedPrefixes),
+		slog.Uint64("epoch", res.Epoch), slog.Duration("took", time.Since(started)))
 	c.recordDeltaMetrics(res)
 	return res, nil
 }
@@ -370,7 +360,9 @@ func (c *Controller) deltaShards(newSnap *config.Snapshot, newTexts map[string]s
 	}
 	res.TotalShards = len(shards)
 	res.DirtyShards = nDirty
-	c.flight.Record("delta", "dirty shards %d/%d, purging %d prefixes", nDirty, len(shards), len(purge))
+	c.log.LogAttrs(context.Background(), slog.LevelDebug, "delta planned", obs.Kind("delta"),
+		slog.Int("dirty_shards", nDirty), slog.Int("total_shards", len(shards)),
+		slog.Int("purge_prefixes", len(purge)))
 
 	err := c.stage("cp-bgp", func() error {
 		runs, err := c.runDirtyShards(dirty)

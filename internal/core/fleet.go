@@ -11,7 +11,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"sort"
 	"time"
 
@@ -313,15 +315,9 @@ func (c *Controller) observeRoundSkew(phase string, ids []int, durs []time.Durat
 		}
 	}
 	if med > 0 && max > 2*med && skew > stragglerLogThreshold {
-		c.flight.Record("straggler", "%s round skew %s: worker %d at %.2fx median (score %.2f)",
-			phase, skew.Round(time.Microsecond), worstID, float64(max)/float64(med), worstScore)
-		if c.log != nil {
-			c.log.Warn("straggler detected",
-				obs.FStr("phase", phase),
-				obs.FInt("worker", worstID),
-				obs.FDur("skew", skew),
-				obs.FStr("score", fmt.Sprintf("%.3f", worstScore)))
-		}
+		c.log.LogAttrs(context.Background(), slog.LevelWarn, "straggler detected", obs.Kind("straggler"),
+			slog.String("phase", phase), slog.Int("worker", worstID), slog.Duration("skew", skew),
+			slog.Float64("ratio", float64(max)/float64(med)), slog.Float64("score", worstScore))
 	}
 }
 
@@ -379,7 +375,8 @@ func (c *Controller) PullWorkerProfile(worker int, kind string, seconds int) (*o
 	}
 	p := &obs.Profile{Worker: worker, Kind: reply.Kind, Taken: time.Now(), Data: reply.Profile}
 	c.profiles.Add(p)
-	c.flight.Record("profile", "harvested %s profile from worker %d: %s (%d bytes)",
-		reply.Kind, worker, p.ID, len(p.Data))
+	c.log.LogAttrs(context.Background(), slog.LevelDebug, "profile harvested", obs.Kind("profile"),
+		slog.String("profile", reply.Kind), slog.Int("worker", worker), slog.String("id", p.ID),
+		slog.Int("bytes", len(p.Data)))
 	return p, nil
 }

@@ -12,8 +12,10 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"time"
 
 	"s2/internal/fault"
@@ -85,8 +87,8 @@ func (c *Controller) harvestWorker(w sidecar.WorkerAPI, client *sidecar.RemoteWo
 		}
 		est.Observe(sent, received, reply.NowUnixMicro)
 		if reply.Dropped > 0 {
-			c.flight.Record("harvest", "worker export ring dropped %d spans (addr %s)",
-				reply.Dropped, client.Addr())
+			c.log.LogAttrs(context.Background(), slog.LevelDebug, "worker export ring dropped spans",
+				obs.Kind("harvest"), slog.Uint64("dropped", reply.Dropped), slog.String("addr", client.Addr()))
 		}
 		c.tracer.Ingest(reply.Spans, est.Offset())
 		if !reply.More {
@@ -118,7 +120,8 @@ func (c *Controller) evictCapture(dead []int) {
 			return err
 		})
 		if err != nil {
-			c.flight.Record("evict", "worker %d unreachable, trace tail lost", id)
+			c.log.LogAttrs(context.Background(), slog.LevelDebug, "worker unreachable, trace tail lost", obs.Kind("evict"),
+				slog.Int("worker", id))
 			continue
 		}
 		est := c.skewFor(clients[id])
@@ -130,8 +133,8 @@ func (c *Controller) evictCapture(dead []int) {
 			span.SetAttr("flight", marshalFlight(reply.Flight))
 		}
 		span.End()
-		c.flight.Record("evict", "worker %d: salvaged %d spans, %d flight events",
-			id, len(reply.Spans), len(reply.Flight))
+		c.log.LogAttrs(context.Background(), slog.LevelDebug, "worker trace tail salvaged", obs.Kind("evict"),
+			slog.Int("worker", id), slog.Int("spans", len(reply.Spans)), slog.Int("flight_events", len(reply.Flight)))
 	}
 }
 

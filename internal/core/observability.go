@@ -8,7 +8,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,7 +121,7 @@ func (c *Controller) Progress() Progress {
 func (c *Controller) initObs() {
 	c.tracer = c.opts.Tracer
 	c.reg = c.opts.Metrics
-	c.log = c.opts.Logger
+	c.log = c.flight.Logger(c.opts.Logger)
 	var parent func() *obs.Span
 	if c.tracer != nil {
 		parent = c.curStageSpan
@@ -219,8 +221,7 @@ func (c *Controller) startSpan(name string, attrs ...obs.Attr) func() {
 // span.
 func (c *Controller) stage(name string, fn func() error) error {
 	end := c.startSpan("stage:" + name)
-	c.flight.Record("stage", "enter %s", name)
-	c.log.Debug("stage enter", obs.FStr("stage", name))
+	c.log.LogAttrs(context.Background(), slog.LevelDebug, "stage enter", obs.Kind("stage"), slog.String("stage", name))
 	c.pmu.Lock()
 	c.prog.Stage = name
 	c.pmu.Unlock()
@@ -228,13 +229,11 @@ func (c *Controller) stage(name string, fn func() error) error {
 	err := c.timer.Time(name, fn)
 	end()
 	if err != nil {
-		c.flight.Record("stage", "leave %s: %v", name, err)
-		c.log.Warn("stage failed", obs.FStr("stage", name),
-			obs.FDur("took", time.Since(start)), obs.FErr(err))
+		c.log.LogAttrs(context.Background(), slog.LevelWarn, "stage failed", obs.Kind("stage"),
+			slog.String("stage", name), slog.Duration("took", time.Since(start)), slog.Any("error", err))
 	} else {
-		c.flight.Record("stage", "leave %s", name)
-		c.log.Debug("stage leave", obs.FStr("stage", name),
-			obs.FDur("took", time.Since(start)))
+		c.log.LogAttrs(context.Background(), slog.LevelDebug, "stage leave", obs.Kind("stage"),
+			slog.String("stage", name), slog.Duration("took", time.Since(start)))
 	}
 	return err
 }

@@ -9,11 +9,14 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
+	"log/slog"
 	"sort"
 
 	"s2/internal/bdd"
+	"s2/internal/obs"
 	"s2/internal/sidecar"
 )
 
@@ -178,7 +181,8 @@ func (w *Worker) deliverWire(peer sidecar.WorkerAPI, owner int, items []wireItem
 			// The peer did not materialize this message, so the session's
 			// optimistic bookkeeping is wrong: start clean.
 			sess.Reset()
-			w.flight.Record("wire", "session to peer %d reset after delivery error: %v", owner, err)
+			w.log.LogAttrs(context.Background(), slog.LevelDebug, "send session reset after delivery error",
+				obs.Kind("wire"), slog.Int("peer", owner), slog.Any("error", err))
 			return fmt.Errorf("core: worker %d delivering batch to %d: %w", w.id, owner, err)
 		}
 		if !reply.Reset {
@@ -190,7 +194,8 @@ func (w *Worker) deliverWire(peer sidecar.WorkerAPI, owner int, items []wireItem
 		// the epoch and re-send everything from scratch. A fresh message
 		// is always acceptable, so a second Reset means a broken peer.
 		sess.Reset()
-		w.flight.Record("wire", "peer %d requested a fresh session, resending", owner)
+		w.log.LogAttrs(context.Background(), slog.LevelDebug, "peer requested a fresh session, resending",
+			obs.Kind("wire"), slog.Int("peer", owner))
 	}
 	return fmt.Errorf("core: worker %d: peer %d refused a fresh wire session", w.id, owner)
 }

@@ -11,8 +11,10 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
+	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
@@ -156,12 +158,11 @@ type Worker struct {
 	// obs is the worker's observability handle (see observability.go).
 	// Infrastructure, not run state: Setup's full reset leaves it alone.
 	obs *workerObs
-	// log receives the worker's structured logs (nil-safe). Like obs it is
-	// infrastructure and survives Setup's full reset.
-	log *obs.Logger
-	// flight is the worker's always-on flight recorder: phase transitions,
-	// GC, wire-session resets, and peer RPC faults land here regardless of
-	// whether tracing/metrics are wired. Like obs, it survives Setup.
+	// log receives the worker's structured logs and writes every record,
+	// at any level, into flight first: phase transitions, GC, wire-session
+	// resets, and peer RPC faults land there whether or not a logger,
+	// tracing, or metrics are wired. Like obs, both survive Setup.
+	log    *slog.Logger
 	flight *obs.FlightRecorder
 }
 
@@ -223,7 +224,8 @@ const dpChunkPerProc = 64
 // NewWorker creates an unconfigured worker; Setup must be called before
 // any phase method.
 func NewWorker() *Worker {
-	return &Worker{flight: obs.NewFlightRecorder()}
+	flight := obs.NewFlightRecorder()
+	return &Worker{flight: flight, log: flight.Logger(nil)}
 }
 
 // FlightRecorder exposes the worker's always-on flight recorder (SIGQUIT
@@ -242,10 +244,11 @@ func (w *Worker) SetDefaultPolicy(p fault.Policy) { w.defPolicy = p }
 // one (the s2worker -procs flag). Values <= 0 mean sequential.
 func (w *Worker) SetDefaultParallelism(n int) { w.defProcs = n }
 
-// SetLogger attaches a structured logger (nil disables). Like the obs
-// handle it is infrastructure: Setup's full reset leaves it alone, so
-// recovery re-Setups keep their logging.
-func (w *Worker) SetLogger(l *obs.Logger) { w.log = l }
+// SetLogger passes the worker's records on to l after its flight recorder
+// (nil: to the recorder only). Like the obs handle it is infrastructure:
+// Setup's full reset leaves it alone, so recovery re-Setups keep their
+// logging.
+func (w *Worker) SetLogger(l *slog.Logger) { w.log = w.flight.Logger(l) }
 
 // Ping implements sidecar.WorkerAPI: the liveness probe. It deliberately
 // avoids phaseMu — a worker busy in a long phase is alive, not dead.
@@ -272,8 +275,8 @@ func (w *Worker) Setup(req sidecar.SetupRequest) error {
 	}
 	span := w.obsWorkerSpan("setup").SetWorker(req.WorkerID)
 	defer span.End()
-	w.flight.Record("phase", "setup: worker %d, %d configs, %d peers",
-		req.WorkerID, len(req.Configs), len(req.PeerAddrs))
+	w.log.LogAttrs(context.Background(), slog.LevelDebug, "setup", obs.Kind("phase"), slog.Int("worker", req.WorkerID),
+		slog.Int("configs", len(req.Configs)), slog.Int("peers", len(req.PeerAddrs)))
 
 	// Drop every remnant of a previous Setup.
 	for _, c := range w.dialedPeers {
@@ -337,7 +340,8 @@ func (w *Worker) Setup(req sidecar.SetupRequest) error {
 		if policy.Timeout > 0 || policy.Retries > 0 {
 			caller = fault.NewCaller(policy, nil)
 			caller.SetNotify(func(event, method string, err error) {
-				w.flight.Record("rpc", "peer %s %s: %v", event, method, err)
+				w.log.LogAttrs(context.Background(), slog.LevelDebug, "peer rpc fault", obs.Kind("rpc"),
+					slog.String("event", event), slog.String("method", method), slog.Any("error", err))
 			})
 		}
 		w.peers = make([]sidecar.WorkerAPI, len(req.PeerAddrs))
@@ -391,10 +395,8 @@ func (w *Worker) Setup(req sidecar.SetupRequest) error {
 		w.adjIndex[dev] = m
 	}
 	w.obsSetupDone()
-	w.log.Info("worker setup",
-		obs.FInt("worker", w.id),
-		obs.FInt("devices", len(w.localNames)),
-		obs.FInt("procs", w.procs))
+	w.log.LogAttrs(context.Background(), slog.LevelInfo, "worker setup", slog.Int("worker", w.id),
+		slog.Int("devices", len(w.localNames)), slog.Int("procs", w.procs))
 	return nil
 }
 
@@ -445,7 +447,8 @@ func (w *Worker) BeginShard(req sidecar.BeginShardRequest) error {
 	w.phaseMu.Lock()
 	defer w.phaseMu.Unlock()
 	w.obsBeginShard(req.Index, len(req.Prefixes))
-	w.flight.Record("phase", "begin-shard %d: %d prefixes", req.Index, len(req.Prefixes))
+	w.log.LogAttrs(context.Background(), slog.LevelDebug, "begin-shard", obs.Kind("phase"),
+		slog.Int("shard", req.Index), slog.Int("prefixes", len(req.Prefixes)))
 	w.shardIndex = req.Index
 	w.vitals.shard.Store(int64(req.Index))
 	w.shardPrefixes = req.Prefixes
@@ -710,7 +713,7 @@ func (w *Worker) EndShard() (sidecar.EndShardReply, error) {
 		span.End()
 		w.obsEndShard()
 	}()
-	w.flight.Record("phase", "end-shard %d", w.shardIndex)
+	w.log.LogAttrs(context.Background(), slog.LevelDebug, "end-shard", obs.Kind("phase"), slog.Int("shard", w.shardIndex))
 	reply := sidecar.EndShardReply{}
 	locs := make(map[string]*route.RIB, len(w.bgpProcs))
 	for _, name := range w.localNames {
@@ -941,12 +944,8 @@ func (w *Worker) ApplyDelta(req sidecar.DeltaRequest) (sidecar.DeltaReply, error
 	defer w.phaseMu.Unlock()
 	span := w.obsWorkerSpan("apply-delta")
 	defer span.End()
-	w.flight.Record("phase", "apply-delta: %d configs, %d purged prefixes",
-		len(req.Configs), len(req.PurgePrefixes))
-	w.log.Debug("apply-delta",
-		obs.FInt("worker", w.id),
-		obs.FInt("configs", len(req.Configs)),
-		obs.FInt("purge_prefixes", len(req.PurgePrefixes)))
+	w.log.LogAttrs(context.Background(), slog.LevelDebug, "apply-delta", obs.Kind("phase"), slog.Int("worker", w.id),
+		slog.Int("configs", len(req.Configs)), slog.Int("purge_prefixes", len(req.PurgePrefixes)))
 	var reply sidecar.DeltaReply
 	// Pending spilled harvests land first, or a later drain would
 	// resurrect what the purge below removes.
@@ -1103,8 +1102,9 @@ func (w *Worker) ComputeDP() (sidecar.ComputeDPReply, error) {
 	reply.BDDNodes = w.engine.NodeCount()
 	w.vitals.bddNodes.Store(int64(reply.BDDNodes))
 	w.obsBDD(reply.BDDNodes, false)
-	w.flight.Record("phase", "compute-dp: %d nodes recompiled, %d prefixes patched, %d bdd nodes",
-		reply.RecompiledNodes, reply.PatchedPrefixes, reply.BDDNodes)
+	w.log.LogAttrs(context.Background(), slog.LevelDebug, "compute-dp", obs.Kind("phase"),
+		slog.Int("recompiled_nodes", reply.RecompiledNodes), slog.Int("patched_prefixes", reply.PatchedPrefixes),
+		slog.Int("bdd_nodes", reply.BDDNodes))
 	return reply, w.tracker.CheckBudget()
 }
 
@@ -1142,7 +1142,8 @@ func (w *Worker) BeginQueryBatch(req sidecar.QueryBatchRequest) error {
 	if len(req.Queries) == 0 {
 		return fmt.Errorf("core: worker %d: empty query batch", w.id)
 	}
-	w.flight.Record("phase", "begin-query: %d queries", len(req.Queries))
+	w.log.LogAttrs(context.Background(), slog.LevelDebug, "begin-query", obs.Kind("phase"),
+		slog.Int("queries", len(req.Queries)))
 	qs := req.Queries
 	for i := range qs {
 		if err := qs[i].Validate(w.layout); err != nil {
@@ -1438,7 +1439,8 @@ func (w *Worker) gcWithExtraRoots(extra func(add func(bdd.Ref))) func(bdd.Ref) b
 		s.Reset()
 	}
 	if len(w.sendSessions) > 0 {
-		w.flight.Record("wire", "reset %d send sessions after gc", len(w.sendSessions))
+		w.log.LogAttrs(context.Background(), slog.LevelDebug, "send sessions reset after gc",
+			obs.Kind("wire"), slog.Int("sessions", len(w.sendSessions)))
 	}
 	st := w.engine.GCStats()
 	w.pacer.observe(st)
@@ -1457,11 +1459,12 @@ func (w *Worker) gcWithExtraRoots(extra func(add func(bdd.Ref))) func(bdd.Ref) b
 	gcSpan.SetAttr("relocated", fmt.Sprint(st.LastCacheRelocated))
 	gcSpan.SetAttr("mark_procs", fmt.Sprint(st.LastMarkProcs))
 	gcSpan.End()
-	w.flight.Record("gc", "%d -> %d nodes in %s (mark %s/%d, sweep %s, relocate %s, cache %d kept / %d dropped)",
-		nodesBefore, nodesAfter, time.Since(gcStart).Round(time.Microsecond),
-		st.LastMark.Round(time.Microsecond), st.LastMarkProcs,
-		st.LastSweep.Round(time.Microsecond), st.LastRelocate.Round(time.Microsecond),
-		st.LastCacheRelocated, st.LastCacheDropped)
+	w.log.LogAttrs(context.Background(), slog.LevelDebug, "bdd gc", obs.Kind("gc"),
+		slog.Int("nodes_before", nodesBefore), slog.Int("nodes_after", nodesAfter),
+		slog.Duration("took", time.Since(gcStart)), slog.Duration("mark", st.LastMark),
+		slog.Int("mark_procs", st.LastMarkProcs), slog.Duration("sweep", st.LastSweep),
+		slog.Duration("relocate", st.LastRelocate),
+		slog.Int("cache_kept", st.LastCacheRelocated), slog.Int("cache_dropped", st.LastCacheDropped))
 	return remap
 }
 
@@ -1672,7 +1675,8 @@ func (w *Worker) PullProfile(req sidecar.PullProfileRequest) (sidecar.PullProfil
 	default:
 		return reply, fmt.Errorf("core: unknown profile kind %q (want cpu or heap)", req.Kind)
 	}
-	w.flight.Record("profile", "%s profile captured: %d bytes", req.Kind, buf.Len())
+	w.log.LogAttrs(context.Background(), slog.LevelDebug, "profile captured", obs.Kind("profile"),
+		slog.String("profile", req.Kind), slog.Int("bytes", buf.Len()))
 	reply.Profile = buf.Bytes()
 	return reply, nil
 }

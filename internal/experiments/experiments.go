@@ -16,6 +16,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"runtime"
 	"sort"
 	"strings"
@@ -212,11 +213,11 @@ func parse(texts map[string]string) (*config.Snapshot, error) {
 // logger receives structured logs from every controller the experiment
 // runners build (nil = off). Process-wide because the runners construct
 // controllers at many sites; the s2bench -log-level flag sets it once.
-var logger *obs.Logger
+var logger *slog.Logger
 
 // SetLogger routes controller/worker structured logs from all experiment
 // runs to l. Call before running figures; nil disables.
-func SetLogger(l *obs.Logger) { logger = l }
+func SetLogger(l *slog.Logger) { logger = l }
 
 // s2Run executes the full S2 pipeline and measures it.
 type s2Params struct {

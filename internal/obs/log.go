@@ -3,313 +3,42 @@ package obs
 import (
 	"fmt"
 	"io"
-	"strconv"
-	"sync"
-	"sync/atomic"
-	"time"
+	"log/slog"
 )
 
-// LogLevel orders log severities. The zero value is LevelDebug.
-type LogLevel int32
-
-const (
-	LevelDebug LogLevel = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-	// LevelOff disables every record; ParseLogLevel accepts "off".
-	LevelOff
-)
-
-// String returns the lowercase level name.
-func (l LogLevel) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	default:
-		return "off"
-	}
-}
-
-// padded is the fixed-width uppercase form used by the text format.
-func (l LogLevel) padded() string {
-	switch l {
-	case LevelDebug:
-		return "DEBUG"
-	case LevelInfo:
-		return "INFO "
-	case LevelWarn:
-		return "WARN "
-	default:
-		return "ERROR"
-	}
-}
+// LevelOff sits above every level a record is logged at, so a handler
+// gated there drops everything. ParseLogLevel maps "off" to it.
+const LevelOff = slog.LevelError + 4
 
 // ParseLogLevel parses the -log-level flag vocabulary: debug, info, warn,
 // error, off.
-func ParseLogLevel(s string) (LogLevel, error) {
+func ParseLogLevel(s string) (slog.Level, error) {
 	switch s {
 	case "debug":
-		return LevelDebug, nil
+		return slog.LevelDebug, nil
 	case "info":
-		return LevelInfo, nil
+		return slog.LevelInfo, nil
 	case "warn", "warning":
-		return LevelWarn, nil
+		return slog.LevelWarn, nil
 	case "error":
-		return LevelError, nil
+		return slog.LevelError, nil
 	case "off", "none":
 		return LevelOff, nil
 	}
-	return LevelInfo, fmt.Errorf("obs: unknown log level %q (want debug|info|warn|error|off)", s)
+	return slog.LevelInfo, fmt.Errorf("obs: unknown log level %q (want debug|info|warn|error|off)", s)
 }
 
-// Field is one typed key/value pair on a log record. Values are stored in
-// concrete slots — never boxed in an interface — so building fields for a
-// call that the level gate then drops allocates nothing.
-type Field struct {
-	Key  string
-	str  string
-	num  int64
-	kind uint8
-}
-
-const (
-	fieldString uint8 = iota
-	fieldInt
-	fieldBool
-	fieldDuration
-)
-
-// FStr builds a string field.
-func FStr(key, value string) Field { return Field{Key: key, str: value, kind: fieldString} }
-
-// FInt builds an integer field.
-func FInt(key string, value int) Field { return Field{Key: key, num: int64(value), kind: fieldInt} }
-
-// FInt64 builds an int64 field.
-func FInt64(key string, value int64) Field { return Field{Key: key, num: value, kind: fieldInt} }
-
-// FUint64 builds a field from an unsigned counter (epochs, sequence
-// numbers); values beyond int64 range are not expected.
-func FUint64(key string, value uint64) Field {
-	return Field{Key: key, num: int64(value), kind: fieldInt}
-}
-
-// FBool builds a boolean field.
-func FBool(key string, value bool) Field {
-	var n int64
-	if value {
-		n = 1
+// NewLogger returns a logger writing records at min and above to w, one
+// per line: slog's JSON handler when jsonOut, its text handler otherwise
+// (the binaries' -log-level and -log-json flags).
+func NewLogger(w io.Writer, min slog.Level, jsonOut bool) *slog.Logger {
+	opts := &slog.HandlerOptions{Level: min}
+	if jsonOut {
+		return slog.New(slog.NewJSONHandler(w, opts))
 	}
-	return Field{Key: key, num: n, kind: fieldBool}
+	return slog.New(slog.NewTextHandler(w, opts))
 }
 
-// FDur builds a duration field, rendered in Go duration syntax ("153ms").
-func FDur(key string, d time.Duration) Field {
-	return Field{Key: key, num: int64(d), kind: fieldDuration}
-}
-
-// FErr builds the conventional "error" field ("" for a nil error).
-func FErr(err error) Field {
-	if err == nil {
-		return Field{Key: "error", kind: fieldString}
-	}
-	return Field{Key: "error", str: err.Error(), kind: fieldString}
-}
-
-// Logger is a leveled structured logger with no dependencies, emitting one
-// line per record in either JSON or logfmt-style text. It follows the
-// package's nil-safety convention: a nil *Logger drops every record after
-// a nil check, and a record below the level gate costs one atomic load —
-// in both cases zero allocations, so logging can thread through hot paths
-// unconditionally.
-//
-// With returns a derived logger with fields bound to every record (request
-// id, worker id, epoch); derived loggers share the parent's sink and level
-// gate, so SetLevel on any of them applies to all.
-type Logger struct {
-	sink   *logSink
-	fields []Field
-}
-
-// logSink is the shared output state behind a family of With-derived
-// loggers: one writer, one level gate, one serialization lock, one reused
-// format buffer.
-type logSink struct {
-	min  atomic.Int32
-	mu   sync.Mutex
-	w    io.Writer
-	json bool
-	buf  []byte
-}
-
-// NewLogger returns a logger writing one record per line to w. jsonOut
-// selects JSON objects over logfmt-style text.
-func NewLogger(w io.Writer, min LogLevel, jsonOut bool) *Logger {
-	s := &logSink{w: w, json: jsonOut}
-	s.min.Store(int32(min))
-	return &Logger{sink: s}
-}
-
-// With returns a logger that stamps fields on every record. A nil receiver
-// stays nil, so binding context through disabled logging is free.
-func (l *Logger) With(fields ...Field) *Logger {
-	if l == nil {
-		return nil
-	}
-	bound := make([]Field, 0, len(l.fields)+len(fields))
-	bound = append(bound, l.fields...)
-	bound = append(bound, fields...)
-	return &Logger{sink: l.sink, fields: bound}
-}
-
-// SetLevel moves the level gate for this logger and everything sharing its
-// sink. Safe to call concurrently with logging.
-func (l *Logger) SetLevel(min LogLevel) {
-	if l != nil {
-		l.sink.min.Store(int32(min))
-	}
-}
-
-// Enabled reports whether a record at level would be emitted.
-func (l *Logger) Enabled(level LogLevel) bool {
-	return l != nil && int32(level) >= l.sink.min.Load()
-}
-
-// Debug emits a debug record.
-func (l *Logger) Debug(msg string, fields ...Field) { l.emit(LevelDebug, msg, fields) }
-
-// Info emits an info record.
-func (l *Logger) Info(msg string, fields ...Field) { l.emit(LevelInfo, msg, fields) }
-
-// Warn emits a warning record.
-func (l *Logger) Warn(msg string, fields ...Field) { l.emit(LevelWarn, msg, fields) }
-
-// Error emits an error record.
-func (l *Logger) Error(msg string, fields ...Field) { l.emit(LevelError, msg, fields) }
-
-func (l *Logger) emit(level LogLevel, msg string, fields []Field) {
-	if l == nil || int32(level) < l.sink.min.Load() {
-		return
-	}
-	s := l.sink
-	now := time.Now().UTC()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	buf := s.buf[:0]
-	if s.json {
-		buf = append(buf, `{"ts":"`...)
-		buf = now.AppendFormat(buf, "2006-01-02T15:04:05.000000Z")
-		buf = append(buf, `","level":"`...)
-		buf = append(buf, level.String()...)
-		buf = append(buf, `","msg":`...)
-		buf = appendJSONString(buf, msg)
-		for _, f := range l.fields {
-			buf = appendJSONField(buf, f)
-		}
-		for _, f := range fields {
-			buf = appendJSONField(buf, f)
-		}
-		buf = append(buf, '}', '\n')
-	} else {
-		buf = now.AppendFormat(buf, "2006-01-02T15:04:05.000")
-		buf = append(buf, ' ')
-		buf = append(buf, level.padded()...)
-		buf = append(buf, ' ')
-		buf = append(buf, msg...)
-		for _, f := range l.fields {
-			buf = appendTextField(buf, f)
-		}
-		for _, f := range fields {
-			buf = appendTextField(buf, f)
-		}
-		buf = append(buf, '\n')
-	}
-	s.w.Write(buf)
-	s.buf = buf[:0]
-}
-
-func appendJSONField(buf []byte, f Field) []byte {
-	buf = append(buf, ',')
-	buf = appendJSONString(buf, f.Key)
-	buf = append(buf, ':')
-	switch f.kind {
-	case fieldInt:
-		buf = strconv.AppendInt(buf, f.num, 10)
-	case fieldBool:
-		buf = strconv.AppendBool(buf, f.num != 0)
-	case fieldDuration:
-		buf = append(buf, '"')
-		buf = append(buf, time.Duration(f.num).String()...)
-		buf = append(buf, '"')
-	default:
-		buf = appendJSONString(buf, f.str)
-	}
-	return buf
-}
-
-func appendTextField(buf []byte, f Field) []byte {
-	buf = append(buf, ' ')
-	buf = append(buf, f.Key...)
-	buf = append(buf, '=')
-	switch f.kind {
-	case fieldInt:
-		buf = strconv.AppendInt(buf, f.num, 10)
-	case fieldBool:
-		buf = strconv.AppendBool(buf, f.num != 0)
-	case fieldDuration:
-		buf = append(buf, time.Duration(f.num).String()...)
-	default:
-		if needsQuoting(f.str) {
-			buf = appendJSONString(buf, f.str)
-		} else {
-			buf = append(buf, f.str...)
-		}
-	}
-	return buf
-}
-
-func needsQuoting(s string) bool {
-	if s == "" {
-		return true
-	}
-	for i := 0; i < len(s); i++ {
-		if s[i] <= ' ' || s[i] == '"' || s[i] == '=' {
-			return true
-		}
-	}
-	return false
-}
-
-// appendJSONString appends s as a JSON string literal, escaping quotes,
-// backslashes, and control characters (the full set JSON requires).
-func appendJSONString(buf []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	buf = append(buf, '"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '"':
-			buf = append(buf, '\\', '"')
-		case c == '\\':
-			buf = append(buf, '\\', '\\')
-		case c == '\n':
-			buf = append(buf, '\\', 'n')
-		case c == '\r':
-			buf = append(buf, '\\', 'r')
-		case c == '\t':
-			buf = append(buf, '\\', 't')
-		case c < 0x20:
-			buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
-		default:
-			// Multi-byte UTF-8 passes through raw; JSON allows it.
-			buf = append(buf, c)
-		}
-	}
-	return append(buf, '"')
-}
+// discard drops every record after one level comparison: a text handler
+// over io.Discard gated at LevelOff (slog.DiscardHandler needs Go 1.24).
+var discard slog.Handler = slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: LevelOff})

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -108,7 +109,7 @@ func TestSpanAttrRace(t *testing.T) {
 
 func TestIntrospectionContentTypes(t *testing.T) {
 	fr := newFlightRecorder(8)
-	fr.Record("test", "hello %d", 1)
+	fr.Logger(nil).LogAttrs(bg, slog.LevelInfo, "hello 1", Kind("test"))
 	srv, err := ServeIntrospection("127.0.0.1:0", ServerOptions{
 		Registry: NewRegistry(),
 		Progress: func() any { return map[string]int{"round": 3} },
@@ -167,14 +168,15 @@ func TestIntrospectionContentTypes(t *testing.T) {
 
 func TestFlightRecorderRing(t *testing.T) {
 	var nilFR *FlightRecorder
-	nilFR.Record("x", "never")
+	nilFR.Logger(nil).Info("never")
 	if nilFR.Events() != nil || nilFR.Total() != 0 {
 		t.Fatal("nil recorder must be inert")
 	}
 
 	fr := newFlightRecorder(4)
+	l := fr.Logger(nil)
 	for i := 0; i < 10; i++ {
-		fr.Record("phase", "event %d", i)
+		l.LogAttrs(bg, slog.LevelDebug, fmt.Sprintf("event %d", i), Kind("phase"))
 	}
 	if fr.Total() != 10 {
 		t.Errorf("total = %d, want 10", fr.Total())
@@ -200,21 +202,18 @@ func TestFlightRecorderRing(t *testing.T) {
 	if !strings.Contains(sb.String(), "event 9") {
 		t.Errorf("WriteTo missing newest event:\n%s", sb.String())
 	}
-	var page []FlightEvent
-	if err := json.Unmarshal([]byte(fr.MarshalPage(0)), &page); err != nil || len(page) != 4 {
-		t.Errorf("MarshalPage: %v (%d events)", err, len(page))
-	}
 }
 
 func TestFlightRecorderConcurrent(t *testing.T) {
 	fr := newFlightRecorder(32)
+	l := fr.Logger(nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(2)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				fr.Record("k", "g%d i%d", g, i)
+				l.LogAttrs(bg, slog.LevelDebug, "tick", Kind("k"), slog.Int("g", g), slog.Int("i", i))
 			}
 		}(g)
 		go func() {

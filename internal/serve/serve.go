@@ -60,6 +60,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"maps"
 	"net/http"
 	"net/http/pprof"
@@ -97,7 +98,7 @@ type Options struct {
 	Tracer *obs.Tracer
 	// Logger receives one structured record per request plus serve-layer
 	// lifecycle events.
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// Audit receives one entry per verification; expose it on /v1/audit.
 	Audit *Journal
 }
@@ -130,7 +131,7 @@ type Server struct {
 	started   time.Time
 
 	reg    *obs.Registry
-	log    *obs.Logger
+	log    *slog.Logger
 	tracer *obs.Tracer
 	traces *obs.TraceStore
 	audit  *Journal
@@ -312,23 +313,18 @@ func (s *Server) logRequest(r *http.Request, status int, took time.Duration) {
 	if s.log == nil {
 		return
 	}
-	fields := []obs.Field{
-		obs.FStr("id", requestID(r)),
-		obs.FStr("method", r.Method),
-		obs.FStr("path", r.URL.Path),
-		obs.FInt("status", status),
-		obs.FDur("took", took),
-	}
+	level := slog.LevelInfo
 	switch {
 	case status >= 500:
-		s.log.Error("http request", fields...)
+		level = slog.LevelError
 	case status >= 400:
-		s.log.Warn("http request", fields...)
+		level = slog.LevelWarn
 	case r.Method == http.MethodGet || r.Method == http.MethodHead:
-		s.log.Debug("http request", fields...)
-	default:
-		s.log.Info("http request", fields...)
+		level = slog.LevelDebug
 	}
+	s.log.LogAttrs(r.Context(), level, "http request", slog.String("id", requestID(r)),
+		slog.String("method", r.Method), slog.String("path", r.URL.Path),
+		slog.Int("status", status), slog.Duration("took", took))
 }
 
 // beginTrace opens the per-request root span and points the verifier's

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 
 	"s2"
 	"s2/internal/core"
@@ -32,7 +34,7 @@ func bootObsServer(t *testing.T) (*httptest.Server, map[string]string, Options) 
 	opts := Options{
 		Registry: reg,
 		Tracer:   tracer,
-		Logger:   obs.NewLogger(io.Discard, obs.LevelDebug, true),
+		Logger:   obs.NewLogger(io.Discard, slog.LevelDebug, true),
 		Audit:    NewJournal(nil),
 	}
 	ts, texts, _ := bootServerOpts(t, func(o *s2.Options) {
@@ -463,6 +465,55 @@ func TestServeMetricsSurface(t *testing.T) {
 		if !strings.Contains(m, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, m)
 		}
+	}
+}
+
+// lockedBuffer is an io.Writer safe for the concurrent writes of a logger
+// shared by the server and the verifier.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestServeJSONLogIsUTF8: a request path that decodes to invalid UTF-8
+// must still log as valid UTF-8 JSON, every line of it.
+func TestServeJSONLogIsUTF8(t *testing.T) {
+	var out lockedBuffer
+	logger := obs.NewLogger(&out, slog.LevelDebug, true)
+	ts, _, _ := bootServerOpts(t, func(o *s2.Options) { o.Logger = logger }, Options{Logger: logger})
+	resp, err := http.Get(ts.URL + "/debug/traces/%ff")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	sawPath := false
+	for _, line := range strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n") {
+		if !utf8.ValidString(line) {
+			t.Fatalf("log line is not valid UTF-8: %q", line)
+		}
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line is not JSON: %v\n%q", err, line)
+		}
+		if rec["msg"] == "http request" && rec["path"] == "/debug/traces/\ufffd" {
+			sawPath = true
+		}
+	}
+	if !sawPath {
+		t.Fatalf("no request record with the replaced path:\n%s", out.String())
 	}
 }
 

@@ -2,6 +2,7 @@ package s2
 
 import (
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -152,7 +153,7 @@ type Options struct {
 	// Logger, when set, receives leveled structured logs from the
 	// controller, delta planner, and in-process workers (the -log-level /
 	// -log-json flags of the binaries).
-	Logger *obs.Logger
+	Logger *slog.Logger
 }
 
 // FatTreeLoadEstimator returns the paper's per-role load estimates for a
