@@ -419,16 +419,9 @@ func (b *Batfish) RunQuery(q *dataplane.Query, constrainSrc bool) (*dataplane.Co
 		for _, src := range sources {
 			pkt := base
 			if constrainSrc {
-				srcSet := bdd.False
-				for _, p := range b.OwnedPrefixes(src) {
-					m, err := dataplane.PrefixMatch(b.engine, dataplane.OffSrcIP, p)
-					if err != nil {
-						return err
-					}
-					srcSet, err = b.engine.Or(srcSet, m)
-					if err != nil {
-						return err
-					}
+				srcSet, err := dataplane.PrefixSetMatch(b.engine, dataplane.OffSrcIP, b.OwnedPrefixes(src))
+				if err != nil {
+					return err
 				}
 				if srcSet != bdd.False {
 					pkt, err = b.engine.And(base, srcSet)
@@ -509,28 +502,14 @@ func (b *Batfish) CheckAllPairs() (*AllPairsResult, error) {
 		return nil, err
 	}
 	res := &AllPairsResult{Collector: col}
-	srcUnion := bdd.False
-	for _, p := range allOwned {
-		m, err := dataplane.PrefixMatch(b.engine, dataplane.OffSrcIP, p)
-		if err != nil {
-			return nil, err
-		}
-		srcUnion, err = b.engine.Or(srcUnion, m)
-		if err != nil {
-			return nil, err
-		}
+	srcUnion, err := dataplane.PrefixSetMatch(b.engine, dataplane.OffSrcIP, allOwned)
+	if err != nil {
+		return nil, err
 	}
 	for _, d := range owners {
-		dstSet := bdd.False
-		for _, p := range b.OwnedPrefixes(d) {
-			m, err := dataplane.PrefixMatch(b.engine, dataplane.OffDstIP, p)
-			if err != nil {
-				return nil, err
-			}
-			dstSet, err = b.engine.Or(dstSet, m)
-			if err != nil {
-				return nil, err
-			}
+		dstSet, err := dataplane.PrefixSetMatch(b.engine, dataplane.OffDstIP, b.OwnedPrefixes(d))
+		if err != nil {
+			return nil, err
 		}
 		expected, err := b.engine.And(dstSet, srcUnion)
 		if err != nil {

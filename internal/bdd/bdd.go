@@ -6,16 +6,17 @@
 //
 //   - Every worker owns a private Engine, so BDD operations on different
 //     workers never contend (§4.3, "each worker has its own BDD node table").
-//   - Symbolic packets crossing workers are serialized as reduced node lists
-//     and re-encoded into the destination engine (Serialize/Deserialize).
+//   - Symbolic packets crossing workers share one reduced node table per
+//     message and are re-encoded into the destination engine
+//     (SerializeSet/DeserializeSet and the session codec, wire.go).
 //   - The node table is observable (NodeCount) so the metrics package can
 //     charge modelled memory, and bounded (MaxNodes) so the paper's "BDD
 //     node table overflow" failure mode is reproducible.
 //
 // # Concurrency contract
 //
-// Engine operations (Apply-family, Not, Exists, Var, Cube, Serialize,
-// Deserialize, Eval, AnySat, SatCount, ClearCache) are safe to call from
+// Engine operations (Apply-family, Not, Exists, Var, Cube, SerializeSet,
+// DeserializeSet, Eval, AnySat, SatCount, ClearCache) are safe to call from
 // many goroutines against one engine: the unique table is lock-striped, the
 // operation cache is a lock-free direct-mapped table, and node allocation
 // is atomic over pointer-stable chunks. This is what lets a worker build FIB predicates

@@ -75,7 +75,7 @@ func TestConcurrentHammer(t *testing.T) {
 	want := make([][]byte, workers)
 	for i := 0; i < workers; i++ {
 		ref := New(24, 0)
-		want[i] = ref.Serialize(buildWorkload(t, ref, i))
+		want[i] = fingerprint(ref, buildWorkload(t, ref, i))
 	}
 
 	for round := 0; round < 4; round++ {
@@ -87,7 +87,7 @@ func TestConcurrentHammer(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				r := buildWorkload(t, e, i)
-				got[i] = e.Serialize(r)
+				got[i] = fingerprint(e, r)
 			}(i)
 		}
 		wg.Wait()
@@ -114,7 +114,7 @@ func TestConcurrentDeserialize(t *testing.T) {
 	src := New(24, 0)
 	payloads := make([][]byte, 16)
 	for i := range payloads {
-		payloads[i] = src.Serialize(buildWorkload(t, src, i))
+		payloads[i] = fingerprint(src, buildWorkload(t, src, i))
 	}
 
 	dst := New(24, 0)
@@ -124,17 +124,17 @@ func TestConcurrentDeserialize(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := dst.Deserialize(payloads[i])
+			r, err := dst.DeserializeSet(payloads[i])
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			refs[i] = r
+			refs[i] = r[0]
 		}(i)
 	}
 	wg.Wait()
 	for i, r := range refs {
-		if !bytes.Equal(dst.Serialize(r), payloads[i]) {
+		if !bytes.Equal(fingerprint(dst, r), payloads[i]) {
 			t.Fatalf("payload %d: round trip through concurrent engine changed the function", i)
 		}
 	}
@@ -163,8 +163,8 @@ func TestConcurrentClearCache(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			ref := New(24, 0)
-			want := ref.Serialize(buildWorkload(t, ref, i))
-			if got := e.Serialize(buildWorkload(t, e, i)); !bytes.Equal(got, want) {
+			want := fingerprint(ref, buildWorkload(t, ref, i))
+			if got := fingerprint(e, buildWorkload(t, e, i)); !bytes.Equal(got, want) {
 				t.Errorf("worker %d: result changed under concurrent ClearCache", i)
 			}
 		}(i)
@@ -226,7 +226,7 @@ func TestGCAfterConcurrentBuild(t *testing.T) {
 
 	before := make([][]byte, workers)
 	for i, r := range refs {
-		before[i] = e.Serialize(r)
+		before[i] = fingerprint(e, r)
 	}
 	// Keep only the even workers' roots.
 	var roots []Ref
@@ -236,7 +236,7 @@ func TestGCAfterConcurrentBuild(t *testing.T) {
 	remap := e.GC(roots)
 	for i := 0; i < workers; i += 2 {
 		nr := remap(refs[i])
-		if got := e.Serialize(nr); !bytes.Equal(got, before[i]) {
+		if got := fingerprint(e, nr); !bytes.Equal(got, before[i]) {
 			t.Fatalf("worker %d: function changed across GC", i)
 		}
 	}
@@ -248,7 +248,7 @@ func TestGCAfterConcurrentBuild(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			r := buildWorkload(t, e, i)
-			if got := e.Serialize(r); !bytes.Equal(got, before[i]) {
+			if got := fingerprint(e, r); !bytes.Equal(got, before[i]) {
 				t.Errorf("worker %d: post-GC rebuild differs", i)
 			}
 		}(i)
@@ -268,5 +268,45 @@ func BenchmarkParallelApply(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+func TestSharedEngineSerializesAccess(t *testing.T) {
+	s := NewShared(New(32, 0))
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			errs <- s.Do(func(e *Engine) error {
+				acc := True
+				for i := 0; i < 32; i++ {
+					v, err := e.Var(i)
+					if err != nil {
+						return err
+					}
+					if (g+i)%2 == 0 {
+						acc, err = e.And(acc, v)
+					} else {
+						acc, err = e.Or(acc, v)
+					}
+					if err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.NodeCount() < 32 || s.ModelBytes() <= 0 {
+		t.Fatal("shared engine accounting")
 	}
 }

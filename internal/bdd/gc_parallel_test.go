@@ -130,7 +130,7 @@ func TestGCParallelMarkMatchesSequential(t *testing.T) {
 		if sr != pr {
 			t.Fatalf("root %d remapped differently: %d vs %d", i, sr, pr)
 		}
-		if !bytes.Equal(seq.Serialize(sr), par.Serialize(pr)) {
+		if !bytes.Equal(fingerprint(seq, sr), fingerprint(par, pr)) {
 			t.Fatalf("root %d serialization differs across mark parallelism", i)
 		}
 	}
@@ -176,7 +176,7 @@ func TestGCRelocatedCacheCorrect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(e.Serialize(got), fresh.Serialize(want)) {
+			if !bytes.Equal(fingerprint(e, got), fingerprint(fresh, want)) {
 				t.Fatalf("And(%d,%d) wrong after cache relocation", i, j)
 			}
 			got, err = e.Xor(roots[i], roots[j])
@@ -187,7 +187,7 @@ func TestGCRelocatedCacheCorrect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(e.Serialize(got), fresh.Serialize(want)) {
+			if !bytes.Equal(fingerprint(e, got), fingerprint(fresh, want)) {
 				t.Fatalf("Xor(%d,%d) wrong after cache relocation", i, j)
 			}
 		}
@@ -199,7 +199,7 @@ func TestGCRelocatedCacheCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(e.Serialize(got), fresh.Serialize(want)) {
+		if !bytes.Equal(fingerprint(e, got), fingerprint(fresh, want)) {
 			t.Fatalf("Exists(%d) wrong after cache relocation", i)
 		}
 	}
@@ -313,7 +313,7 @@ func TestParallelMarkRaceHammer(t *testing.T) {
 	rebuild()
 	want := make([][]byte, workers)
 	for i, r := range refs {
-		want[i] = e.Serialize(r)
+		want[i] = fingerprint(e, r)
 	}
 	for round := 0; round < 6; round++ {
 		// Alternate which roots survive so every collection both frees and
@@ -325,13 +325,13 @@ func TestParallelMarkRaceHammer(t *testing.T) {
 		remap := e.GC(roots)
 		for i := round % 2; i < workers; i += 2 {
 			refs[i] = remap(refs[i])
-			if !bytes.Equal(e.Serialize(refs[i]), want[i]) {
+			if !bytes.Equal(fingerprint(e, refs[i]), want[i]) {
 				t.Fatalf("round %d: function %d changed across parallel-mark GC", round, i)
 			}
 		}
 		rebuild()
 		for i := 0; i < workers; i++ {
-			if !bytes.Equal(e.Serialize(refs[i]), want[i]) {
+			if !bytes.Equal(fingerprint(e, refs[i]), want[i]) {
 				t.Fatalf("round %d: rebuild %d differs after GC", round, i)
 			}
 		}

@@ -5,10 +5,11 @@ import (
 	"fmt"
 )
 
-// The wire codec is the shared-substrate counterpart to Serialize: instead
-// of encoding each packet's reachable sub-DAG independently, many refs are
-// encoded against ONE topologically-ordered node table per message, so a
-// node shared by a thousand forwarding predicates crosses the wire once.
+// The wire codec lets symbolic packets cross engine boundaries (③/⑤ in the
+// paper's Figure 3). Because all engines share the global variable order,
+// re-encoding preserves every function exactly. Many refs are encoded
+// against ONE topologically-ordered node table per message, so a node
+// shared by a thousand forwarding predicates crosses the wire once.
 // On top of that, WireSession/WireTable implement a per-peer delta
 // protocol: the sender remembers which node ids the peer has already
 // materialized (this query phase) and later messages reference them by
@@ -29,8 +30,7 @@ import (
 // layout with epoch=0, base=2 and appends rootCount + root ids;
 // session messages carry their root ids out of band (one per packet).
 
-// wireMagic guards against decoding garbage; distinct from serialMagic so
-// the two formats can never be confused.
+// wireMagic guards against decoding garbage.
 const wireMagic = 0x53325753 // "S2WS"
 
 // wireBase is the first non-terminal remote id: ids 0 and 1 are always
@@ -78,6 +78,45 @@ func parseWireHeader(data []byte) (h wireHeader, rest []byte, err error) {
 		return h, nil, fmt.Errorf("bdd: wire node count %d exceeds remaining %d bytes", h.count, len(data))
 	}
 	return h, data, nil
+}
+
+// topoVisit walks the sub-DAG under r with an explicit stack (children
+// before parents) and assigns sequential ids, via *next, to every node not
+// already present in ids, appending them to *order in assignment order.
+// The traversal is iterative so pathologically deep BDDs (e.g. a cube over
+// hundreds of thousands of variables) cannot blow the goroutine stack.
+// When dedup is non-nil it counts every arrival at an already-identified
+// non-terminal node — the sharing a per-node encoding would re-transmit.
+func (e *Engine) topoVisit(r Ref, ids map[Ref]uint32, order *[]Ref, next *uint32, dedup *int) {
+	type frame struct {
+		ref      Ref
+		expanded bool
+	}
+	stack := []frame{{ref: r}}
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if top.expanded {
+			if _, ok := ids[top.ref]; !ok {
+				ids[top.ref] = *next
+				*next++
+				*order = append(*order, top.ref)
+			}
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		if _, ok := ids[top.ref]; ok {
+			if dedup != nil && top.ref != False && top.ref != True {
+				*dedup++
+			}
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		top.expanded = true
+		n := e.node(top.ref)
+		// Push high first so low is discovered first, matching the
+		// historical recursive visit order (low, high, self).
+		stack = append(stack, frame{ref: n.high}, frame{ref: n.low})
+	}
 }
 
 // appendWireNodes emits order (already topologically sorted, ids assigned)

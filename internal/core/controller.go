@@ -404,8 +404,8 @@ func (c *Controller) setup() error {
 }
 
 // newWorkerTransport assembles one worker's call stack: the base transport,
-// the test injection hook, the RPC telemetry layer, then the fault policy
-// (deadlines + retries). Telemetry sits inside the fault layer so each
+// the test hook (Options.WrapWorker), the RPC telemetry layer, then the
+// fault policy (deadlines + retries). Telemetry sits inside the fault layer so each
 // retry attempt is recorded as its own RPC span, re-armed with a fresh
 // TraceContext — the server-side span parents under the attempt that
 // actually reached it.
@@ -1131,7 +1131,13 @@ func (c *Controller) bumpEpoch() {
 // statements) — the paper's notion of the node "holding" a destination
 // prefix.
 func (c *Controller) OwnedPrefixes(node string) []route.Prefix {
-	dev := c.snap.Devices[node]
+	return ownedPrefixes(c.snap.Devices[node])
+}
+
+// ownedPrefixes is OwnedPrefixes for a device model (nil: none). The
+// controller and the workers, which constrain injected sources by it,
+// read it from the same configuration.
+func ownedPrefixes(dev *config.Device) []route.Prefix {
 	if dev == nil || dev.BGP == nil {
 		return nil
 	}
@@ -1149,10 +1155,10 @@ func (c *Controller) PrefixOwners() []string {
 	return out
 }
 
-// RunQuery executes one property query (§4.4): inject the header space at
-// every source, orchestrate wavefront rounds across workers until all
-// packets reach final states or the TTL expires, then aggregate outcomes
-// into a Collector on the controller's engine.
+// RunQuery executes one property query (§4.4): have the workers inject the
+// header space at every source, orchestrate wavefront rounds across
+// workers until all packets reach final states or the TTL expires, then
+// aggregate outcomes into a Collector on the controller's engine.
 //
 // When constrainSrc is true, each source's injected packet is additionally
 // constrained to carry a source address from that node's owned prefixes,
@@ -1167,8 +1173,9 @@ func (c *Controller) RunQuery(q *dataplane.Query, constrainSrc bool) (*dataplane
 }
 
 // RunQueryBatch executes up to N batch-compatible queries (§ query plane)
-// in ONE symbolic pass: a single injection phase carries every query's
-// header-space predicate, each tagged with its batch index, and the shared
+// in ONE symbolic pass: one BeginQueryBatch per worker carries every
+// query, each worker injects every query's header-space predicate at the
+// sources it hosts, tagged with its batch index, and the shared
 // wavefront rounds advance all of them together. Per-query outcomes are
 // split apart at harvest, so each returned Collector is byte-identical to
 // the one a solo RunQuery of that query would have produced (tags keep the
@@ -1215,6 +1222,11 @@ func (c *Controller) runQueryBatch(qs []*dataplane.Query, constrainSrc bool) ([]
 		if len(sources[i]) == 0 {
 			sources[i] = c.PrefixOwners()
 		}
+		for _, src := range sources[i] {
+			if _, ok := c.assignment.Of[src]; !ok {
+				return nil, fmt.Errorf("core: unknown source node %q", src)
+			}
+		}
 	}
 	cols := make([]*dataplane.Collector, len(qs))
 	for i, q := range qs {
@@ -1228,10 +1240,10 @@ func (c *Controller) runQueryBatch(qs []*dataplane.Query, constrainSrc bool) ([]
 	return cols, nil
 }
 
-// forwardQueryBatch is the body of the dp-forward stage: inject every
-// query's predicate at its sources (tagged by batch index when there is
-// more than one query), run wavefront rounds to quiescence, then split the
-// harvest back into per-query outcome streams.
+// forwardQueryBatch is the body of the dp-forward stage: arm the workers,
+// which inject every query's predicate at the sources they host (tagged by
+// batch index when there is more than one query), run wavefront rounds to
+// quiescence, then split the harvest back into per-query outcome streams.
 func (c *Controller) forwardQueryBatch(qs []*dataplane.Query, sources [][]string, constrainSrc bool, cols []*dataplane.Collector) error {
 	// Intent-based slicing: only the workers owning nodes the sources can
 	// possibly reach within the hop budget take part in the pass. nil means
@@ -1241,66 +1253,20 @@ func (c *Controller) forwardQueryBatch(qs []*dataplane.Query, sources [][]string
 		return err
 	}
 
+	// Each worker compiles the header spaces and injects at the sources
+	// it hosts (BeginQueryBatch), so the request carries the resolved
+	// source lists.
 	reqQs := make([]dataplane.Query, len(qs))
 	for i, q := range qs {
 		reqQs[i] = *q
+		reqQs[i].Sources = sources[i]
 	}
 	if err := c.eachSubset(ids, func(_ int, w sidecar.WorkerAPI) error {
-		return w.BeginQueryBatch(sidecar.QueryBatchRequest{Queries: reqQs})
+		return w.BeginQueryBatch(sidecar.QueryBatchRequest{Queries: reqQs, ConstrainSrc: constrainSrc})
 	}); err != nil {
 		return err
 	}
 	c.observeQueryPass(len(qs), ids)
-
-	for i, q := range qs {
-		base, err := q.Header.Compile(c.engine)
-		if err != nil {
-			return err
-		}
-		tag := ""
-		if len(qs) > 1 {
-			tag = dataplane.QueryTag(i)
-		}
-		for _, src := range sources[i] {
-			pkt := base
-			if constrainSrc {
-				srcSet, err := c.prefixSetMatch(dataplane.OffSrcIP, c.OwnedPrefixes(src))
-				if err != nil {
-					return err
-				}
-				if srcSet != bdd.False {
-					pkt, err = c.engine.And(base, srcSet)
-					if err != nil {
-						return err
-					}
-				}
-			}
-			if pkt == bdd.False {
-				continue
-			}
-			owner, ok := c.assignment.Of[src]
-			if !ok {
-				return fmt.Errorf("core: unknown source node %q", src)
-			}
-			c.wmu.RLock()
-			var w sidecar.WorkerAPI
-			if owner < len(c.workers) {
-				w = c.workers[owner]
-			}
-			c.wmu.RUnlock()
-			if w == nil {
-				// A concurrent Close emptied the directory mid-query.
-				return fmt.Errorf("core: controller closed while querying (worker %d unavailable)", owner)
-			}
-			if err := w.Inject(sidecar.InjectRequest{
-				Source: src,
-				Tag:    tag,
-				Packet: c.engine.Serialize(pkt),
-			}); err != nil {
-				return err
-			}
-		}
-	}
 
 	for hop := 0; hop <= qs[0].EffectiveMaxHops(); hop++ {
 		endHop := c.startSpan("hop", obs.Int("hop", hop))
@@ -1441,22 +1407,6 @@ func (c *Controller) sliceWorkers(sources [][]string, maxHops int) ([]int, error
 	return ids, nil
 }
 
-// prefixSetMatch ORs prefix cubes at the given field offset.
-func (c *Controller) prefixSetMatch(offset int, prefixes []route.Prefix) (bdd.Ref, error) {
-	acc := bdd.False
-	for _, p := range prefixes {
-		m, err := dataplane.PrefixMatch(c.engine, offset, p)
-		if err != nil {
-			return bdd.False, err
-		}
-		acc, err = c.engine.Or(acc, m)
-		if err != nil {
-			return bdd.False, err
-		}
-	}
-	return acc, nil
-}
-
 // AllPairsResult reports the all-pair reachability check (the paper's
 // default property, §5.2).
 type AllPairsResult struct {
@@ -1499,12 +1449,12 @@ func (c *Controller) CheckAllPairs() (*AllPairsResult, error) {
 		return nil, err
 	}
 	res := &AllPairsResult{Collector: col, Sources: len(owners), Dests: len(owners), Epoch: epoch}
-	srcUnion, err := c.prefixSetMatch(dataplane.OffSrcIP, allOwned)
+	srcUnion, err := dataplane.PrefixSetMatch(c.engine, dataplane.OffSrcIP, allOwned)
 	if err != nil {
 		return nil, err
 	}
 	for _, d := range owners {
-		dstSet, err := c.prefixSetMatch(dataplane.OffDstIP, c.OwnedPrefixes(d))
+		dstSet, err := dataplane.PrefixSetMatch(c.engine, dataplane.OffDstIP, c.OwnedPrefixes(d))
 		if err != nil {
 			return nil, err
 		}

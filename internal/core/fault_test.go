@@ -340,7 +340,6 @@ func TestRPCDeadlinesBoundAllCalls(t *testing.T) {
 		},
 		"ComputeDP":       func() error { _, err := rw.ComputeDP(); return err },
 		"BeginQueryBatch": func() error { return rw.BeginQueryBatch(sidecar.QueryBatchRequest{}) },
-		"Inject":          func() error { return rw.Inject(sidecar.InjectRequest{}) },
 		"DPRound":         rw.DPRound,
 		"HasWork":         func() error { _, err := rw.HasWork(); return err },
 		"DeliverBatch": func() error {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"s2/internal/bdd"
 	"s2/internal/dataplane"
 	"s2/internal/route"
 )
@@ -101,6 +102,10 @@ func ribsFingerprint(ribs map[string]*route.RIB) string {
 	return b.String()
 }
 
+// setBytes is r's canonical encoding: byte-identical for equal sets
+// regardless of internal ref numbering, and across engines of one layout.
+func setBytes(e *bdd.Engine, r bdd.Ref) []byte { return e.SerializeSet([]bdd.Ref{r}) }
+
 // checkFingerprint renders an all-pairs verification result into a
 // canonical byte string: reachability coverage, every violation's full
 // detail, the per-state packet sets, and each destination's arrival set
@@ -113,10 +118,10 @@ func checkFingerprint(c *Controller, res *AllPairsResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sources=%d dests=%d\n", res.Sources, res.Dests)
 	for _, st := range []dataplane.FinalState{dataplane.Arrive, dataplane.Exit, dataplane.Blackhole, dataplane.Loop} {
-		fmt.Fprintf(&b, "state %d %x\n", st, c.engine.Serialize(res.Collector.StateSet(st)))
+		fmt.Fprintf(&b, "state %d %x\n", st, setBytes(c.engine, res.Collector.StateSet(st)))
 	}
 	for _, dest := range c.PrefixOwners() {
-		fmt.Fprintf(&b, "arrived %s %x\n", dest, c.engine.Serialize(res.Collector.Arrived(dest)))
+		fmt.Fprintf(&b, "arrived %s %x\n", dest, setBytes(c.engine, res.Collector.Arrived(dest)))
 	}
 	unreached := append([]string(nil), res.Unreached...)
 	sort.Strings(unreached)

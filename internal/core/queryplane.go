@@ -151,7 +151,7 @@ func (c *Controller) runQueryWindow(window []*queryJob) {
 
 // queryCompatKey buckets queries that RunQueryBatch may share a pass:
 // dataplane.BatchCompatible (hop budget + transit sequence) plus the
-// injection-side constrainSrc mode.
+// constrainSrc mode the workers inject under.
 func queryCompatKey(q *dataplane.Query, constrainSrc bool) string {
 	return strconv.FormatBool(constrainSrc) + "|" +
 		strconv.Itoa(q.EffectiveMaxHops()) + "|" +
@@ -272,14 +272,14 @@ func (c *Controller) purgeQueryCache() {
 var queryCountBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
 // observeQueryPass records one symbolic pass: the pass counter (the
-// denominator proving batching executes fewer injection phases than
-// sequential), the coalesced batch size, and the post-slicing worker count.
+// denominator proving batching executes fewer passes than sequential), the
+// coalesced batch size, and the post-slicing worker count.
 func (c *Controller) observeQueryPass(batch int, ids []int) {
 	if c.reg == nil {
 		return
 	}
 	c.reg.Counter(MetricQueryPasses,
-		"Symbolic query passes (injection phases) executed.").Inc()
+		"Symbolic query passes executed.").Inc()
 	c.reg.Histogram(MetricQueryBatchSize,
 		"Queries coalesced into one symbolic pass.", queryCountBuckets).
 		Observe(float64(batch))

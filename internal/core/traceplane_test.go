@@ -260,7 +260,7 @@ func TestDeadWorkerTraceSurvives(t *testing.T) {
 func TestPhaseClass(t *testing.T) {
 	for _, m := range []string{"Setup", "BeginShard", "GatherBGP", "ApplyBGP",
 		"GatherOSPF", "ApplyOSPF", "EndShard", "ComputeDP", "BeginQueryBatch",
-		"Inject", "DPRound", "FinishQuery", "ApplyDelta"} {
+		"DPRound", "FinishQuery", "ApplyDelta"} {
 		if !sidecar.PhaseClass(m) {
 			t.Errorf("%s must be a phase call", m)
 		}

@@ -29,7 +29,7 @@ type wireItem struct {
 }
 
 // wireDelivery is one accepted DeliverBatch message parked until the next
-// inbox drain: the engine must not be touched from peer RPC goroutines
+// drain: the engine must not be touched from peer RPC goroutines
 // (the receiver's own round may be mid-GC), so materialization waits for
 // the worker's phase goroutine, in arrival order.
 type wireDelivery struct {
@@ -40,7 +40,7 @@ type wireDelivery struct {
 }
 
 // DeliverBatch implements sidecar.WorkerAPI: accept a shared-substrate
-// packet batch from a peer. Only the inbox side is touched — Accept is
+// packet batch from a peer. Only wireInbox is touched — Accept is
 // header-only bookkeeping — and the substrate is
 // materialized at the next drain. A Reset reply tells the sender this
 // worker no longer holds the session state the message splices onto.
@@ -67,9 +67,8 @@ func (w *Worker) DeliverBatch(req sidecar.DeliverBatchRequest) (sidecar.DeliverB
 	return sidecar.DeliverBatchReply{}, nil
 }
 
-// drainInbox moves injected packets and queued deliveries stamped for
-// rounds <= upTo into cur, Or-merging per slot: injections deserialize
-// individually; wire substrates materialize in arrival order — each
+// drainInbox moves peer deliveries stamped for rounds <= upTo into cur,
+// Or-merging per slot: wire substrates materialize in arrival order — each
 // message bulk-inserts its node table into the engine in one pass under a
 // single stripe-ordered lock acquisition — and resolve packet roots against
 // the sender's table.
@@ -80,8 +79,6 @@ func (w *Worker) DeliverBatch(req sidecar.DeliverBatchRequest) (sidecar.DeliverB
 // per sender, so the kept prefix preserves per-sender wire session order.
 func (w *Worker) drainInbox(cur map[packetSlot]bdd.Ref, upTo int) error {
 	w.qmu.Lock()
-	inbox := w.inbox
-	w.inbox = nil
 	var wireIn, wireParked []wireDelivery
 	for _, wd := range w.wireInbox {
 		if wd.round > upTo {
@@ -102,27 +99,6 @@ func (w *Worker) drainInbox(cur map[packetSlot]bdd.Ref, upTo int) error {
 	}
 	w.qmu.Unlock()
 
-	merge := func(slot packetSlot, pkt bdd.Ref) error {
-		if prev, ok := cur[slot]; ok {
-			merged, err := w.engine.Or(prev, pkt)
-			if err != nil {
-				return err
-			}
-			cur[slot] = merged
-			return nil
-		}
-		cur[slot] = pkt
-		return nil
-	}
-	for _, d := range inbox {
-		pkt, err := w.engine.Deserialize(d.packet)
-		if err != nil {
-			return fmt.Errorf("core: worker %d deserializing packet for %s: %w", w.id, d.node, err)
-		}
-		if err := merge(packetSlot{source: d.source, node: d.node}, pkt); err != nil {
-			return err
-		}
-	}
 	for _, wd := range wireIn {
 		t := tables[wd.from]
 		if t == nil {
@@ -136,7 +112,7 @@ func (w *Worker) drainInbox(cur map[packetSlot]bdd.Ref, upTo int) error {
 			if err != nil {
 				return fmt.Errorf("core: worker %d resolving packet for %s: %w", w.id, it.Node, err)
 			}
-			if err := merge(packetSlot{source: it.Source, node: it.Node, inPort: it.InPort}, pkt); err != nil {
+			if err := w.mergeSlot(cur, packetSlot{source: it.Source, node: it.Node, inPort: it.InPort}, pkt); err != nil {
 				return err
 			}
 		}

@@ -45,6 +45,22 @@ func PrefixMatch(e *bdd.Engine, offset int, p route.Prefix) (bdd.Ref, error) {
 	return e.PrefixCube(offset, 32, p.Addr, int(p.Len))
 }
 
+// PrefixSetMatch returns the BDD for "field at offset matches any of
+// prefixes" (False for none).
+func PrefixSetMatch(e *bdd.Engine, offset int, prefixes []route.Prefix) (bdd.Ref, error) {
+	acc := bdd.False
+	for _, p := range prefixes {
+		m, err := PrefixMatch(e, offset, p)
+		if err != nil {
+			return bdd.False, err
+		}
+		if acc, err = e.Or(acc, m); err != nil {
+			return bdd.False, err
+		}
+	}
+	return acc, nil
+}
+
 // AddrMatch returns the BDD for an exact 32-bit address.
 func AddrMatch(e *bdd.Engine, offset int, addr uint32) (bdd.Ref, error) {
 	return e.PrefixCube(offset, 32, addr, 32)
@@ -144,16 +160,9 @@ func (h *HeaderSpace) Compile(e *bdd.Engine) (bdd.Ref, error) {
 		and(r)
 	}
 	if len(h.DstIn) > 0 {
-		union := bdd.False
-		for _, p := range h.DstIn {
-			r, e2 := PrefixMatch(e, OffDstIP, p)
-			if e2 != nil {
-				return bdd.False, e2
-			}
-			union, e2 = e.Or(union, r)
-			if e2 != nil {
-				return bdd.False, e2
-			}
+		union, e2 := PrefixSetMatch(e, OffDstIP, h.DstIn)
+		if e2 != nil {
+			return bdd.False, e2
 		}
 		and(union)
 	}

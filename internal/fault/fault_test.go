@@ -323,7 +323,6 @@ func (n *nullWorker) ComputeDP() (sidecar.ComputeDPReply, error) {
 	return sidecar.ComputeDPReply{}, nil
 }
 func (n *nullWorker) BeginQueryBatch(sidecar.QueryBatchRequest) error { return nil }
-func (n *nullWorker) Inject(sidecar.InjectRequest) error              { return nil }
 func (n *nullWorker) DPRound() error                                  { return nil }
 func (n *nullWorker) HasWork() (bool, error)                          { return false, nil }
 func (n *nullWorker) DeliverBatch(sidecar.DeliverBatchRequest) (sidecar.DeliverBatchReply, error) {

@@ -1,7 +1,9 @@
 package route
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -289,28 +291,49 @@ func (r *Route) Equal(o *Route) bool {
 // SortRoutes orders routes deterministically (prefix, then key). Used to
 // canonicalize RIB dumps for comparison between S2 and the baselines, and by
 // the BGP decision process to fix its iteration order — which makes this a
-// hot path, so keys are computed once per route up front instead of inside
-// the comparator. Key order alone is prefix-major (see Key), so a plain key
-// sort yields the documented (prefix, then key) order.
+// hot path, so the comparator walks the fields in place instead of building
+// keys. Key order alone is prefix-major (see Key), so this is the
+// documented (prefix, then key) order.
 func SortRoutes(rs []*Route) {
 	if len(rs) < 2 {
 		return
 	}
-	keys := make([]string, len(rs))
-	for i, r := range rs {
-		keys[i] = r.Key()
+	sort.Sort(routeSorter(rs))
+}
+
+type routeSorter []*Route
+
+func (s routeSorter) Len() int           { return len(s) }
+func (s routeSorter) Less(i, j int) bool { return compareRoutes(s[i], s[j]) < 0 }
+func (s routeSorter) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+
+// compareRoutes orders a and b exactly as strings.Compare orders their
+// Keys, without building them: the fields in Key's byte order, fixed-width
+// ones numerically (big-endian bytes compare as numbers), each list after
+// its 2-byte length, and NextHopNode last as the string tail. Like Key it
+// ignores PeerAS, so routes differing only there compare equal.
+func compareRoutes(a, b *Route) int {
+	if c := cmp.Or(
+		cmp.Compare(a.Prefix.Addr, b.Prefix.Addr),
+		cmp.Compare(a.Prefix.Len, b.Prefix.Len),
+		cmp.Compare(a.Protocol, b.Protocol),
+		cmp.Compare(a.NextHop, b.NextHop),
+		cmp.Compare(a.Metric, b.Metric),
+		cmp.Compare(a.LocalPref, b.LocalPref),
+		cmp.Compare(a.Origin, b.Origin),
+		cmp.Compare(a.OriginatorID, b.OriginatorID),
+		cmp.Compare(uint16(len(a.ASPath)), uint16(len(b.ASPath))),
+	); c != 0 {
+		return c
 	}
-	sort.Sort(&routeSorter{rs: rs, keys: keys})
-}
-
-type routeSorter struct {
-	rs   []*Route
-	keys []string
-}
-
-func (s *routeSorter) Len() int           { return len(s.rs) }
-func (s *routeSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *routeSorter) Swap(i, j int) {
-	s.rs[i], s.rs[j] = s.rs[j], s.rs[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+	if c := slices.Compare(a.ASPath, b.ASPath); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(uint16(len(a.Communities)), uint16(len(b.Communities))); c != 0 {
+		return c
+	}
+	if c := slices.Compare(a.Communities, b.Communities); c != 0 {
+		return c
+	}
+	return strings.Compare(a.NextHopNode, b.NextHopNode)
 }

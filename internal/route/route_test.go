@@ -1,6 +1,7 @@
 package route
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -121,6 +122,70 @@ func TestSortRoutesDeterministic(t *testing.T) {
 	for i := range rs {
 		if rs[i] != rs2[i] {
 			t.Fatal("sorting is not deterministic across input orders")
+		}
+	}
+}
+
+// TestCompareRoutesMatchesKey is the comparator's contract: on generated
+// pairs it orders routes exactly as their Key strings compare. Fields come
+// from tiny domains so pairs often tie on a prefix of Key's fields and
+// differ further in, including AS paths and community lists of different
+// lengths, next-hop names where one is a prefix of the other, and PeerAS,
+// which neither Key nor the comparator reads.
+func TestCompareRoutesMatchesKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	pick := func(vs ...uint32) uint32 { return vs[rng.Intn(len(vs))] }
+	list := func() []uint32 {
+		out := make([]uint32, rng.Intn(4))
+		for i := range out {
+			out[i] = pick(1, 65000, 1<<24, 1<<31)
+		}
+		return out
+	}
+	comms := func() []Community {
+		var out []Community
+		for _, c := range list() {
+			out = append(out, Community(c))
+		}
+		return out
+	}
+	gen := func() *Route {
+		return &Route{
+			Prefix:       Prefix{Addr: pick(0x0a000000, 0x0a000100, 0xc0a80000), Len: uint8(pick(16, 24))},
+			Protocol:     Protocol(pick(uint32(BGP), uint32(OSPF))),
+			NextHop:      pick(0, 1, 1<<24),
+			NextHopNode:  []string{"", "a", "ab", "b", "edge-0-0"}[rng.Intn(5)],
+			Metric:       pick(0, 5, 1<<20),
+			ASPath:       list(),
+			LocalPref:    pick(100, 200),
+			Origin:       Origin(pick(0, 2)),
+			OriginatorID: pick(0, 7, 1<<30),
+			Communities:  comms(),
+			PeerAS:       pick(1, 2),
+		}
+	}
+	sign := func(c int) int { return min(max(c, -1), 1) }
+	for i := 0; i < 20000; i++ {
+		a, b := gen(), gen()
+		if i%2 == 0 { // a near twin: one of Key's tail fields redrawn
+			*b = *a
+			switch i / 2 % 4 {
+			case 0:
+				b.ASPath = list()
+			case 1:
+				b.Communities = comms()
+			case 2:
+				b.NextHopNode = gen().NextHopNode
+			case 3:
+				b.PeerAS = pick(1, 2)
+			}
+		}
+		want := strings.Compare(a.Key(), b.Key())
+		if got := compareRoutes(a, b); sign(got) != want {
+			t.Fatalf("compareRoutes = %d, Key order %d:\n a=%+v\n b=%+v", got, want, a, b)
+		}
+		if got := compareRoutes(b, a); sign(got) != -want {
+			t.Fatalf("compareRoutes not antisymmetric:\n a=%+v\n b=%+v", a, b)
 		}
 	}
 }

@@ -616,25 +616,12 @@ func (s *Server) allPairs() (*s2.ReachabilityReport, error) {
 	return report, err
 }
 
-// batchQuery is the wire form of one POST /v1/queries entry, mirroring
-// s2.Query field for field.
-type batchQuery struct {
-	DstPrefix string   `json:"dst_prefix"`
-	SrcPrefix string   `json:"src_prefix"`
-	Protocol  uint8    `json:"protocol"`
-	DstPort   uint16   `json:"dst_port"`
-	Sources   []string `json:"sources"`
-	Dests     []string `json:"dests"`
-	Transits  []string `json:"transits"`
-	MaxHops   int      `json:"max_hops"`
-}
-
 // handleBatchQueries answers a batch of reachability queries in one
 // submission: compatible queries share symbolic passes, duplicates collapse,
 // and repeats against an unchanged epoch hit the answer cache.
 func (s *Server) handleBatchQueries(r *http.Request) (int, any) {
 	var req struct {
-		Queries []batchQuery `json:"queries"`
+		Queries []s2.Query `json:"queries"`
 	}
 	if status, body := decodeBody(r, maxQueriesBody, &req); status != 0 {
 		return status, body
@@ -642,20 +629,7 @@ func (s *Server) handleBatchQueries(r *http.Request) (int, any) {
 	if len(req.Queries) == 0 {
 		return errBody(http.StatusBadRequest, "no queries")
 	}
-	qs := make([]s2.Query, len(req.Queries))
-	for i, q := range req.Queries {
-		qs[i] = s2.Query{
-			DstPrefix: q.DstPrefix,
-			SrcPrefix: q.SrcPrefix,
-			Protocol:  q.Protocol,
-			DstPort:   q.DstPort,
-			Sources:   q.Sources,
-			Dests:     q.Dests,
-			Transits:  q.Transits,
-			MaxHops:   q.MaxHops,
-		}
-	}
-	reports, err := s.v.CheckBatch(qs)
+	reports, err := s.v.CheckBatch(req.Queries)
 	if err != nil {
 		return errBody(http.StatusBadRequest, "query batch: %v", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -560,6 +561,65 @@ func TestServeBatchQueries(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Fatalf("bad JSON: status %d", resp.StatusCode)
+	}
+}
+
+// TestServeBatchQueryFields posts a query that sets every s2.Query field by
+// its JSON name and checks the answer is the one Verifier.Check gives for
+// the same query; a query naming an unknown source is a 400.
+func TestServeBatchQueryFields(t *testing.T) {
+	ts, _, v := bootServerOpts(t, func(o *s2.Options) { o.WaypointBits = 1 }, Options{})
+	posted := map[string]any{
+		"dst_prefix": "10.128.64.0/24", "src_prefix": "10.128.0.0/24",
+		"protocol": 6, "dst_port": 80,
+		"sources": []string{"edge-0-0"}, "dests": []string{"edge-0-1"},
+		"transits": []string{"agg-0-0"}, "max_hops": 8,
+	}
+	q := s2.Query{
+		DstPrefix: "10.128.64.0/24", SrcPrefix: "10.128.0.0/24",
+		Protocol: 6, DstPort: 80,
+		Sources: []string{"edge-0-0"}, Dests: []string{"edge-0-1"},
+		Transits: []string{"agg-0-0"}, MaxHops: 8,
+	}
+	// The names decode to the fields: many would not change this answer.
+	raw, err := json.Marshal(posted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded s2.Query
+	if err := json.Unmarshal(raw, &decoded); err != nil || !reflect.DeepEqual(decoded, q) {
+		t.Fatalf("decoded %+v (%v), want %+v", decoded, err, q)
+	}
+	body := postJSON(t, ts.URL+"/v1/queries", map[string]any{"queries": []any{posted}}, 200)
+	rep, err := v.Check(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both sides go through a JSON round trip, so map keys sort alike.
+	canon := func(x any) string {
+		b, err := json.Marshal(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back any
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatal(err)
+		}
+		b, _ = json.Marshal(back)
+		return string(b)
+	}
+	got := canon(body["results"].([]any)[0])
+	want := canon(map[string]any{
+		"epoch": rep.Epoch, "ok": rep.OK(), "reached": rep.ReachedDests, "violations": rep.Violations,
+	})
+	if got != want {
+		t.Fatalf("served answer differs from Verifier.Check:\nserved: %s\ncheck:  %s", got, want)
+	}
+
+	posted["sources"] = []string{"ghost"}
+	bad := postJSON(t, ts.URL+"/v1/queries", map[string]any{"queries": []any{posted}}, 400)
+	if msg := fmt.Sprint(bad["error"]); !strings.Contains(msg, "unknown source node") {
+		t.Fatalf("error = %q, want it to name the unknown source node", msg)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // about one WorkerAPI method.
 type methodClass struct {
 	// idempotent calls are safe to retry. Phase mutations (Gather*/Apply*/
-	// EndShard/Inject/DPRound/DeliverBatch/FinishQuery) are not: a timed-out
+	// EndShard/DPRound/DeliverBatch/FinishQuery) are not: a timed-out
 	// attempt may still have executed remotely, and running one twice breaks
 	// the round barrier or double-applies a delivery's substrate splice, so
 	// recovery for those is re-execution from a clean re-Setup.
@@ -46,7 +46,6 @@ var methods = map[string]methodClass{
 	"ApplyDelta":      {idempotent: true, phase: true},
 	"ComputeDP":       {idempotent: true, phase: true},
 	"BeginQueryBatch": {idempotent: true, phase: true},
-	"Inject":          {phase: true},
 	"DPRound":         {phase: true},
 	"HasWork":         {idempotent: true},
 	"DeliverBatch":    {},
@@ -139,10 +138,6 @@ func (x *intercepted) ComputeDP() (ComputeDPReply, error) {
 
 func (x *intercepted) BeginQueryBatch(req QueryBatchRequest) error {
 	return x.ic("BeginQueryBatch", func() error { return x.api.BeginQueryBatch(req) })
-}
-
-func (x *intercepted) Inject(req InjectRequest) error {
-	return x.ic("Inject", func() error { return x.api.Inject(req) })
 }
 
 func (x *intercepted) DPRound() error {

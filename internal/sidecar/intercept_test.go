@@ -48,7 +48,7 @@ func TestIdempotent(t *testing.T) {
 		"CollectRIBs": true, "Stats": true,
 		"PullSpans": true, "PullStats": true, "PullProfile": true,
 		"GatherBGP": false, "ApplyBGP": false, "GatherOSPF": false,
-		"ApplyOSPF": false, "EndShard": false, "Inject": false,
+		"ApplyOSPF": false, "EndShard": false,
 		"DPRound": false, "DeliverBatch": false, "FinishQuery": false,
 		"Bogus": false,
 	} {

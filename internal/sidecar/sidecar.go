@@ -38,7 +38,7 @@ import (
 // ProtocolVersion names the sidecar protocol this tree speaks: the request
 // and reply shapes below and the method set of WorkerAPI. Bump it with any
 // change to either; Setup rejects a controller that sends another value.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // TraceContext is the cross-process span identity carried on every sidecar
 // request (see obs.TraceContext): the caller's in-flight span, under which
@@ -213,23 +213,17 @@ type ComputeDPReply struct {
 
 // QueryBatchRequest configures one symbolic pass over one or more queries:
 // every query shares the pass's transit metadata bits and TTL
-// (dataplane.BatchCompatible). With more than one query, injected packets
-// carry dataplane.QueryTag(i) source prefixes so the wavefront keeps
-// per-query packets in distinct slots; a pass of one is untagged.
+// (dataplane.BatchCompatible). Each query's Sources are resolved (never
+// empty), and the worker injects the query's header space at the ones it
+// hosts. With more than one query, injected packets carry
+// dataplane.QueryTag(i) source prefixes so the wavefront keeps per-query
+// packets in distinct slots; a pass of one is untagged. ConstrainSrc
+// narrows each source's packet to source addresses in that node's owned
+// prefixes (a node without any injects unconstrained).
 type QueryBatchRequest struct {
-	Queries []dataplane.Query
-	TC      TraceContext
-}
-
-// InjectRequest injects a symbolic packet at a source node (owned by the
-// receiving worker). The packet is a serialized BDD. Tag, when non-empty,
-// is the dataplane.QueryTag prefix of a multi-query pass: ownership is
-// validated against Source, and the packet circulates as Tag+Source.
-type InjectRequest struct {
-	Source string
-	Packet []byte
-	Tag    string
-	TC     TraceContext
+	Queries      []dataplane.Query
+	ConstrainSrc bool
+	TC           TraceContext
 }
 
 // WirePacket is one symbolic packet crossing a worker boundary inside a
@@ -349,8 +343,8 @@ type WorkerVitals struct {
 	// dashboard heatmap key on.
 	Shard int
 	Round int
-	// QueueLen counts parked symbolic packets (plus undelivered inbox
-	// entries) awaiting the next dataplane round.
+	// QueueLen counts parked symbolic packets (plus undelivered peer
+	// batches) awaiting the next dataplane round.
 	QueueLen int
 	// BDDNodes is the engine's live node count after the last compile/GC.
 	BDDNodes int64
@@ -421,9 +415,10 @@ type WorkerAPI interface {
 
 	ComputeDP() (ComputeDPReply, error)
 	// BeginQueryBatch arms one symbolic pass over one or more queries
-	// (per-query dest sets; tagged sources when there is more than one).
+	// (per-query dest sets; tagged sources when there is more than one)
+	// and injects each query's packets at the sources this worker hosts.
+	// It starts the pass over from scratch, so a retry is harmless.
 	BeginQueryBatch(req QueryBatchRequest) error
-	Inject(req InjectRequest) error
 	DPRound() error
 	HasWork() (bool, error)
 	// DeliverBatch delivers a worker's boundary-crossing packets against
@@ -603,11 +598,6 @@ func (s *Service) ComputeDP(args CallMeta, reply *ComputeDPReply) error {
 // BeginQueryBatch RPC.
 func (s *Service) BeginQueryBatch(req QueryBatchRequest, _ *Empty) error {
 	return s.do("BeginQueryBatch", req.TC, func() error { return s.api.BeginQueryBatch(req) })
-}
-
-// Inject RPC.
-func (s *Service) Inject(req InjectRequest, _ *Empty) error {
-	return s.do("Inject", req.TC, func() error { return s.api.Inject(req) })
 }
 
 // DPRound RPC.
@@ -1026,13 +1016,6 @@ func (r *RemoteWorker) ComputeDP() (ComputeDPReply, error) {
 func (r *RemoteWorker) BeginQueryBatch(req QueryBatchRequest) error {
 	req.TC = r.takeTC()
 	_, err := rcall[Empty](r, "BeginQueryBatch", req)
-	return err
-}
-
-// Inject implements WorkerAPI.
-func (r *RemoteWorker) Inject(req InjectRequest) error {
-	req.TC = r.takeTC()
-	_, err := rcall[Empty](r, "Inject", req)
 	return err
 }
 

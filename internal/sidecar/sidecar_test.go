@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -21,7 +22,7 @@ import (
 type stubWorker struct {
 	setups   int
 	pings    int
-	injected []InjectRequest
+	armed    []QueryBatchRequest
 	batch    DeliverBatchRequest
 	failPull bool
 	slow     chan struct{} // when set, phase methods block until closed
@@ -84,14 +85,13 @@ func (s *stubWorker) ApplyDelta(req DeltaRequest) (DeltaReply, error) {
 func (s *stubWorker) ComputeDP() (ComputeDPReply, error) {
 	return ComputeDPReply{FIBEntries: 7, BDDNodes: 100}, nil
 }
-func (s *stubWorker) BeginQueryBatch(QueryBatchRequest) error { return nil }
-func (s *stubWorker) Inject(req InjectRequest) error {
-	s.injected = append(s.injected, req)
+func (s *stubWorker) BeginQueryBatch(req QueryBatchRequest) error {
+	s.armed = append(s.armed, req)
 	return nil
 }
 func (s *stubWorker) DPRound() error { return nil }
 func (s *stubWorker) HasWork() (bool, error) {
-	return len(s.injected) > 0, nil
+	return len(s.armed) > 0, nil
 }
 func (s *stubWorker) DeliverBatch(req DeliverBatchRequest) (DeliverBatchReply, error) {
 	s.batch = req
@@ -205,10 +205,10 @@ func TestRPCRoundTripAllMethods(t *testing.T) {
 	if err != nil || dp.FIBEntries != 7 || dp.BDDNodes != 100 {
 		t.Fatalf("ComputeDP: %+v %v", dp, err)
 	}
-	if err := client.BeginQueryBatch(QueryBatchRequest{Queries: []dataplane.Query{{MaxHops: 5}}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Inject(InjectRequest{Source: "r1", Packet: []byte{1, 2}}); err != nil {
+	if err := client.BeginQueryBatch(QueryBatchRequest{
+		Queries:      []dataplane.Query{{MaxHops: 5, Sources: []string{"r1", "r2"}}},
+		ConstrainSrc: true,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.DPRound(); err != nil {
@@ -216,10 +216,11 @@ func TestRPCRoundTripAllMethods(t *testing.T) {
 	}
 	busy, err := client.HasWork()
 	if err != nil || !busy {
-		t.Fatal("HasWork after inject")
+		t.Fatal("HasWork after arming a pass")
 	}
-	if len(stub.injected) != 1 || stub.injected[0].Source != "r1" || len(stub.injected[0].Packet) != 2 {
-		t.Fatalf("injections = %+v", stub.injected)
+	if len(stub.armed) != 1 || !stub.armed[0].ConstrainSrc || len(stub.armed[0].Queries) != 1 ||
+		!reflect.DeepEqual(stub.armed[0].Queries[0].Sources, []string{"r1", "r2"}) {
+		t.Fatalf("armed passes = %+v", stub.armed)
 	}
 	breply, err := client.DeliverBatch(DeliverBatchRequest{From: 1, Wire: []byte{9}, Items: []WirePacket{{Source: "a", Node: "b", Root: 2}}})
 	if err != nil || !breply.Reset {

@@ -117,9 +117,9 @@ func TestLSAWireCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPullReplyWireBytesPinned pins the reply payloads of protocol version
-// 1 byte for byte: a change to them is a wire change and needs a new
-// ProtocolVersion.
+// TestPullReplyWireBytesPinned pins the pull reply payloads byte for byte
+// (unchanged since protocol version 1): a change to them is a wire change
+// and needs a new ProtocolVersion.
 func TestPullReplyWireBytesPinned(t *testing.T) {
 	bgpSet := bgpReplies{
 		{Version: 42, Fresh: true, Items: []bgp.Advertisement{

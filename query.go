@@ -13,23 +13,23 @@ import (
 type Query struct {
 	// DstPrefix restricts the destination addresses ("a.b.c.d/len");
 	// empty means any destination.
-	DstPrefix string
+	DstPrefix string `json:"dst_prefix"`
 	// SrcPrefix restricts source addresses; empty means any.
-	SrcPrefix string
+	SrcPrefix string `json:"src_prefix"`
 	// Protocol restricts the IP protocol (0 = any; 6 = TCP, 17 = UDP).
-	Protocol uint8
+	Protocol uint8 `json:"protocol"`
 	// DstPort restricts the destination port (0 = any).
-	DstPort uint16
+	DstPort uint16 `json:"dst_port"`
 
 	// Sources inject the packet; empty means every prefix-owning node.
-	Sources []string
+	Sources []string `json:"sources"`
 	// Dests are the nodes where arrival counts (empty: any delivery).
-	Dests []string
+	Dests []string `json:"dests"`
 	// Transits are waypoint nodes every delivered packet must traverse.
 	// Requires Options.WaypointBits >= len(Transits).
-	Transits []string
+	Transits []string `json:"transits"`
 	// MaxHops is the loop-detection TTL (default 32).
-	MaxHops int
+	MaxHops int `json:"max_hops"`
 }
 
 func (q *Query) compile() (*dataplane.Query, error) {
