@@ -12,16 +12,25 @@
 //   - The node table is observable (NodeCount) so the metrics package can
 //     charge modelled memory, and bounded (MaxNodes) so the paper's "BDD
 //     node table overflow" failure mode is reproducible.
+//   - Like JDD's, the kernel is flat arrays: nodes live in fixed chunks,
+//     the unique table is open-addressed arrays of 4-byte node indices, and
+//     the computed cache is an array of 16-byte slots, so an operation
+//     allocates nothing once the tables have grown.
 //
 // # Concurrency contract
 //
 // Engine operations (Apply-family, Not, Exists, Var, Cube, SerializeSet,
-// DeserializeSet, Eval, AnySat, SatCount, ClearCache) are safe to call from
-// many goroutines against one engine: the unique table is lock-striped, the
-// operation cache is a lock-free direct-mapped table, and node allocation
-// is atomic over pointer-stable chunks. This is what lets a worker build FIB predicates
-// and propagate symbolic packets for many nodes in parallel (one engine,
-// NumCPU goroutines).
+// DeserializeSet, Eval, AnySat, SatCount) are safe to call from many
+// goroutines against one engine: the unique table is lock-striped (each
+// stripe's open-addressed table grows by rehash under its own lock), node
+// allocation is atomic over pointer-stable chunks, and the operation cache
+// is a lock-free direct-mapped table whose slots are guarded by per-slot
+// sequence numbers, so a reader never sees a torn entry and a writer that
+// finds a slot busy drops its write. The cache is replaced, not resized in
+// place, when the chunk directory grows, so an operation racing a resize
+// at worst misses or loses a put. This is what lets a worker build FIB
+// predicates and propagate symbolic packets for many nodes in parallel
+// (one engine, NumCPU goroutines).
 //
 // GC is the exception: it is stop-the-world and must be called with no
 // operation in flight (the callers' existing roots discipline — workers GC
@@ -36,6 +45,7 @@ package bdd
 import (
 	"errors"
 	"fmt"
+	mathbits "math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -60,16 +70,7 @@ type node struct {
 	low, high Ref
 }
 
-type uniqueKey struct {
-	level     int32
-	low, high Ref
-}
-
-type opKey struct {
-	op   uint8
-	a, b Ref
-}
-
+// Cached operations. The op code occupies three bits of a cache slot.
 const (
 	opAnd uint8 = iota
 	opOr
@@ -91,34 +92,185 @@ const (
 
 type chunk [chunkSize]node
 
-// The stripe count trades memory for contention; 64 keeps 8–16 worker
-// goroutines mostly collision-free while the per-engine overhead stays
-// a few KiB.
-const numStripes = 64
+// The unique table is split into stripes, each behind its own mutex; a
+// node's hash picks its stripe with the low bits. The stripe count trades
+// memory for contention; 64 keeps 8–16 worker goroutines mostly
+// collision-free while the per-engine overhead stays a few KiB.
+const (
+	numStripes = 64
+	// minStripeSlots is the size of a fresh stripe's table.
+	minStripeSlots = 16
+)
 
 type uniqueStripe struct {
 	mu sync.Mutex
-	m  map[uniqueKey]Ref
+	refSet
 }
 
-// The operation cache is a direct-mapped, lock-free computed table: each
-// slot holds an atomic pointer to an immutable entry. Lookups are one
-// load plus a key compare, stores are one pointer swap — no mutex, no
-// map probing, no goroutine parking on the hottest path in the engine.
-// Collisions simply evict (classic BDD computed-table discipline:
-// correctness never depends on a hit, only on never returning a wrong
-// hit, which the full-key compare rules out).
+// refSet is one stripe's open-addressed hash set of node refs, probed
+// linearly from the home slot the hash's high bits pick. A slot holds a
+// node index, or 0 for empty (False is never stored); the key (level, low,
+// high) is read back from the node chunks, so a slot costs 4 bytes. The set
+// grows by rehash at ¾ load.
+type refSet struct {
+	slots []Ref
+	shift uint8 // 64 − log2(len(slots))
+	used  int
+}
+
+// newRefSet returns a set sized to hold n refs below ¾ load.
+func newRefSet(n int) refSet {
+	size := minStripeSlots
+	for size*3 < n*4 {
+		size *= 2
+	}
+	return refSet{slots: make([]Ref, size), shift: uint8(64 - mathbits.TrailingZeros(uint(size)))}
+}
+
+// nodeHash mixes a node key into 64 bits (the splitmix64 finalizer).
+func nodeHash(level int32, low, high Ref) uint64 {
+	h := uint64(uint32(low)) | uint64(uint32(high))<<32
+	h ^= uint64(uint32(level)) * 0x9e3779b97f4a7c15
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// lookup returns the ref of node (level, low, high), or 0 if the set does
+// not hold it. d must be a chunk directory holding every ref in the set.
+func (t *refSet) lookup(d []*chunk, h uint64, level int32, low, high Ref) Ref {
+	mask := len(t.slots) - 1
+	for i := int(h >> t.shift); ; i = (i + 1) & mask {
+		r := t.slots[i]
+		if r == 0 {
+			return 0
+		}
+		if n := &d[r>>chunkBits][r&chunkMask]; n.level == level && n.low == low && n.high == high {
+			return r
+		}
+	}
+}
+
+// add inserts r, whose node hashes to h and which the set does not hold,
+// growing the set first if that would pass ¾ load. d must be a chunk
+// directory holding every ref in the set.
+func (t *refSet) add(d []*chunk, h uint64, r Ref) {
+	if (t.used+1)*4 > len(t.slots)*3 {
+		old := t.slots
+		*t = refSet{slots: make([]Ref, 2*len(old)), shift: t.shift - 1}
+		for _, o := range old {
+			if o != 0 {
+				n := &d[o>>chunkBits][o&chunkMask]
+				t.place(nodeHash(n.level, n.low, n.high), o)
+			}
+		}
+	}
+	t.place(h, r)
+}
+
+func (t *refSet) place(h uint64, r Ref) {
+	mask := len(t.slots) - 1
+	i := int(h >> t.shift)
+	for t.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = r
+	t.used++
+}
+
+// The operation cache is a direct-mapped, lock-free computed table of
+// 16-byte slots. Collisions simply evict (classic BDD computed-table
+// discipline: correctness never depends on a hit, only on never returning
+// a wrong hit). Its size follows the node table: the power of two at or
+// above the node count, clamped to [2^minCacheBits, 2^maxCacheBits]. The
+// floor keeps a small engine's warm working set resident; the ceiling
+// bounds a large engine at 2 MiB.
 const (
-	cacheBits  = 17
-	cacheSlots = 1 << cacheBits
+	minCacheBits = 15
+	maxCacheBits = 17
 )
 
-type cacheEntry struct {
-	key opKey
-	r   Ref
+// A slot's meta word packs result<<32 | op<<seqBits | seq. The sequence is
+// odd while a writer holds the slot; a reader accepts an entry only if it
+// loads the same even meta word before and after the operand word, so it
+// never pairs one write's operands with another's result (short of 2^28
+// writes to the slot between its two loads).
+const (
+	seqBits = 29
+	seqMask = 1<<seqBits - 1
+)
+
+type cacheSlot struct {
+	ab   atomic.Uint64 // a<<32 | b; 0 while empty (every key has a ≠ False)
+	meta atomic.Uint64
 }
 
-// Engine is one BDD node table with its operation caches. See the package
+type opCache struct {
+	slots []cacheSlot
+	shift uint8 // 64 − log2(len(slots))
+}
+
+func newOpCache(bits int) *opCache {
+	return &opCache{slots: make([]cacheSlot, 1<<bits), shift: uint8(64 - bits)}
+}
+
+// cacheBitsFor returns log2 of the cache size for a table of n nodes.
+func cacheBitsFor(n int) int {
+	return min(max(mathbits.Len(uint(n-1)), minCacheBits), maxCacheBits)
+}
+
+func cacheKey(a, b Ref) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
+
+func (c *opCache) slot(op uint8, ab uint64) *cacheSlot {
+	return &c.slots[((ab^uint64(op)<<59)*0x9e3779b97f4a7c15)>>c.shift]
+}
+
+func (c *opCache) get(op uint8, ab uint64) (Ref, bool) {
+	s := c.slot(op, ab)
+	m := s.meta.Load()
+	if m&1 != 0 || uint8(m>>seqBits)&7 != op || s.ab.Load() != ab || s.meta.Load() != m {
+		return False, false
+	}
+	return Ref(m >> 32), true
+}
+
+func (c *opCache) put(op uint8, ab uint64, r Ref) {
+	s := c.slot(op, ab)
+	m := s.meta.Load()
+	if m&1 != 0 || !s.meta.CompareAndSwap(m, m+1) {
+		return // another writer holds the slot; a cache may drop a write
+	}
+	s.ab.Store(ab)
+	s.meta.Store(uint64(uint32(r))<<32 | uint64(op)<<seqBits | (m&seqMask+2)&seqMask)
+}
+
+// copyTo puts c's entries into fresh, passing each through tr, which
+// returns the entry to store or ok=false to drop it; nil keeps entries as
+// they are. Slots a writer holds are skipped, so c may still be in use.
+func (c *opCache) copyTo(fresh *opCache, tr func(op uint8, a, b, r Ref) (na, nb, nr Ref, ok bool)) (kept, dropped int) {
+	for i := range c.slots {
+		s := &c.slots[i]
+		m := s.meta.Load()
+		ab := s.ab.Load()
+		if ab == 0 || m&1 != 0 || s.meta.Load() != m {
+			continue
+		}
+		op, r := uint8(m>>seqBits)&7, Ref(m>>32)
+		if tr != nil {
+			a, b, nr, ok := tr(op, Ref(ab>>32), Ref(uint32(ab)), r)
+			if !ok {
+				dropped++
+				continue
+			}
+			ab, r = cacheKey(a, b), nr
+		}
+		fresh.put(op, ab, r)
+		kept++
+	}
+	return kept, dropped
+}
+
+// Engine is one BDD node table with its operation cache. See the package
 // comment for the concurrency contract.
 type Engine struct {
 	numVars  int
@@ -129,12 +281,13 @@ type Engine struct {
 	// caused by a transient overshoot.
 	count atomic.Int64
 	// dir is the chunk directory. Growing replaces the slice (copy-on-write
-	// under growMu); existing chunk pointers are stable forever.
+	// under growMu), and the operation cache with it; existing chunk
+	// pointers are stable forever.
 	dir    atomic.Pointer[[]*chunk]
 	growMu sync.Mutex
 
 	unique [numStripes]uniqueStripe
-	cache  []atomic.Pointer[cacheEntry]
+	cache  atomic.Pointer[opCache]
 
 	// onGrow, when set, observes node-table growth for memory modelling.
 	// It may be invoked from many goroutines; observers must be
@@ -157,9 +310,9 @@ func New(numVars, maxNodes int) *Engine {
 		maxNodes: maxNodes,
 	}
 	for i := range e.unique {
-		e.unique[i].m = make(map[uniqueKey]Ref)
+		e.unique[i].refSet = newRefSet(0)
 	}
-	e.cache = make([]atomic.Pointer[cacheEntry], cacheSlots)
+	e.cache.Store(newOpCache(minCacheBits))
 	// Terminals at the bottom of the order, in the first chunk.
 	c := new(chunk)
 	c[False] = node{level: int32(numVars)}
@@ -201,22 +354,11 @@ func (e *Engine) node(r Ref) node {
 
 func (e *Engine) level(r Ref) int32 { return e.node(r).level }
 
-func stripeOf(k uniqueKey) uint32 {
-	h := uint32(k.level)*0x9e3779b1 ^ uint32(k.low)*0x85ebca77 ^ uint32(k.high)*0xc2b2ae3d
-	h ^= h >> 15
-	return h % numStripes
-}
-
-func cacheSlotOf(k opKey) uint32 {
-	h := uint32(k.op)*0x9e3779b1 ^ uint32(k.a)*0x85ebca77 ^ uint32(k.b)*0xc2b2ae3d
-	h ^= h >> 15
-	return h & (cacheSlots - 1)
-}
-
 // alloc claims the next table slot and writes n into it, growing the chunk
-// directory as needed. Callers publish the returned ref only after alloc
-// returns (mk does so under the unique-table stripe lock), which orders the
-// node write before any cross-goroutine read.
+// directory, and the operation cache with it, as needed. Callers publish
+// the returned ref only after alloc returns (mk does so under the
+// unique-table stripe lock), which orders the node write before any
+// cross-goroutine read.
 func (e *Engine) alloc(n node) (Ref, error) {
 	var idx int64
 	for {
@@ -241,37 +383,48 @@ func (e *Engine) alloc(n node) (Ref, error) {
 			e.dir.Store(&nd)
 			d = nd
 		}
+		if old, bits := e.cache.Load(), cacheBitsFor(int(idx)+1); bits > 64-int(old.shift) {
+			fresh := newOpCache(bits)
+			old.copyTo(fresh, nil)
+			e.cache.Store(fresh)
+		}
 		e.growMu.Unlock()
 	}
 	d[ci][idx&chunkMask] = n
 	return Ref(idx), nil
 }
 
+// findOrAdd returns the canonical ref of (level, low, high) from stripe
+// set t, allocating it if absent. The caller holds t's stripe lock across
+// the call, so a ref is never visible in the unique table before its node
+// is written.
+func (e *Engine) findOrAdd(t *refSet, h uint64, level int32, low, high Ref) (r Ref, fresh bool, err error) {
+	if r := t.lookup(*e.dir.Load(), h, level, low, high); r != 0 {
+		return r, false, nil
+	}
+	r, err = e.alloc(node{level: level, low: low, high: high})
+	if err != nil {
+		return False, false, err
+	}
+	t.add(*e.dir.Load(), h, r)
+	return r, true, nil
+}
+
 // mk returns the canonical node (level, low, high), applying the two ROBDD
-// reduction rules. The stripe lock is held across allocation so a ref is
-// never visible in the unique table before its node is written.
+// reduction rules.
 func (e *Engine) mk(level int32, low, high Ref) (Ref, error) {
 	if low == high {
 		return low, nil
 	}
-	key := uniqueKey{level, low, high}
-	s := &e.unique[stripeOf(key)]
+	h := nodeHash(level, low, high)
+	s := &e.unique[h&(numStripes-1)]
 	s.mu.Lock()
-	if r, ok := s.m[key]; ok {
-		s.mu.Unlock()
-		return r, nil
-	}
-	r, err := e.alloc(node{level: level, low: low, high: high})
-	if err != nil {
-		s.mu.Unlock()
-		return False, err
-	}
-	s.m[key] = r
+	r, fresh, err := e.findOrAdd(&s.refSet, h, level, low, high)
 	s.mu.Unlock()
-	if e.onGrow != nil {
+	if fresh && e.onGrow != nil {
 		e.onGrow(1)
 	}
-	return r, nil
+	return r, err
 }
 
 // bulkInserter amortizes unique-table locking across a whole batch of mk
@@ -299,19 +452,12 @@ func (b *bulkInserter) mk(level int32, low, high Ref) (Ref, error) {
 	if low == high {
 		return low, nil
 	}
-	e := b.e
-	key := uniqueKey{level, low, high}
-	s := &e.unique[stripeOf(key)]
-	if r, ok := s.m[key]; ok {
-		return r, nil
+	h := nodeHash(level, low, high)
+	r, fresh, err := b.e.findOrAdd(&b.e.unique[h&(numStripes-1)].refSet, h, level, low, high)
+	if fresh {
+		b.grew++
 	}
-	r, err := e.alloc(node{level: level, low: low, high: high})
-	if err != nil {
-		return False, err
-	}
-	s.m[key] = r
-	b.grew++
-	return r, nil
+	return r, err
 }
 
 // end releases the stripe locks and fires the grow observer. Safe to call
@@ -327,19 +473,15 @@ func (b *bulkInserter) end() {
 	}
 }
 
-// cacheGet is safe concurrently with cachePut: entries are immutable once
-// published, and the atomic pointer load orders the entry's construction
-// (and the cached ref's node write, published before the put) before the
-// read.
-func (e *Engine) cacheGet(key opKey) (Ref, bool) {
-	if ent := e.cache[cacheSlotOf(key)].Load(); ent != nil && ent.key == key {
-		return ent.r, true
-	}
-	return False, false
+// cacheGet and cachePut are safe concurrently with each other and with a
+// cache resize: the slot's sequence word orders the entry's words, and a
+// cached ref's node write is published (by its stripe lock) before the put.
+func (e *Engine) cacheGet(op uint8, a, b Ref) (Ref, bool) {
+	return e.cache.Load().get(op, cacheKey(a, b))
 }
 
-func (e *Engine) cachePut(key opKey, r Ref) {
-	e.cache[cacheSlotOf(key)].Store(&cacheEntry{key: key, r: r})
+func (e *Engine) cachePut(op uint8, a, b, r Ref) {
+	e.cache.Load().put(op, cacheKey(a, b), r)
 }
 
 // Var returns the BDD for "variable i is 1".
@@ -409,8 +551,7 @@ func (e *Engine) apply(op uint8, a, b Ref) (Ref, error) {
 	if (op == opAnd || op == opOr || op == opXor) && a > b {
 		a, b = b, a
 	}
-	key := opKey{op, a, b}
-	if r, ok := e.cacheGet(key); ok {
+	if r, ok := e.cacheGet(op, a, b); ok {
 		return r, nil
 	}
 	na, nb := e.node(a), e.node(b)
@@ -438,7 +579,7 @@ func (e *Engine) apply(op uint8, a, b Ref) (Ref, error) {
 	if err != nil {
 		return False, err
 	}
-	e.cachePut(key, r)
+	e.cachePut(op, a, b, r)
 	return r, nil
 }
 
@@ -462,8 +603,7 @@ func (e *Engine) Not(a Ref) (Ref, error) {
 	case True:
 		return False, nil
 	}
-	key := opKey{opNot, a, 0}
-	if r, ok := e.cacheGet(key); ok {
+	if r, ok := e.cacheGet(opNot, a, 0); ok {
 		return r, nil
 	}
 	n := e.node(a)
@@ -479,7 +619,7 @@ func (e *Engine) Not(a Ref) (Ref, error) {
 	if err != nil {
 		return False, err
 	}
-	e.cachePut(key, r)
+	e.cachePut(opNot, a, 0, r)
 	return r, nil
 }
 
@@ -498,8 +638,7 @@ func (e *Engine) Exists(a Ref, v int) (Ref, error) {
 		// Levels increase downward, so v cannot appear in this sub-DAG.
 		return a, nil
 	}
-	key := opKey{opExists, a, Ref(v)}
-	if r, ok := e.cacheGet(key); ok {
+	if r, ok := e.cacheGet(opExists, a, Ref(v)); ok {
 		return r, nil
 	}
 	var r Ref
@@ -521,7 +660,7 @@ func (e *Engine) Exists(a Ref, v int) (Ref, error) {
 	if err != nil {
 		return False, err
 	}
-	e.cachePut(key, r)
+	e.cachePut(opExists, a, Ref(v), r)
 	return r, nil
 }
 
@@ -699,14 +838,4 @@ func (e *Engine) PrefixCube(offset, width int, value uint32, n int) (Ref, error)
 		}
 	}
 	return acc, nil
-}
-
-// ClearCache drops the operation cache (the unique table is kept). Workers
-// call this between phases; the table is fixed-size, so this only frees
-// the entries, not the slots. Safe concurrently with operations: slots
-// are cleared with atomic stores.
-func (e *Engine) ClearCache() {
-	for i := range e.cache {
-		e.cache[i].Store(nil)
-	}
 }

@@ -358,14 +358,3 @@ func TestSetVar(t *testing.T) {
 		t.Fatalf("SetVar kept wrong constraints: %d want %d", got, want)
 	}
 }
-
-func TestClearCachePreservesSemantics(t *testing.T) {
-	e := New(4, 0)
-	x, y := mustVar(t, e, 0), mustVar(t, e, 1)
-	before, _ := e.And(x, y)
-	e.ClearCache()
-	after, _ := e.And(x, y)
-	if before != after {
-		t.Fatal("ClearCache must not change canonical results")
-	}
-}

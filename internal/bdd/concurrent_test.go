@@ -140,40 +140,6 @@ func TestConcurrentDeserialize(t *testing.T) {
 	}
 }
 
-// TestConcurrentClearCache interleaves ClearCache with operations; results
-// must stay correct because the unique table (canonicity) is untouched.
-func TestConcurrentClearCache(t *testing.T) {
-	e := New(24, 0)
-	stop := make(chan struct{})
-	clearerDone := make(chan struct{})
-	go func() {
-		defer close(clearerDone)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				e.ClearCache()
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ref := New(24, 0)
-			want := fingerprint(ref, buildWorkload(t, ref, i))
-			if got := fingerprint(e, buildWorkload(t, e, i)); !bytes.Equal(got, want) {
-				t.Errorf("worker %d: result changed under concurrent ClearCache", i)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(stop)
-	<-clearerDone
-}
-
 // TestConcurrentMaxNodes checks the node limit is enforced exactly under
 // concurrent allocation: either an op errors with ErrNodeTableFull or the
 // final count respects the cap — never an overshoot.

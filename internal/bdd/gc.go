@@ -228,8 +228,8 @@ func (e *Engine) GC(roots []Ref) func(Ref) Ref {
 	// Rebuild chunks and the unique table. Children precede parents in the
 	// table (allocation order: a node's children exist before it is made),
 	// so their remaps exist already. The live count from the mark bitset
-	// pre-sizes both the chunk directory and the stripe maps so the sweep
-	// never rehashes.
+	// pre-sizes the chunk directory and the stripe tables, so the sweep
+	// rarely rehashes; survivors enter the tables in ascending id order.
 	first := new(chunk)
 	first[False] = at(False)
 	first[True] = at(True)
@@ -245,10 +245,9 @@ func (e *Engine) GC(roots []Ref) func(Ref) Ref {
 		newCount++
 		return Ref(newCount - 1)
 	}
-	newUnique := make([]map[uniqueKey]Ref, numStripes)
-	perStripe := live/numStripes + 8
+	var newUnique [numStripes]refSet
 	for i := range newUnique {
-		newUnique[i] = make(map[uniqueKey]Ref, perStripe)
+		newUnique[i] = newRefSet(live / numStripes)
 	}
 	for i := 2; i < oldCount; i++ {
 		if !reachable(i) {
@@ -257,21 +256,21 @@ func (e *Engine) GC(roots []Ref) func(Ref) Ref {
 		n := at(Ref(i))
 		nn := node{level: n.level, low: remap[n.low], high: remap[n.high]}
 		id := put(nn)
-		key := uniqueKey{nn.level, nn.low, nn.high}
-		newUnique[stripeOf(key)][key] = id
+		h := nodeHash(nn.level, nn.low, nn.high)
+		newUnique[h&(numStripes-1)].add(newDir, h, id)
 		remap[i] = id
 	}
 	freed := oldCount - newCount
 	sweepDone := time.Now()
 
 	// --- Relocate: translate the op cache through the remap. ---
-	kept, dropped := e.relocateCache(remap)
+	kept, dropped := e.relocateCache(remap, newCount)
 	end := time.Now()
 
 	e.dir.Store(&newDir)
 	e.count.Store(int64(newCount))
 	for i := range e.unique {
-		e.unique[i].m = newUnique[i]
+		e.unique[i].refSet = newUnique[i]
 	}
 	if e.onGrow != nil && freed > 0 {
 		e.onGrow(-freed)
@@ -302,9 +301,10 @@ func (e *Engine) GC(roots []Ref) func(Ref) Ref {
 }
 
 // relocateCache translates every surviving op-cache entry through the
-// remap table into a fresh slot array, dropping entries that name a dead
-// node. This preserves the hit rate across collections — the first rounds
-// after a GC no longer recompute every result the cache already knew.
+// remap table into a fresh slot array sized for the live table, dropping
+// entries that name a dead node. This preserves the hit rate across
+// collections — the first rounds after a GC no longer recompute every
+// result the cache already knew.
 //
 // Key translation is op-aware: for opExists the b field is a *variable
 // index* stored as a Ref, not a node, and must pass through untouched.
@@ -312,47 +312,34 @@ func (e *Engine) GC(roots []Ref) func(Ref) Ref {
 // sweep assigns new ids in ascending old-id order, so the remap is
 // monotonic over survivors and normalization is preserved without
 // re-sorting.
-func (e *Engine) relocateCache(remap []Ref) (kept, dropped int) {
-	fresh := make([]atomic.Pointer[cacheEntry], cacheSlots)
+func (e *Engine) relocateCache(remap []Ref, live int) (kept, dropped int) {
 	mapRef := func(r Ref) (Ref, bool) {
 		if r < 0 || int(r) >= len(remap) || remap[r] < 0 {
 			return False, false
 		}
 		return remap[r], true
 	}
-	for i := range e.cache {
-		ent := e.cache[i].Load()
-		if ent == nil {
-			continue
-		}
-		k := ent.key
-		na, ok := mapRef(k.a)
+	fresh := newOpCache(cacheBitsFor(live))
+	kept, dropped = e.cache.Load().copyTo(fresh, func(op uint8, a, b, r Ref) (Ref, Ref, Ref, bool) {
+		na, ok := mapRef(a)
 		if !ok {
-			dropped++
-			continue
+			return 0, 0, 0, false
 		}
-		nb := k.b
-		switch k.op {
+		nb := b
+		switch op {
 		case opAnd, opOr, opXor, opDiff, opNot:
-			nb, ok = mapRef(k.b)
+			nb, ok = mapRef(b)
 		case opExists:
 			// b is the quantified variable index; not a node ref.
 		default:
 			ok = false
 		}
 		if !ok {
-			dropped++
-			continue
+			return 0, 0, 0, false
 		}
-		nr, ok := mapRef(ent.r)
-		if !ok {
-			dropped++
-			continue
-		}
-		nk := opKey{op: k.op, a: na, b: nb}
-		fresh[cacheSlotOf(nk)].Store(&cacheEntry{key: nk, r: nr})
-		kept++
-	}
-	e.cache = fresh
+		nr, ok := mapRef(r)
+		return na, nb, nr, ok
+	})
+	e.cache.Store(fresh)
 	return kept, dropped
 }
