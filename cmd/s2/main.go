@@ -6,17 +6,25 @@
 //
 //	s2 -configs DIR [-workers N] [-shards M] [-scheme metis|random|expert]
 //	   [-workers-at host:port,host:port]  # remote workers via cmd/s2worker
+//	   [-procs N] [-seed S] [-rpc-timeout D] [-retries N]
+//	   [-heartbeat-interval D] [-recover]
+//	   [-query '{"dst_prefix":"10.128.128.0/24","sources":["edge-0-0"]}']
 //	   [-ribs] [-budget BYTES] [-spill DIR] [-v]
 //	   [-trace out.json] [-obs-addr 127.0.0.1:9090]
+//	   [-log-level warn] [-log-json]
+//
+// The verifier options (-workers through -recover) are defined once in
+// s2.Options.RegisterFlags, and -query takes the same s2.Query JSON that
+// s2serve's POST /v1/queries does.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"sort"
-	"strings"
 	"syscall"
 	"time"
 
@@ -25,33 +33,21 @@ import (
 )
 
 func main() {
+	var opts s2.Options
+	opts.RegisterFlags(flag.CommandLine)
+	newLogger := obs.LogFlags("warn")
+	flag.Int64Var(&opts.MemoryBudgetBytes, "budget", 0, "modelled per-worker memory budget in bytes (0 = unlimited)")
+	flag.StringVar(&opts.SpillDir, "spill", "", "directory for spilling shard results between rounds")
+	flag.BoolVar(&opts.KeepRIBs, "ribs", false, "print every device's computed routes")
+	flag.BoolVar(&opts.GCStress, "gc-stress", false, "collect the BDD engine at every safe point the table grew (CI smoke knob; results are byte-identical)")
 	var (
 		configs    = flag.String("configs", "", "directory of *.cfg device configurations (required)")
-		workers    = flag.Int("workers", 4, "number of in-process workers")
-		workerAddr = flag.String("workers-at", "", "comma-separated sidecar addresses of remote workers (overrides -workers)")
-		shards     = flag.Int("shards", 1, "prefix shard count (>1 enables sharding)")
-		scheme     = flag.String("scheme", "metis", "partition scheme: metis|random|expert|imbalanced|commheavy")
-		budget     = flag.Int64("budget", 0, "modelled per-worker memory budget in bytes (0 = unlimited)")
-		spill      = flag.String("spill", "", "directory for spilling shard results between rounds")
-		seed       = flag.Int64("seed", 1, "seed for partitioning and shard shuffling")
-		showRIBs   = flag.Bool("ribs", false, "print every device's computed routes")
-		checkDst   = flag.String("check-dst", "", "run a single-pair query: destination prefix (a.b.c.d/len)")
-		checkFrom  = flag.String("check-from", "", "single-pair query: source node (with -check-dst)")
-		checkTo    = flag.String("check-to", "", "single-pair query: destination node (with -check-dst)")
-		checkVia   = flag.String("check-via", "", "single-pair query: required waypoint node (optional)")
-		rpcTimeout = flag.Duration("rpc-timeout", 0, "deadline per worker RPC attempt (0 = none); also applied to worker peer calls")
-		retries    = flag.Int("retries", 0, "extra attempts for idempotent worker RPCs that fail transiently")
-		heartbeat  = flag.Duration("heartbeat-interval", 0, "ping workers at this interval; 3 consecutive misses declare a worker dead (0 = off)")
-		recoverOn  = flag.Bool("recover", false, "on worker death, re-partition its segment onto survivors and re-execute")
+		queryJSON  = flag.String("query", "", "also answer one query: an s2.Query JSON object, as POST /v1/queries takes (e.g. {\"dst_prefix\":\"10.128.128.0/24\",\"transits\":[\"agg-1-0\"]})")
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON file of the run (open in chrome://tracing or ui.perfetto.dev)")
 		obsAddr    = flag.String("obs-addr", "", "serve /metrics, /healthz, /progress, and /debug/pprof on this address")
-		procs      = flag.Int("procs", 0, "per-worker goroutine pool for the simulation phases (0 = all CPUs, 1 = sequential)")
-		gcStress   = flag.Bool("gc-stress", false, "collect the BDD engine at every safe point the table grew (CI smoke knob; results are byte-identical)")
 		showReport = flag.Bool("report", false, "print the per-worker × per-stage attribution table after the run")
 		reportJSON = flag.String("report-json", "", "write the attribution report as JSON to this file (- for stdout)")
 		flightLog  = flag.String("flight-log", "", "write the controller's flight-recorder events to this file at exit")
-		logLevel   = flag.String("log-level", "warn", "structured log level on stderr: debug|info|warn|error|off")
-		logJSON    = flag.Bool("log-json", false, "emit structured logs as JSON lines (default: logfmt-style text)")
 		verbose    = flag.Bool("v", false, "print phase timings and per-worker stats")
 	)
 	flag.Parse()
@@ -60,40 +56,27 @@ func main() {
 		os.Exit(2)
 	}
 
+	// A query is read before anything runs: a malformed one must not turn
+	// into a silent all-pairs run. Each transit needs one waypoint bit.
+	var query *s2.Query
+	if *queryJSON != "" {
+		query = new(s2.Query)
+		if err := json.Unmarshal([]byte(*queryJSON), query); err != nil {
+			fatal(fmt.Errorf("-query: %w", err))
+		}
+		opts.WaypointBits = len(query.Transits)
+	}
+
 	// Structured logs go to stderr: stdout is the report surface and is
 	// diffed by the comparison harnesses.
-	level, err := obs.ParseLogLevel(*logLevel)
+	logger, err := newLogger()
 	fatal(err)
-	logger := obs.NewLogger(os.Stderr, level, *logJSON)
+	opts.Logger = logger
 
 	net, err := s2.LoadDirectory(*configs)
 	fatal(err)
 	fmt.Printf("parsed %d devices from %s\n", net.Size(), *configs)
 
-	waypointBits := 0
-	if *checkVia != "" {
-		waypointBits = 1
-	}
-	opts := s2.Options{
-		WaypointBits:      waypointBits,
-		Workers:           *workers,
-		PartitionScheme:   *scheme,
-		Shards:            *shards,
-		Seed:              *seed,
-		MemoryBudgetBytes: *budget,
-		SpillDir:          *spill,
-		KeepRIBs:          *showRIBs,
-		RPCTimeout:        *rpcTimeout,
-		RPCRetries:        *retries,
-		HeartbeatInterval: *heartbeat,
-		Recover:           *recoverOn,
-		Parallelism:       *procs,
-		GCStress:          *gcStress,
-		Logger:            logger,
-	}
-	if *workerAddr != "" {
-		opts.WorkerAddrs = strings.Split(*workerAddr, ",")
-	}
 	var tracer *obs.Tracer
 	if *traceOut != "" {
 		tracer = obs.NewTracer()
@@ -172,20 +155,12 @@ func main() {
 	fatal(err)
 	fmt.Println(report)
 
-	if *checkDst != "" {
-		q := s2.Query{DstPrefix: *checkDst}
-		if *checkFrom != "" {
-			q.Sources = []string{*checkFrom}
-		}
-		if *checkTo != "" {
-			q.Dests = []string{*checkTo}
-		}
-		if *checkVia != "" {
-			q.Transits = []string{*checkVia}
-		}
-		rep, err := v.Check(q)
+	if query != nil {
+		rep, err := v.Check(*query)
 		fatal(err)
-		fmt.Printf("\nquery dst=%s from=%v to=%v via=%q:\n", *checkDst, q.Sources, q.Dests, *checkVia)
+		canon, err := json.Marshal(query)
+		fatal(err)
+		fmt.Printf("\nquery %s:\n", canon)
 		if rep.OK() {
 			fmt.Printf("  OK; reached: %v\n", rep.ReachedDests)
 		}
@@ -194,15 +169,10 @@ func main() {
 		}
 	}
 
-	if *showRIBs {
+	if opts.KeepRIBs {
 		ribs, err := v.RIBs()
 		fatal(err)
-		names := make([]string, 0, len(ribs))
-		for n := range ribs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range sortedKeys(ribs) {
 			fmt.Printf("\n%s:\n", n)
 			for _, r := range ribs[n] {
 				fmt.Printf("  %s\n", r)
@@ -211,8 +181,9 @@ func main() {
 	}
 
 	if *verbose {
-		for name, d := range v.PhaseDurations() {
-			fmt.Printf("phase %-18s %v\n", name, d.Round(time.Millisecond))
+		phases := v.PhaseDurations()
+		for _, name := range sortedKeys(phases) {
+			fmt.Printf("phase %-18s %v\n", name, phases[name].Round(time.Millisecond))
 		}
 		stats, err := v.Stats()
 		fatal(err)
@@ -220,15 +191,9 @@ func main() {
 			fmt.Printf("worker %d: %d nodes, peak %d bytes, %d route pulls, %d packets in\n",
 				st.Worker, st.Nodes, st.PeakBytes, st.RoutePulls, st.PacketsIn)
 		}
-		if fs := v.FaultStats(); len(fs) > 0 {
-			names := make([]string, 0, len(fs))
-			for n := range fs {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			for _, n := range names {
-				fmt.Printf("fault %-18s %d\n", n, fs[n])
-			}
+		fs := v.FaultStats()
+		for _, n := range sortedKeys(fs) {
+			fmt.Printf("fault %-18s %d\n", n, fs[n])
 		}
 	}
 
@@ -261,6 +226,16 @@ func main() {
 	if !report.OK() {
 		os.Exit(1)
 	}
+}
+
+// sortedKeys returns m's keys in increasing order, for stable output.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func fatal(err error) {

@@ -90,22 +90,21 @@ func main() {
 		shard     = flag.Int("shards", 0, "default prefix shard count")
 		maxW      = flag.Int("maxworkers", 0, "largest S2 worker count")
 		jsonOut   = flag.String("json", "", "also write rows (with per-run phase and RPC telemetry) as JSON to this file")
-		procs     = flag.Int("procs", 0, "per-worker goroutine pool for S2 runs (0 = all CPUs, 1 = sequential)")
+		procs     = flag.Int("procs", 0, "per-worker goroutine pool for the simulation phases (0 = all CPUs, 1 = sequential)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile (after all figures) to this file")
 		mutexProf = flag.String("mutexprofile", "", "write a mutex contention profile (after all figures) to this file")
 		blockProf = flag.String("blockprofile", "", "write a goroutine blocking profile (after all figures) to this file")
-		logLvl    = flag.String("log-level", "off", "structured controller/worker log level on stderr: debug|info|warn|error|off")
-		logJSON   = flag.Bool("log-json", false, "emit structured logs as JSON lines (default: logfmt-style text)")
 	)
+	newLogger := obs.LogFlags("off")
 	flag.Parse()
 
-	level, err := obs.ParseLogLevel(*logLvl)
+	logger, err := newLogger()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "s2bench:", err)
 		os.Exit(2)
 	}
-	experiments.SetLogger(obs.NewLogger(os.Stderr, level, *logJSON))
+	experiments.SetLogger(logger)
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)

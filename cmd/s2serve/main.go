@@ -13,10 +13,13 @@
 // Usage:
 //
 //	s2serve -configs DIR [-addr :8642] [-workers N] [-shards M]
-//	        [-workers-at host:port,...] [-procs N] [-seed S]
-//	        [-recover] [-heartbeat-interval D] [-v]
-//	        [-log-level info] [-log-json] [-audit-log FILE]
+//	        [-workers-at host:port,...] [-scheme S] [-procs N] [-seed S]
+//	        [-rpc-timeout D] [-retries N] [-recover] [-heartbeat-interval D]
+//	        [-v] [-log-level info] [-log-json] [-audit-log FILE]
 //	        [-slow-worker N]
+//
+// The verifier options (-workers through -recover) are the ones cmd/s2
+// takes, defined once in s2.Options.RegisterFlags.
 //
 // Its telemetry has fixed sizes: 512 request traces with the 16 slowest
 // kept, 1024 audit entries in memory, and the fleet health plane (512
@@ -33,7 +36,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -43,23 +45,13 @@ import (
 )
 
 func main() {
+	var opts s2.Options
+	opts.RegisterFlags(flag.CommandLine)
+	newLogger := obs.LogFlags("info")
 	var (
 		configs    = flag.String("configs", "", "directory of *.cfg device configurations (required)")
 		addr       = flag.String("addr", ":8642", "HTTP listen address for the API (and /metrics)")
-		workers    = flag.Int("workers", 4, "number of in-process workers")
-		workerAddr = flag.String("workers-at", "", "comma-separated sidecar addresses of remote workers (overrides -workers)")
-		shards     = flag.Int("shards", 1, "prefix shard count (>1 enables sharding and incremental shard reuse)")
-		scheme     = flag.String("scheme", "metis", "partition scheme: metis|random|expert|imbalanced|commheavy")
-		seed       = flag.Int64("seed", 1, "seed for partitioning and shard shuffling")
-		procs      = flag.Int("procs", 0, "per-worker goroutine pool for the simulation phases (0 = all CPUs)")
-		rpcTimeout = flag.Duration("rpc-timeout", 0, "deadline per worker RPC attempt (0 = none)")
-		retries    = flag.Int("retries", 0, "extra attempts for idempotent worker RPCs that fail transiently")
-		heartbeat  = flag.Duration("heartbeat-interval", 0, "worker heartbeat interval (0 = off)")
-		recoverOn  = flag.Bool("recover", false, "on worker death, re-partition onto survivors and re-verify")
 		verbose    = flag.Bool("v", false, "log the boot verification summary")
-
-		logLevel   = flag.String("log-level", "info", "structured log level: debug|info|warn|error|off")
-		logJSON    = flag.Bool("log-json", false, "emit structured logs as JSON lines (default: logfmt-style text)")
 		auditLog   = flag.String("audit-log", "", "append every audit entry as a JSON line to this file")
 		slowWorker = flag.Int("slow-worker", -1, "delay this worker's phase RPCs by 25ms each (straggler experiment; -1 = off)")
 	)
@@ -69,9 +61,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	level, err := obs.ParseLogLevel(*logLevel)
+	logger, err := newLogger()
 	fatal(err)
-	logger := obs.NewLogger(os.Stderr, level, *logJSON)
 
 	network, err := s2.LoadDirectory(*configs)
 	fatal(err)
@@ -80,28 +71,14 @@ func main() {
 
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer()
-	opts := s2.Options{
-		Workers:           *workers,
-		PartitionScheme:   *scheme,
-		Shards:            *shards,
-		Seed:              *seed,
-		KeepRIBs:          true, // RIB queries are part of the API surface
-		Parallelism:       *procs,
-		RPCTimeout:        *rpcTimeout,
-		RPCRetries:        *retries,
-		HeartbeatInterval: *heartbeat,
-		Recover:           *recoverOn,
-		Metrics:           reg,
-		Tracer:            tracer,
-		Logger:            logger,
-		FleetPlane:        true,
-	}
+	opts.KeepRIBs = true // RIB queries are part of the API surface
+	opts.Metrics = reg
+	opts.Tracer = tracer
+	opts.Logger = logger
+	opts.FleetPlane = true
 	if *slowWorker >= 0 {
 		opts.SlowWorker = *slowWorker
 		opts.SlowWorkerDelay = slowWorkerDelay
-	}
-	if *workerAddr != "" {
-		opts.WorkerAddrs = strings.Split(*workerAddr, ",")
 	}
 	v, err := s2.NewVerifier(network, opts)
 	fatal(err)

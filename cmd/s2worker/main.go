@@ -7,8 +7,9 @@
 //	s2 -configs DIR -workers-at 127.0.0.1:7001,127.0.0.1:7002
 //
 // The controller sends each worker its segment of the network during
-// Setup; workers dial each other directly for shadow-node route pulls and
-// symbolic packet deliveries.
+// Setup, together with the goroutine pool size and the deadline/retry
+// policy for peer calls; workers dial each other directly for shadow-node
+// route pulls and symbolic packet deliveries.
 //
 // On SIGINT/SIGTERM the worker drains: it stops accepting new RPCs,
 // finishes the in-flight ones (up to -grace), and exits 0. The controller
@@ -24,34 +25,27 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
 	"s2/internal/core"
-	"s2/internal/fault"
 	"s2/internal/obs"
 	"s2/internal/sidecar"
 )
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "TCP address for the worker's sidecar")
-	rpcTimeout := flag.Duration("rpc-timeout", 0, "deadline for this worker's peer-to-peer RPC attempts (0 = none; the controller's Setup overrides it)")
-	retries := flag.Int("retries", 0, "extra attempts for idempotent peer RPCs that fail transiently")
 	grace := flag.Duration("grace", 10*time.Second, "max time to finish in-flight RPCs on SIGINT/SIGTERM")
-	procs := flag.Int("procs", 0, "default goroutine pool for the simulation phases when Setup doesn't set one (0 = all CPUs, 1 = sequential)")
 	obsAddr := flag.String("obs-addr", "", "serve /metrics, /healthz, /progress, /debug/flightrecorder, /debug/dashboard, and /debug/pprof for this worker on this address")
 	flightLog := flag.String("flight-log", "", "also write flight-recorder dumps (SIGQUIT) to this file")
-	logLevel := flag.String("log-level", "info", "structured log level: debug|info|warn|error|off")
-	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON lines (default: logfmt-style text)")
+	newLogger := obs.LogFlags("info")
 	flag.Parse()
 
-	level, err := obs.ParseLogLevel(*logLevel)
+	logger, err := newLogger()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "s2worker:", err)
 		os.Exit(1)
 	}
-	logger := obs.NewLogger(os.Stderr, level, *logJSON)
 
 	lis, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -60,12 +54,6 @@ func main() {
 	}
 	w := core.NewWorker()
 	w.SetLogger(logger)
-	w.SetDefaultPolicy(fault.Policy{Timeout: *rpcTimeout, Retries: *retries})
-	defProcs := *procs
-	if defProcs <= 0 {
-		defProcs = runtime.NumCPU()
-	}
-	w.SetDefaultParallelism(defProcs)
 	srv := sidecar.NewServer(w)
 
 	// Tracing is always on: spans land in a bounded export ring that costs

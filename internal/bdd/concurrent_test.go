@@ -222,17 +222,30 @@ func TestGCAfterConcurrentBuild(t *testing.T) {
 	wg.Wait()
 }
 
+// BenchmarkParallelApply runs b.N workload builds on one shared engine,
+// split across exactly the named number of goroutines, so the rows show
+// how the engine scales with concurrent callers. Goroutine g starts at
+// workload g, so concurrent builds are of different predicates.
 func BenchmarkParallelApply(b *testing.B) {
 	for _, procs := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("goroutines=%d", procs), func(b *testing.B) {
 			e := New(24, 0)
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					buildWorkload(b, e, i%16)
-					i++
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for g := 0; g < procs; g++ {
+				n := b.N / procs
+				if g < b.N%procs {
+					n++
 				}
-			})
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						buildWorkload(b, e, (g+i)%16)
+					}
+				}()
+			}
+			wg.Wait()
 		})
 	}
 }

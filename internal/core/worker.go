@@ -56,9 +56,6 @@ type Worker struct {
 	// dialedPeers are the RPC clients this worker opened itself (remote
 	// mode); a re-Setup closes them before redialing the new directory.
 	dialedPeers []*sidecar.RemoteWorker
-	// defPolicy is the fault policy for peer-to-peer calls when the
-	// SetupRequest doesn't carry one (s2worker flags).
-	defPolicy fault.Policy
 
 	// phaseMu serializes the controller-phase methods (Setup, shard and
 	// query rounds). The controller normally issues them one at a time, but
@@ -72,10 +69,8 @@ type Worker struct {
 	// procs bounds intra-phase parallelism: the per-node loops of the
 	// gather/apply/compute/forward phases run on up to procs goroutines.
 	// procs 1 runs the same chunked bodies inline on the phase goroutine,
-	// with identical results. defProcs is the worker-process default
-	// (s2worker -procs) used when SetupRequest.Parallelism is unset.
-	procs    int
-	defProcs int
+	// with identical results. SetupRequest.Parallelism sets it.
+	procs int
 	// sendSessions is the sender half of the per-peer wire delta protocol
 	// (see wire.go), touched only by the phase goroutine; recvTables is the
 	// receiver half (map and accept cursors guarded by qmu, materialized
@@ -228,14 +223,6 @@ func (w *Worker) FlightRecorder() *obs.FlightRecorder { return w.flight }
 // for local transports; remote workers dial PeerAddrs during Setup).
 func (w *Worker) SetPeers(peers []sidecar.WorkerAPI) { w.peers = peers }
 
-// SetDefaultPolicy sets the fault policy used for peer-to-peer calls when
-// Setup doesn't carry one (the s2worker -rpc-timeout/-retries flags).
-func (w *Worker) SetDefaultPolicy(p fault.Policy) { w.defPolicy = p }
-
-// SetDefaultParallelism sets the pool size used when Setup doesn't carry
-// one (the s2worker -procs flag). Values <= 0 mean sequential.
-func (w *Worker) SetDefaultParallelism(n int) { w.defProcs = n }
-
 // SetLogger passes the worker's records on to l after its flight recorder
 // (nil: to the recorder only). Like the obs handle it is infrastructure:
 // Setup's full reset leaves it alone, so recovery re-Setups keep their
@@ -307,11 +294,7 @@ func (w *Worker) Setup(req sidecar.SetupRequest) error {
 	w.tracker = metrics.NewTracker(fmt.Sprintf("worker%d", req.WorkerID), req.MemoryBudget)
 	w.adjacencies = req.Adjacencies
 	w.sessions = req.Sessions
-	procs := req.Parallelism
-	if procs <= 0 {
-		procs = w.defProcs
-	}
-	w.procs = max(procs, 1)
+	w.procs = max(req.Parallelism, 1)
 
 	snap, err := config.ParseTexts(req.Configs)
 	if err != nil {
@@ -324,10 +307,7 @@ func (w *Worker) Setup(req sidecar.SetupRequest) error {
 	// with the fault policy so peer pulls and packet deliveries get the
 	// same deadlines/retries as controller calls.
 	if len(req.PeerAddrs) > 0 {
-		policy := w.defPolicy
-		if req.RPCTimeout > 0 || req.RPCRetries > 0 {
-			policy = fault.Policy{Timeout: req.RPCTimeout, Retries: req.RPCRetries}
-		}
+		policy := fault.Policy{Timeout: req.RPCTimeout, Retries: req.RPCRetries}
 		var caller *fault.Caller
 		if policy.Timeout > 0 || policy.Retries > 0 {
 			caller = fault.NewCaller(policy, nil)

@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"log/slog"
+	"os"
 )
 
 // LevelOff sits above every level a record is logged at, so a handler
@@ -37,6 +39,21 @@ func NewLogger(w io.Writer, min slog.Level, jsonOut bool) *slog.Logger {
 		return slog.New(slog.NewJSONHandler(w, opts))
 	}
 	return slog.New(slog.NewTextHandler(w, opts))
+}
+
+// LogFlags defines -log-level (defaulting to level) and -log-json on the
+// command line. The returned function, called after flag.Parse, builds
+// the stderr logger they select.
+func LogFlags(level string) func() (*slog.Logger, error) {
+	name := flag.String("log-level", level, "structured log level on stderr: debug|info|warn|error|off")
+	jsonOut := flag.Bool("log-json", false, "emit structured logs as JSON lines (default: logfmt-style text)")
+	return func() (*slog.Logger, error) {
+		lvl, err := ParseLogLevel(*name)
+		if err != nil {
+			return nil, err
+		}
+		return NewLogger(os.Stderr, lvl, *jsonOut), nil
+	}
 }
 
 // discard drops every record after one level comparison: a text handler
