@@ -15,16 +15,19 @@
 //
 // The verifier options (-workers through -recover) are defined once in
 // s2.Options.RegisterFlags, and -query takes the same s2.Query JSON that
-// s2serve's POST /v1/queries does.
+// s2serve's POST /v1/queries does. The exit status is 1 when the all-pairs
+// report or the query's answer is not OK, or when the run fails.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"sort"
+	"strings"
 	"syscall"
 	"time"
 
@@ -32,7 +35,20 @@ import (
 	"s2/internal/obs"
 )
 
-func main() {
+func main() { exit(run()) }
+
+// writeFlightLog writes the -flight-log file once the verifier exists.
+var writeFlightLog = func() {}
+
+// exit is the command's one way out: a failed run, a failed verdict and a
+// passed one all write the flight log first.
+func exit(code int) {
+	writeFlightLog()
+	os.Exit(code)
+}
+
+// run verifies and returns the exit status; an error exits through fatal.
+func run() int {
 	var opts s2.Options
 	opts.RegisterFlags(flag.CommandLine)
 	newLogger := obs.LogFlags("warn")
@@ -53,15 +69,22 @@ func main() {
 	flag.Parse()
 	if *configs == "" {
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
 
-	// A query is read before anything runs: a malformed one must not turn
-	// into a silent all-pairs run. Each transit needs one waypoint bit.
+	// A query is read before anything runs: a malformed one, or one with a
+	// misspelled key that would silently widen it, must not turn into a
+	// silent all-pairs run. Each transit needs one waypoint bit.
 	var query *s2.Query
 	if *queryJSON != "" {
 		query = new(s2.Query)
-		if err := json.Unmarshal([]byte(*queryJSON), query); err != nil {
+		dec := json.NewDecoder(strings.NewReader(*queryJSON))
+		dec.DisallowUnknownFields()
+		err := dec.Decode(query)
+		if err == nil && dec.More() {
+			err = errors.New("data after the query object")
+		}
+		if err != nil {
 			fatal(fmt.Errorf("-query: %w", err))
 		}
 		opts.WaypointBits = len(query.Transits)
@@ -104,7 +127,7 @@ func main() {
 		}
 	}()
 	if *flightLog != "" {
-		defer func() {
+		writeFlightLog = func() {
 			f, err := os.Create(*flightLog)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "s2: flight-log:", err)
@@ -112,7 +135,7 @@ func main() {
 			}
 			flight.WriteTo(f)
 			f.Close()
-		}()
+		}
 	}
 
 	if *obsAddr != "" {
@@ -154,6 +177,7 @@ func main() {
 	report, err := v.CheckAllPairs()
 	fatal(err)
 	fmt.Println(report)
+	ok := report.OK()
 
 	if query != nil {
 		rep, err := v.Check(*query)
@@ -164,6 +188,7 @@ func main() {
 		if rep.OK() {
 			fmt.Printf("  OK; reached: %v\n", rep.ReachedDests)
 		}
+		ok = ok && rep.OK()
 		for _, vio := range rep.Violations {
 			fmt.Printf("  %s: %s (src=%s node=%s dst=%s)\n", vio.Kind, vio.Detail, vio.Source, vio.Node, vio.ExampleDst)
 		}
@@ -223,9 +248,10 @@ func main() {
 		fmt.Printf("trace written to %s\n", *traceOut)
 	}
 
-	if !report.OK() {
-		os.Exit(1)
+	if !ok {
+		return 1
 	}
+	return 0
 }
 
 // sortedKeys returns m's keys in increasing order, for stable output.
@@ -241,6 +267,6 @@ func sortedKeys[V any](m map[string]V) []string {
 func fatal(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "s2:", err)
-		os.Exit(1)
+		exit(1)
 	}
 }

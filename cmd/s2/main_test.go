@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -70,21 +71,22 @@ func queryAnswer(t *testing.T, stdout string) string {
 
 // TestQueryAnswersAsCheckFlags pins -query to the answers the former
 // -check-dst/-check-from/-check-to/-check-via form printed for the same
-// queries.
+// queries; an answer with a violation exits 1.
 func TestQueryAnswersAsCheckFlags(t *testing.T) {
 	dir := fatTree4(t)
 	for _, tc := range []struct {
 		name, query, answer string
+		code                int
 	}{
 		{"pair", `{"dst_prefix":"10.128.128.0/24","sources":["edge-0-0"],"dests":["edge-1-0"]}`,
-			"  OK; reached: [edge-1-0]\n"},
+			"  OK; reached: [edge-1-0]\n", 0},
 		{"waypoint", `{"dst_prefix":"10.128.128.0/24","sources":["edge-0-0"],"dests":["edge-1-0"],"transits":["agg-1-0"]}`,
-			"  waypoint: packets bypass transit agg-1-0 (src= node=edge-1-0 dst=10.128.128.0)\n"},
+			"  waypoint: packets bypass transit agg-1-0 (src= node=edge-1-0 dst=10.128.128.0)\n", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, stderr, code := runS2(t, "-configs", dir, "-workers", "2", "-query", tc.query)
-			if code != 0 {
-				t.Fatalf("exit %d: %s", code, stderr)
+			if code != tc.code {
+				t.Fatalf("exit %d, want %d: %s", code, tc.code, stderr)
 			}
 			if !strings.Contains(out, "all-pair reachability: 8 sources × 8 dests: OK\n") {
 				t.Fatalf("no all-pairs verdict:\n%s", out)
@@ -97,10 +99,16 @@ func TestQueryAnswersAsCheckFlags(t *testing.T) {
 }
 
 // TestMalformedQueryFails checks a query that does not decode stops the run
-// with an error before anything is verified.
+// with an error before anything is verified. A misspelled key ("dest" for
+// "dests") does not decode either: dropping it would widen the query.
 func TestMalformedQueryFails(t *testing.T) {
 	dir := fatTree4(t)
-	for _, query := range []string{`{"dst_prefix":`, `{"sources":"edge-0-0"}`} {
+	for _, query := range []string{
+		`{"dst_prefix":`,
+		`{"sources":"edge-0-0"}`,
+		`{"dst_prefix":"10.128.128.0/24","sources":["edge-0-0"],"dest":["edge-1-1"]}`,
+		`{"dst_prefix":"10.128.128.0/24"} {}`,
+	} {
 		out, stderr, code := runS2(t, "-configs", dir, "-query", query)
 		if code == 0 || !strings.Contains(stderr, "-query") {
 			t.Fatalf("%s: exit %d, stderr %q", query, code, stderr)
@@ -141,5 +149,46 @@ func TestVerbosePhasesSorted(t *testing.T) {
 	}
 	if len(phases) < 2 || !sort.StringsAreSorted(phases) {
 		t.Fatalf("phases %v, want at least two in sorted order", phases)
+	}
+}
+
+// TestFailedQueryExitsOne checks a query whose answer has a violation makes
+// the exit status 1 even though the all-pairs report is OK.
+func TestFailedQueryExitsOne(t *testing.T) {
+	dir := fatTree4(t)
+	out, _, code := runS2(t, "-configs", dir, "-workers", "2",
+		"-query", `{"dst_prefix":"10.128.128.0/24","sources":["edge-0-0"],"dests":["edge-1-1"]}`)
+	if !strings.Contains(out, "all-pair reachability: 8 sources × 8 dests: OK\n") {
+		t.Fatalf("no all-pairs verdict:\n%s", out)
+	}
+	if answer := queryAnswer(t, out); !strings.HasPrefix(answer, "  unreachable: ") || code != 1 {
+		t.Fatalf("exit %d with answer %q, want 1 with edge-1-1 unreachable", code, answer)
+	}
+}
+
+// TestFlightLogOnFailedRun checks -flight-log is written when the run
+// fails, not only when it succeeds.
+func TestFlightLogOnFailedRun(t *testing.T) {
+	dir := fatTree4(t)
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+	}{
+		{"fails", []string{"-budget", "1000"}, 1},
+		{"passes", nil, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			log := filepath.Join(t.TempDir(), "flight.log")
+			args := append([]string{"-configs", dir, "-workers", "2", "-flight-log", log}, tc.args...)
+			_, stderr, code := runS2(t, args...)
+			if code != tc.code {
+				t.Fatalf("exit %d, want %d: %s", code, tc.code, stderr)
+			}
+			data, err := os.ReadFile(log)
+			if err != nil || len(data) == 0 {
+				t.Fatalf("flight log %q: %v", data, err)
+			}
+		})
 	}
 }

@@ -36,22 +36,14 @@ type BatfishOptions struct {
 	// MemoryBudget is the modelled memory budget of the single logical
 	// server (0 = unlimited).
 	MemoryBudget int64
-	// MaxBDDNodes bounds the single shared BDD table (0 = unlimited).
-	MaxBDDNodes int
 	// MetaBits sizes the packet metadata field.
 	MetaBits int
-	// MaxRounds guards convergence (default 128).
-	MaxRounds int
 	// KeepRIBs retains full RIBs for equivalence testing.
 	KeepRIBs bool
 }
 
-func (o BatfishOptions) maxRounds() int {
-	if o.MaxRounds <= 0 {
-		return 128
-	}
-	return o.MaxRounds
-}
+// maxRounds guards convergence.
+const maxRounds = 128
 
 // Batfish is the centralized verifier instance.
 type Batfish struct {
@@ -71,7 +63,7 @@ type Batfish struct {
 	adj     dataplane.AdjacencyIndex
 
 	tracker  *metrics.Tracker
-	timer    *metrics.PhaseTimer
+	clock    metrics.StageClock
 	cpRounds int
 }
 
@@ -91,7 +83,6 @@ func NewBatfish(snap *config.Snapshot, opts BatfishOptions) (*Batfish, error) {
 		finalRIBs: map[string]*route.RIB{},
 		layout:    dataplane.Layout{MetaBits: opts.MetaBits},
 		tracker:   metrics.NewTracker("batfish", opts.MemoryBudget),
-		timer:     metrics.NewPhaseTimer(),
 	}
 	for name, dev := range snap.Devices {
 		if dev.BGP != nil {
@@ -108,8 +99,9 @@ func NewBatfish(snap *config.Snapshot, opts BatfishOptions) (*Batfish, error) {
 	return b, nil
 }
 
-// Timer exposes recorded phases.
-func (b *Batfish) Timer() *metrics.PhaseTimer { return b.timer }
+// Stages returns each stage's time record. The baseline runs no
+// orchestration rounds, so only the wall times are set.
+func (b *Batfish) Stages() map[string]metrics.StageTime { return b.clock.Snapshot() }
 
 // PeakBytes returns the modelled peak memory of the single server.
 func (b *Batfish) PeakBytes() int64 { return b.tracker.Peak() }
@@ -122,7 +114,7 @@ func (b *Batfish) CPRounds() int { return b.cpRounds }
 // compute identical RIBs (§5.3).
 func (b *Batfish) RunControlPlane() error {
 	if len(b.ospfProcs) > 0 {
-		if err := b.timer.Time("cp-ospf", b.runOSPF); err != nil {
+		if err := b.clock.Time(metrics.StageCPOSPF, b.runOSPF); err != nil {
 			return err
 		}
 	}
@@ -142,7 +134,7 @@ func (b *Batfish) RunControlPlane() error {
 		shards = []*shard.Shard{nil}
 	}
 
-	return b.timer.Time("cp-bgp", func() error {
+	return b.clock.Time(metrics.StageCPBGP, func() error {
 		for i, sh := range shards {
 			var filter bgp.PrefixFilter
 			if sh != nil {
@@ -166,7 +158,7 @@ func (b *Batfish) RunControlPlane() error {
 func (b *Batfish) runOSPF() error {
 	pulls := map[[2]string]*pullState{}
 	for round := 0; ; round++ {
-		if round > b.opts.maxRounds() {
+		if round > maxRounds {
 			return fmt.Errorf("baseline: OSPF did not converge")
 		}
 		b.cpRounds++
@@ -236,8 +228,8 @@ func (b *Batfish) runBGPShard(idx int) error {
 		needsRun[name] = true
 	}
 	for round := 0; ; round++ {
-		if round > b.opts.maxRounds() {
-			return fmt.Errorf("baseline: BGP shard %d did not converge in %d rounds", idx, b.opts.maxRounds())
+		if round > maxRounds {
+			return fmt.Errorf("baseline: BGP shard %d did not converge in %d rounds", idx, maxRounds)
 		}
 		b.cpRounds++
 		// Gather (Jacobi phase 1).
@@ -336,8 +328,8 @@ func (b *Batfish) RIBs() (map[string]*route.RIB, error) {
 // lock S2's per-worker engines avoid (§4.3).
 func (b *Batfish) ComputeDataPlane() ([]string, error) {
 	var warnings []string
-	err := b.timer.Time("dp-compute", func() error {
-		b.engine = b.layout.NewEngine(b.opts.MaxBDDNodes)
+	err := b.clock.Time(metrics.StageDPCompute, func() error {
+		b.engine = b.layout.NewEngine(0)
 		b.engine.SetGrowObserver(func(delta int) {
 			b.tracker.Add("bdd", int64(delta)*bdd.NodeModelBytes)
 		})
@@ -411,7 +403,7 @@ func (b *Batfish) RunQuery(q *dataplane.Query, constrainSrc bool) (*dataplane.Co
 		isDest = func(n string) bool { return set[n] }
 	}
 	col := dataplane.NewCollector(b.engine, q)
-	err := b.timer.Time("dp-forward", func() error {
+	err := b.clock.Time(metrics.StageDPForward, func() error {
 		base, err := q.Header.Compile(b.engine)
 		if err != nil {
 			return err

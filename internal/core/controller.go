@@ -50,9 +50,6 @@ type Options struct {
 	SpillDir string
 	// KeepRIBs retains full RIBs for CollectRIBs (equivalence testing).
 	KeepRIBs bool
-	// MaxRounds guards against non-converging control planes (§7
-	// limitation). Default 128.
-	MaxRounds int
 	// LoadOf estimates per-node simulation load for the partitioner
 	// (§4.1); nil means uniform.
 	LoadOf func(device string) int64
@@ -97,8 +94,6 @@ type Options struct {
 	// re-executes the in-flight phase. Without it, a worker failure
 	// surfaces as a typed transient error.
 	Recover bool
-	// MaxRecoveries bounds repair attempts per controller (default 8).
-	MaxRecoveries int
 	// WrapWorker, when set, wraps each worker transport as it is created —
 	// the hook fault-injection tests use to interpose fault.Injector.
 	WrapWorker func(id int, w sidecar.WorkerAPI) sidecar.WorkerAPI
@@ -127,19 +122,13 @@ type Options struct {
 	FleetPlane bool
 }
 
-func (o Options) maxRounds() int {
-	if o.MaxRounds <= 0 {
-		return 128
-	}
-	return o.MaxRounds
-}
-
-func (o Options) maxRecoveries() int {
-	if o.MaxRecoveries <= 0 {
-		return 8
-	}
-	return o.MaxRecoveries
-}
+const (
+	// maxRounds guards against non-converging control planes (§7
+	// limitation).
+	maxRounds = 128
+	// maxRecoveries bounds repair attempts per controller.
+	maxRecoveries = 8
+)
 
 // probeTimeout bounds each liveness probe. With no RPC deadline configured
 // probes still need one, otherwise a hung worker would also hang the
@@ -166,7 +155,9 @@ type Controller struct {
 	shards     []*shard.Shard
 	engine     *bdd.Engine
 	layout     dataplane.Layout
-	timer      *metrics.PhaseTimer
+	// clock times each pipeline stage once: its wall time, and the
+	// critical path the rounds run inside it charge (see eachRound).
+	clock metrics.StageClock
 
 	// wmu guards the live worker directory below: repair swaps it while
 	// the failure detector reads it from its own goroutine.
@@ -252,12 +243,6 @@ type Controller struct {
 	cpRounds   int
 	dpRounds   int
 	shardMerge []string
-
-	// critical accumulates, per phase, the sum over orchestration rounds
-	// of the slowest worker's duration — the elapsed time an ideally
-	// parallel deployment would observe. On a single-CPU host the wall
-	// clock serializes workers, so experiments report this instead.
-	critical map[string]time.Duration
 }
 
 // NewController parses nothing itself — it receives the parsed snapshot
@@ -279,7 +264,6 @@ func NewController(snap *config.Snapshot, texts map[string]string, opts Options)
 		texts:  texts,
 		engine: layout.NewEngine(0),
 		layout: layout,
-		timer:  metrics.NewPhaseTimer(),
 		faults: metrics.NewFaultCounters(),
 		flight: obs.NewFlightRecorder(),
 		skews:  map[*sidecar.RemoteWorker]*obs.SkewEstimator{},
@@ -339,8 +323,9 @@ func (c *Controller) Assignment() *partition.Assignment { return c.assignment }
 // Shards exposes the prefix shards (valid after RunControlPlane).
 func (c *Controller) Shards() []*shard.Shard { return c.shards }
 
-// Timer exposes recorded phase durations.
-func (c *Controller) Timer() *metrics.PhaseTimer { return c.timer }
+// Stages returns each pipeline stage's wall time, critical path and run
+// count.
+func (c *Controller) Stages() map[string]metrics.StageTime { return c.clock.Snapshot() }
 
 // Epoch returns the verified-state epoch: 0 until the first data plane is
 // computed, then +1 per completed verification (full or delta). Safe from
@@ -471,7 +456,7 @@ func (c *Controller) provision() error {
 // eviction, with fewer workers. All downstream stage flags reset: the
 // control and data planes must re-run against the new partition.
 func (c *Controller) configure() error {
-	return c.stage("partition+setup", c.configureBody)
+	return c.stage(metrics.StageSetup, c.configureBody)
 }
 
 func (c *Controller) configureBody() error {
@@ -498,7 +483,7 @@ func (c *Controller) configureBody() error {
 		if procs <= 0 {
 			procs = runtime.NumCPU()
 		}
-		err = c.each(func(id int, w sidecar.WorkerAPI) error {
+		err = c.each(nil, func(id int, w sidecar.WorkerAPI) error {
 			req := sidecar.SetupRequest{
 				ProtocolVersion: sidecar.ProtocolVersion,
 				WorkerID:        id,
@@ -604,9 +589,9 @@ func (c *Controller) recoverable(body func() error) error {
 func (c *Controller) repair() error {
 	c.recoveries++
 	c.log.LogAttrs(context.Background(), slog.LevelWarn, "recovery attempt", obs.Kind("recovery"),
-		slog.Int("attempt", c.recoveries), slog.Int("budget", c.opts.maxRecoveries()))
-	if c.recoveries > c.opts.maxRecoveries() {
-		return fmt.Errorf("core: recovery budget exhausted after %d attempts", c.opts.maxRecoveries())
+		slog.Int("attempt", c.recoveries), slog.Int("budget", maxRecoveries))
+	if c.recoveries > maxRecoveries {
+		return fmt.Errorf("core: recovery budget exhausted after %d attempts", maxRecoveries)
 	}
 	c.stopDetector()
 	dead := c.probe()
@@ -699,38 +684,35 @@ func (c *Controller) evict(dead []int) error {
 	return nil
 }
 
-// each runs fn on every worker concurrently, charges the slowest worker's
-// duration to the phase's critical path, and returns the first error.
-func (c *Controller) each(fn func(id int, w sidecar.WorkerAPI) error) error {
-	_, err := c.eachPhase("", func(id int, w sidecar.WorkerAPI) (bool, error) {
+// each runs fn on the given workers (nil = all) concurrently and returns
+// the first error.
+func (c *Controller) each(ids []int, fn func(id int, w sidecar.WorkerAPI) error) error {
+	_, _, _, err := c.eachIDs(ids, func(id int, w sidecar.WorkerAPI) (bool, error) {
 		return false, fn(id, w)
 	})
 	return err
 }
 
-// eachChanged is each() for phase-2 calls that report change.
-func (c *Controller) eachChanged(fn func(w sidecar.WorkerAPI) (bool, error)) (bool, error) {
-	return c.eachPhase("", func(_ int, w sidecar.WorkerAPI) (bool, error) { return fn(w) })
+// eachRound runs one orchestration round on the given workers (nil = all):
+// the slowest worker's duration is charged to the critical path of the open
+// stage, and every worker's duration feeds the straggler scores under that
+// stage's name. It reports whether any worker changed.
+func (c *Controller) eachRound(ids []int, fn func(id int, w sidecar.WorkerAPI) (bool, error)) (bool, error) {
+	changed, ran, durs, err := c.eachIDs(ids, fn)
+	var slowest time.Duration
+	for _, d := range durs {
+		slowest = max(slowest, d)
+	}
+	c.observeRoundSkew(c.clock.ChargeRound(slowest), ran, durs)
+	return changed, err
 }
 
-// eachPhase runs fn on every worker concurrently; when phase is non-empty
-// the slowest worker's duration is charged to that phase's critical path.
-func (c *Controller) eachPhase(phase string, fn func(id int, w sidecar.WorkerAPI) (bool, error)) (bool, error) {
-	return c.eachPhaseIDs(phase, nil, fn)
-}
-
-// eachSubset is each() restricted to the given worker ids (nil = all).
-func (c *Controller) eachSubset(ids []int, fn func(id int, w sidecar.WorkerAPI) error) error {
-	_, err := c.eachPhaseIDs("", ids, func(id int, w sidecar.WorkerAPI) (bool, error) {
-		return false, fn(id, w)
-	})
-	return err
-}
-
-// eachPhaseIDs is eachPhase restricted to the given worker ids (nil = all
-// workers). fn always receives the worker's position in the live directory,
-// so harvest ordering and assignment lookups stay consistent with each().
-func (c *Controller) eachPhaseIDs(phase string, ids []int, fn func(id int, w sidecar.WorkerAPI) (bool, error)) (bool, error) {
+// eachIDs runs fn on the given workers concurrently (nil = all workers) and
+// returns whether any reported a change, the ids it ran on with each one's
+// duration, and the first error. fn always receives the worker's position
+// in the live directory, so harvest ordering and assignment lookups stay
+// consistent with each().
+func (c *Controller) eachIDs(ids []int, fn func(id int, w sidecar.WorkerAPI) (bool, error)) (bool, []int, []time.Duration, error) {
 	c.wmu.RLock()
 	all := append([]sidecar.WorkerAPI(nil), c.workers...)
 	c.wmu.RUnlock()
@@ -771,19 +753,6 @@ func (c *Controller) eachPhaseIDs(phase string, ids []int, fn func(id int, w sid
 		}
 		wg.Wait()
 	}
-	if phase != "" {
-		var max time.Duration
-		for _, d := range durs {
-			if d > max {
-				max = d
-			}
-		}
-		if c.critical == nil {
-			c.critical = map[string]time.Duration{}
-		}
-		c.critical[phase] += max
-		c.observeRoundSkew(phase, idOf, durs)
-	}
 	// A dead worker makes several workers error at once (healthy ones
 	// report failed pulls from it). Prefer a transient error so the
 	// recovery layer sees the signal it can act on.
@@ -792,7 +761,7 @@ func (c *Controller) eachPhaseIDs(phase string, ids []int, fn func(id int, w sid
 	for i := range workers {
 		if errs[i] != nil {
 			if fault.IsTransient(errs[i]) {
-				return false, errs[i]
+				return false, idOf, durs, errs[i]
 			}
 			if firstErr == nil {
 				firstErr = errs[i]
@@ -801,29 +770,9 @@ func (c *Controller) eachPhaseIDs(phase string, ids []int, fn func(id int, w sid
 		any = any || changed[i]
 	}
 	if firstErr != nil {
-		return false, firstErr
+		return false, idOf, durs, firstErr
 	}
-	return any, nil
-}
-
-// CriticalPath returns the per-phase simulated parallel elapsed time: the
-// sum over rounds of the slowest worker's round duration. Keys: "cp"
-// (control plane rounds), "dp-compute", "dp-forward".
-func (c *Controller) CriticalPath() map[string]time.Duration {
-	out := map[string]time.Duration{}
-	for k, v := range c.critical {
-		out[k] = v
-	}
-	return out
-}
-
-// CriticalTotal sums all critical-path phases.
-func (c *Controller) CriticalTotal() time.Duration {
-	var t time.Duration
-	for _, v := range c.critical {
-		t += v
-	}
-	return t
+	return any, idOf, durs, nil
 }
 
 // RunControlPlane executes the CPO workflow: OSPF flooding to convergence,
@@ -850,7 +799,7 @@ func (c *Controller) runControlPlane() error {
 		}
 	}
 	if hasOSPF {
-		err := c.stage("cp-ospf", func() error {
+		err := c.stage(metrics.StageCPOSPF, func() error {
 			return c.converge("ospf", 0, sidecar.WorkerAPI.GatherOSPF, sidecar.WorkerAPI.ApplyOSPF)
 		})
 		if err != nil {
@@ -877,7 +826,7 @@ func (c *Controller) runControlPlane() error {
 	}
 	c.shards = shards
 
-	err := c.stage("cp-bgp", c.runBGPShards)
+	err := c.stage(metrics.StageCPBGP, c.runBGPShards)
 	if err != nil {
 		return err
 	}
@@ -959,12 +908,12 @@ func (c *Controller) runDirtyShards(dirty []bool) ([]int, error) {
 func (c *Controller) converge(protocol string, shardIdx int,
 	gather func(sidecar.WorkerAPI) error, apply func(sidecar.WorkerAPI) (sidecar.ApplyReply, error)) error {
 	for round := 0; ; round++ {
-		if round > c.opts.maxRounds() {
+		if round > maxRounds {
 			return fmt.Errorf("core: %s shard %d did not converge in %d rounds (the network may oscillate, §7)",
-				protocol, shardIdx, c.opts.maxRounds())
+				protocol, shardIdx, maxRounds)
 		}
 		endRound := c.startSpan("round", obs.Int("round", round))
-		if _, err := c.eachPhase("cp", func(_ int, w sidecar.WorkerAPI) (bool, error) { return false, gather(w) }); err != nil {
+		if _, err := c.eachRound(nil, func(_ int, w sidecar.WorkerAPI) (bool, error) { return false, gather(w) }); err != nil {
 			endRound()
 			return err
 		}
@@ -989,14 +938,14 @@ func (c *Controller) runShard(i int, sh *shard.Shard) (reports []sidecar.Conditi
 	}
 	endShard := c.startSpan("shard", obs.Int("shard", i), obs.Int("prefixes", len(req.Prefixes)))
 	defer endShard()
-	if err := c.each(func(_ int, w sidecar.WorkerAPI) error { return w.BeginShard(req) }); err != nil {
+	if err := c.each(nil, func(_ int, w sidecar.WorkerAPI) error { return w.BeginShard(req) }); err != nil {
 		return nil, err
 	}
 	if err := c.converge("bgp", i, sidecar.WorkerAPI.GatherBGP, sidecar.WorkerAPI.ApplyBGP); err != nil {
 		return nil, err
 	}
 	var mu sync.Mutex
-	if _, err := c.eachPhase("cp", func(_ int, w sidecar.WorkerAPI) (bool, error) {
+	if _, err := c.eachRound(nil, func(_ int, w sidecar.WorkerAPI) (bool, error) {
 		reply, err := w.EndShard()
 		if err != nil {
 			return false, err
@@ -1084,8 +1033,8 @@ func (c *Controller) computeDataPlane() (dpSummary, error) {
 		}
 	}
 	var mu sync.Mutex
-	err := c.stage("dp-compute", func() error {
-		_, err := c.eachPhase("dp-compute", func(_ int, w sidecar.WorkerAPI) (bool, error) {
+	err := c.stage(metrics.StageDPCompute, func() error {
+		_, err := c.eachRound(nil, func(_ int, w sidecar.WorkerAPI) (bool, error) {
 			reply, err := w.ComputeDP()
 			if err != nil {
 				return false, err
@@ -1232,7 +1181,7 @@ func (c *Controller) runQueryBatch(qs []*dataplane.Query, constrainSrc bool) ([]
 	for i, q := range qs {
 		cols[i] = dataplane.NewCollector(c.engine, q)
 	}
-	err := c.stage("dp-forward", func() error { return c.forwardQueryBatch(qs, sources, constrainSrc, cols) })
+	err := c.stage(metrics.StageDPForward, func() error { return c.forwardQueryBatch(qs, sources, constrainSrc, cols) })
 	if err != nil {
 		return nil, err
 	}
@@ -1261,7 +1210,7 @@ func (c *Controller) forwardQueryBatch(qs []*dataplane.Query, sources [][]string
 		reqQs[i] = *q
 		reqQs[i].Sources = sources[i]
 	}
-	if err := c.eachSubset(ids, func(_ int, w sidecar.WorkerAPI) error {
+	if err := c.each(ids, func(_ int, w sidecar.WorkerAPI) error {
 		return w.BeginQueryBatch(sidecar.QueryBatchRequest{Queries: reqQs, ConstrainSrc: constrainSrc})
 	}); err != nil {
 		return err
@@ -1270,7 +1219,7 @@ func (c *Controller) forwardQueryBatch(qs []*dataplane.Query, sources [][]string
 
 	for hop := 0; hop <= qs[0].EffectiveMaxHops(); hop++ {
 		endHop := c.startSpan("hop", obs.Int("hop", hop))
-		if _, err := c.eachPhaseIDs("dp-forward", ids, func(_ int, w sidecar.WorkerAPI) (bool, error) { return false, w.DPRound() }); err != nil {
+		if _, err := c.eachRound(ids, func(_ int, w sidecar.WorkerAPI) (bool, error) { return false, w.DPRound() }); err != nil {
 			endHop()
 			return err
 		}
@@ -1278,7 +1227,7 @@ func (c *Controller) forwardQueryBatch(qs []*dataplane.Query, sources [][]string
 		c.pmu.Lock()
 		c.prog.Round = hop
 		c.pmu.Unlock()
-		busy, err := c.eachPhaseIDs("", ids, func(_ int, w sidecar.WorkerAPI) (bool, error) { return w.HasWork() })
+		busy, _, _, err := c.eachIDs(ids, func(_ int, w sidecar.WorkerAPI) (bool, error) { return w.HasWork() })
 		endHop()
 		if err != nil {
 			return err
@@ -1290,7 +1239,7 @@ func (c *Controller) forwardQueryBatch(qs []*dataplane.Query, sources [][]string
 
 	var mu sync.Mutex
 	batches := map[int]sidecar.OutcomeBatch{}
-	if err := c.eachSubset(ids, func(id int, w sidecar.WorkerAPI) error {
+	if err := c.each(ids, func(id int, w sidecar.WorkerAPI) error {
 		batch, err := w.FinishQuery()
 		if err != nil {
 			return err
@@ -1499,7 +1448,7 @@ func (c *Controller) collectRIBs() (map[string]*route.RIB, error) {
 	}
 	var mu sync.Mutex
 	out := map[string]*route.RIB{}
-	err := c.each(func(_ int, w sidecar.WorkerAPI) error {
+	err := c.each(nil, func(_ int, w sidecar.WorkerAPI) error {
 		routes, err := w.CollectRIBs()
 		if err != nil {
 			return err
@@ -1528,7 +1477,7 @@ func (c *Controller) Stats() ([]sidecar.WorkerStats, error) {
 	n := len(c.workers)
 	c.wmu.RUnlock()
 	stats := make([]sidecar.WorkerStats, n)
-	err := c.each(func(i int, w sidecar.WorkerAPI) error {
+	err := c.each(nil, func(i int, w sidecar.WorkerAPI) error {
 		st, err := w.Stats()
 		stats[i] = st
 		return err

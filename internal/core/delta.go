@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"s2/internal/config"
+	"s2/internal/metrics"
 	"s2/internal/obs"
 	"s2/internal/route"
 	"s2/internal/shard"
@@ -58,8 +59,8 @@ type DeltaResult struct {
 	// trail for every skipped shard's soundness claim. Empty for noop and
 	// dp deltas; all shards for full.
 	DirtyShardIDs []int
-	// Stages maps pipeline stage names (partition+setup, cp-ospf, cp-bgp,
-	// dp-compute, dp-forward) to the wall time this delta spent in them.
+	// Stages maps the pipeline stages (metrics.Stages) this delta ran to
+	// the wall time it spent in them.
 	Stages map[string]time.Duration
 	// Epoch is the verified-state epoch after the delta.
 	Epoch uint64
@@ -141,18 +142,16 @@ func (c *Controller) ApplyDelta(set map[string]string, remove []string) (*DeltaR
 		slog.String("class", diff.Class().String()), slog.Int("changed", len(diff.Changed)),
 		slog.Int("added", len(diff.Added)), slog.Int("removed", len(diff.Removed)))
 	started := time.Now()
-	before := c.timer.Totals()
-	err := c.timer.Time("delta", func() error {
-		return c.recoverable(func() error { return c.applyDeltaBody(newSnap, newTexts, diff, res) })
-	})
-	// Attribute per-stage wall time from the phase timer: every stage a
-	// recoverable attempt ran grew its total between the two snapshots.
+	before := c.clock.Snapshot()
+	err := c.recoverable(func() error { return c.applyDeltaBody(newSnap, newTexts, diff, res) })
+	// Attribute per-stage wall time from the stage clock: every stage a
+	// recoverable attempt ran gained runs between the two snapshots.
 	// Recovery re-runs accumulate into the same stage — the audit records
 	// what this delta actually cost, not just the successful attempt.
 	res.Stages = map[string]time.Duration{}
-	for name, total := range c.timer.Totals() {
-		if prev, ok := before[name]; name != "delta" && (!ok || total > prev) {
-			res.Stages[name] = total - prev
+	for name, st := range c.clock.Snapshot() {
+		if prev := before[name]; st.Runs > prev.Runs {
+			res.Stages[name] = st.Wall - prev.Wall
 		}
 	}
 	if err != nil {
@@ -364,7 +363,7 @@ func (c *Controller) deltaShards(newSnap *config.Snapshot, newTexts map[string]s
 		slog.Int("dirty_shards", nDirty), slog.Int("total_shards", len(shards)),
 		slog.Int("purge_prefixes", len(purge)))
 
-	err := c.stage("cp-bgp", func() error {
+	err := c.stage(metrics.StageCPBGP, func() error {
 		runs, err := c.runDirtyShards(dirty)
 		res.DirtyShardIDs = runs
 		if len(runs) > res.DirtyShards {
@@ -399,7 +398,7 @@ func (c *Controller) pushDelta(changed []string, purge []route.Prefix) error {
 		}
 		perWorker[id][name] = c.texts[name]
 	}
-	return c.each(func(id int, w sidecar.WorkerAPI) error {
+	return c.each(nil, func(id int, w sidecar.WorkerAPI) error {
 		req := sidecar.DeltaRequest{Configs: perWorker[id], PurgePrefixes: purge}
 		if len(req.Configs) == 0 && len(req.PurgePrefixes) == 0 {
 			return nil

@@ -450,8 +450,8 @@ func TestSpillFilesDrainEveryCompute(t *testing.T) {
 	}
 }
 
-// TestDeltaStagesAreItsOwn: a delta's StageSeconds come from the phase
-// timer's totals before and after it, so the query passes and the boot that
+// TestDeltaStagesAreItsOwn: a delta's StageSeconds come from the stage
+// clock's record before and after it, so the query passes and the boot that
 // came earlier must not leak into a dp-class delta's stages.
 func TestDeltaStagesAreItsOwn(t *testing.T) {
 	c, texts := residentFatTree(t, Options{Workers: 2, Shards: 4, Seed: 7})
@@ -468,7 +468,7 @@ func TestDeltaStagesAreItsOwn(t *testing.T) {
 	if res.Mode != "dp" {
 		t.Fatalf("mode %q, want dp", res.Mode)
 	}
-	for _, stage := range []string{"dp-forward", "cp-bgp", "partition+setup", "delta"} {
+	for _, stage := range []string{"dp-forward", "cp-bgp", "setup", "delta"} {
 		if d, ok := res.Stages[stage]; ok {
 			t.Errorf("dp delta reports stage %s = %v", stage, d)
 		}

@@ -259,9 +259,9 @@ func (c *Controller) historySample(fresh map[int]fleetVital) map[string]float64 
 // observeRoundSkew scores one orchestration round's progress skew: each
 // worker's duration relative to the round median feeds a per-worker EWMA
 // (the straggler score), and the max-minus-median spread becomes the
-// per-phase round skew. Called from eachPhaseIDs on every phase-attributed
-// round; returns immediately when the fleet plane is off so the hot loop
-// pays one branch.
+// per-phase round skew, labelled with the stage the round ran in. Called
+// from eachRound on every orchestration round; returns immediately when
+// the fleet plane is off so the hot loop pays one branch.
 func (c *Controller) observeRoundSkew(phase string, ids []int, durs []time.Duration) {
 	if (c.reg == nil && c.history == nil) || len(durs) < 2 {
 		return

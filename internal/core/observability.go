@@ -81,8 +81,8 @@ var faultEventKeys = []string{
 // endpoint of cmd/s2 and is rebuilt from the per-iteration ApplyReply
 // counts the workers stream back.
 type Progress struct {
-	// Stage is the currently executing stage (partition+setup, cp-ospf,
-	// cp-bgp, dp-compute, dp-forward), empty before Setup and after Close.
+	// Stage is the currently executing stage (one of metrics.Stages),
+	// empty before Setup.
 	Stage string `json:"stage"`
 	// Shard is the prefix shard the control plane is converging (cp-bgp).
 	Shard int `json:"shard"`
@@ -217,8 +217,8 @@ func (c *Controller) startSpan(name string, attrs ...obs.Attr) func() {
 }
 
 // stage opens a stage span named "stage:<name>", publishes the stage to the
-// progress view, runs fn under the phase timer's name total, and closes the
-// span.
+// progress view, runs fn as one run of the stage on the stage clock, and
+// closes the span.
 func (c *Controller) stage(name string, fn func() error) error {
 	end := c.startSpan("stage:" + name)
 	c.log.LogAttrs(context.Background(), slog.LevelDebug, "stage enter", obs.Kind("stage"), slog.String("stage", name))
@@ -226,7 +226,7 @@ func (c *Controller) stage(name string, fn func() error) error {
 	c.prog.Stage = name
 	c.pmu.Unlock()
 	start := time.Now()
-	err := c.timer.Time(name, fn)
+	err := c.clock.Time(name, fn)
 	end()
 	if err != nil {
 		c.log.LogAttrs(context.Background(), slog.LevelWarn, "stage failed", obs.Kind("stage"),
@@ -245,7 +245,7 @@ func (c *Controller) applyRound(protocol string, shardIdx, round int,
 	apply func(w sidecar.WorkerAPI) (sidecar.ApplyReply, error)) (bool, error) {
 	var mu sync.Mutex
 	var agg sidecar.ApplyReply
-	changed, err := c.eachPhase("cp", func(_ int, w sidecar.WorkerAPI) (bool, error) {
+	changed, err := c.eachRound(nil, func(_ int, w sidecar.WorkerAPI) (bool, error) {
 		r, err := apply(w)
 		if err != nil {
 			return false, err

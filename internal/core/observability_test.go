@@ -12,9 +12,36 @@ import (
 	"testing"
 	"time"
 
+	"s2/internal/metrics"
 	"s2/internal/obs"
 	"s2/internal/sidecar"
 )
+
+// TestStageClock: a cold run times each stage once, and the stage's rounds
+// charge its critical path, which a stage's wall time bounds. Setup runs no
+// charged round. The attribution report's ctrl row reads the same record,
+// so it is filled on a controller built without a tracer.
+func TestStageClock(t *testing.T) {
+	snap, texts := fatTreeSnap(t, 4)
+	c := newS2(t, snap, texts, Options{Workers: 2, Shards: 2, Seed: 1})
+	defer c.Close()
+	runFull(t, c)
+	stages := c.Stages()
+	for _, name := range []string{metrics.StageCPBGP, metrics.StageDPCompute, metrics.StageDPForward} {
+		if st := stages[name]; st.Critical <= 0 || st.Critical > st.Wall || st.Runs < 1 {
+			t.Errorf("%s: %+v, want 0 < critical <= wall", name, st)
+		}
+	}
+	if st := stages[metrics.StageSetup]; st.Wall <= 0 || st.Critical != 0 {
+		t.Errorf("setup: %+v, want wall > 0 and critical 0", st)
+	}
+	rep := c.AttributionReport()
+	for _, name := range []string{metrics.StageSetup, metrics.StageCPBGP, metrics.StageDPCompute, metrics.StageDPForward} {
+		if rep.Controller[name].Micros <= 0 {
+			t.Errorf("untraced ctrl row %s = %+v, want micros > 0", name, rep.Controller[name])
+		}
+	}
+}
 
 // TestTraceThreeWorkerRun is the tentpole acceptance check: a three-worker
 // run with tracing enabled must produce a valid Chrome trace with
@@ -51,7 +78,7 @@ func TestTraceThreeWorkerRun(t *testing.T) {
 			rpcSpans++
 		}
 	}
-	for _, stage := range []string{"stage:partition+setup", "stage:cp-bgp", "stage:dp-compute", "stage:dp-forward"} {
+	for _, stage := range []string{"stage:setup", "stage:cp-bgp", "stage:dp-compute", "stage:dp-forward"} {
 		if names[stage] == 0 {
 			t.Errorf("missing controller stage span %q; have %v", stage, names)
 		}

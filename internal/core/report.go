@@ -1,9 +1,11 @@
-// Attribution report: a per-worker × per-stage accounting table rendered
-// from the merged trace (controller spans + harvested worker spans), the
-// telemetry registry, and per-connection transport counters. It answers
-// "where did the run's time go, and on which worker" without opening the
-// Chrome trace: wall time per stage, RPC count and time, transport bytes,
-// BDD engine size, and GC pauses.
+// Attribution report: a per-worker × per-stage accounting table. The ctrl
+// row is the controller's stage clock, so it is filled with or without a
+// tracer; the worker rows' stage, RPC and GC columns come from the merged
+// trace (harvested worker spans and the controller's client RPC spans), and
+// their resource columns from worker stats and per-connection transport
+// counters. It answers "where did the run's time go, and on which worker"
+// without opening the Chrome trace: wall time per stage, RPC count and
+// time, transport bytes, BDD engine size, and GC pauses.
 
 package core
 
@@ -15,36 +17,28 @@ import (
 	"strings"
 	"text/tabwriter"
 
+	"s2/internal/metrics"
 	"s2/internal/sidecar"
 )
 
-// reportStages fixes the column order of the per-stage table.
-var reportStages = []string{"setup", "cp-bgp", "cp-ospf", "dp-compute", "dp-forward", "gc"}
+// reportStages fixes the column order of the per-stage table: the pipeline
+// stages, then the workers' BDD collections.
+var reportStages = append(append([]string(nil), metrics.Stages...), "gc")
 
-// stageOfSpan maps a span name from the merged trace to a report stage.
-// Container spans ("shard" wraps the per-phase spans and would double-count)
-// and bookkeeping spans map to "". Controller stage spans arrive as
-// "stage:<name>".
-func stageOfSpan(name string) string {
-	name = strings.TrimPrefix(name, "stage:")
-	switch name {
-	case "setup", "partition+setup":
-		return "setup"
-	case "gather-bgp", "apply-bgp", "end-shard", "cp-bgp":
-		return "cp-bgp"
-	case "gather-ospf", "apply-ospf", "cp-ospf":
-		return "cp-ospf"
-	case "compute-dp", "dp-compute":
-		return "dp-compute"
-	case "begin-query", "dp-round", "finish-query", "dp-forward":
-		return "dp-forward"
-	case "gc":
-		return "gc"
-	}
-	return ""
+// workerSpanStage maps a worker span name to the report column its time
+// counts toward. Container spans ("shard" wraps the per-phase spans and
+// would double-count) and bookkeeping spans are absent.
+var workerSpanStage = map[string]string{
+	"setup":       metrics.StageSetup,
+	"gather-ospf": metrics.StageCPOSPF, "apply-ospf": metrics.StageCPOSPF,
+	"gather-bgp": metrics.StageCPBGP, "apply-bgp": metrics.StageCPBGP, "end-shard": metrics.StageCPBGP,
+	"compute-dp":  metrics.StageDPCompute,
+	"begin-query": metrics.StageDPForward, "dp-round": metrics.StageDPForward, "finish-query": metrics.StageDPForward,
+	"gc": "gc",
 }
 
-// StageTime accumulates wall time over the spans attributed to one stage.
+// StageTime accumulates wall time over one stage's runs (the ctrl row) or
+// over the spans attributed to it (a worker row).
 type StageTime struct {
 	Spans  int   `json:"spans"`
 	Micros int64 `json:"micros"`
@@ -87,25 +81,31 @@ func argInt64(args map[string]string, key string) int64 {
 }
 
 // AttributionReport is the whole table plus the controller's own stage
-// timeline. Stages lists the column order for renderers.
+// timeline, read from its stage clock. Stages lists the column order for
+// renderers.
 type AttributionReport struct {
 	Stages     []string             `json:"stages"`
 	Controller map[string]StageTime `json:"controller"`
 	Workers    []WorkerAttribution  `json:"workers"`
 	// SpanCount is how many trace spans the report was distilled from; zero
-	// means tracing was off and only stats-derived columns are filled.
+	// means tracing was off, and only the ctrl row and the stats-derived
+	// columns are filled.
 	SpanCount int `json:"span_count"`
 }
 
 // AttributionReport harvests any outstanding remote spans and distills the
 // merged trace into the per-worker accounting table. Works in degraded form
-// without a tracer (stage columns empty, stats columns still filled).
+// without a tracer (worker stage columns empty; the ctrl row and the stats
+// columns still filled).
 func (c *Controller) AttributionReport() *AttributionReport {
 	c.harvestAll()
 
 	rep := &AttributionReport{
 		Stages:     append([]string(nil), reportStages...),
 		Controller: map[string]StageTime{},
+	}
+	for name, st := range c.clock.Snapshot() {
+		rep.Controller[name] = StageTime{Spans: st.Runs, Micros: st.Wall.Microseconds()}
 	}
 
 	c.wmu.RLock()
@@ -142,7 +142,7 @@ func (c *Controller) AttributionReport() *AttributionReport {
 					r.GCRelocateMicros += argInt64(ev.Args, "relocate_us")
 					r.GCRelocated += argInt64(ev.Args, "relocated")
 				}
-				if stage := stageOfSpan(ev.Name); stage != "" {
+				if stage, ok := workerSpanStage[ev.Name]; ok {
 					st := r.Stages[stage]
 					st.Spans++
 					st.Micros += ev.Dur
@@ -150,23 +150,14 @@ func (c *Controller) AttributionReport() *AttributionReport {
 				}
 				continue
 			}
-			// Controller-side spans: client RPC spans attribute to the
-			// target worker; stage spans fill the controller timeline.
+			// Controller-side client RPC spans attribute to the target
+			// worker.
 			if strings.HasPrefix(ev.Name, "rpc:") {
-				if ws, ok := ev.Args["worker"]; ok {
-					if id, err := strconv.Atoi(ws); err == nil {
-						r := row(id)
-						r.RPCCount++
-						r.RPCMicros += ev.Dur
-					}
+				if id, err := strconv.Atoi(ev.Args["worker"]); err == nil {
+					r := row(id)
+					r.RPCCount++
+					r.RPCMicros += ev.Dur
 				}
-				continue
-			}
-			if stage := stageOfSpan(ev.Name); stage != "" {
-				st := rep.Controller[stage]
-				st.Spans++
-				st.Micros += ev.Dur
-				rep.Controller[stage] = st
 			}
 		}
 	}

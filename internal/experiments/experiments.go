@@ -300,11 +300,7 @@ func runS2(texts map[string]string, p s2Params) (row Row) {
 	if !row.OK {
 		row.Err = fmt.Sprintf("unreached=%d violations=%d", len(res.Unreached), len(res.Violations))
 	}
-	crit := ctrl.CriticalPath()
-	row.CPTime = crit["cp"]
-	row.DPCompute = crit["dp-compute"]
-	row.DPForward = crit["dp-forward"]
-	row.Total = ctrl.CriticalTotal()
+	row.setStageTimes(ctrl.Stages(), criticalPath)
 	stats, err := ctrl.Stats()
 	if err == nil {
 		row.PeakBytes = core.MaxPeakBytes(stats)
@@ -357,14 +353,29 @@ func runS2CP(texts map[string]string, p s2Params) (row Row) {
 			row.Routes += rib.RouteCount()
 		}
 	}
-	crit := ctrl.CriticalPath()
-	row.CPTime = crit["cp"]
-	row.Total = ctrl.CriticalTotal()
+	row.setStageTimes(ctrl.Stages(), criticalPath)
 	stats, err := ctrl.Stats()
 	if err == nil {
 		row.PeakBytes = core.MaxPeakBytes(stats)
 	}
 	return row
+}
+
+// S2 rows report the critical path (a host with fewer cores than workers
+// serializes them); the single-process baseline reports the wall time.
+func criticalPath(st metrics.StageTime) time.Duration { return st.Critical }
+func wallTime(st metrics.StageTime) time.Duration     { return st.Wall }
+
+// setStageTimes fills the row's times from a stage record: CP time is
+// cp-ospf plus cp-bgp, and Total sums every stage.
+func (r *Row) setStageTimes(stages map[string]metrics.StageTime, of func(metrics.StageTime) time.Duration) {
+	r.CPTime = of(stages[metrics.StageCPOSPF]) + of(stages[metrics.StageCPBGP])
+	r.DPCompute = of(stages[metrics.StageDPCompute])
+	r.DPForward = of(stages[metrics.StageDPForward])
+	r.Total = 0
+	for _, st := range stages {
+		r.Total += of(st)
+	}
 }
 
 func finishErr(row Row, err error) Row {
@@ -403,10 +414,7 @@ func runBatfish(snap *config.Snapshot, shards int, budget int64, seed int64) Row
 		return finishErr(row, err)
 	}
 	row.OK = len(res.Unreached) == 0 && len(res.Violations) == 0
-	row.CPTime = bf.Timer().Get("cp-bgp") + bf.Timer().Get("cp-ospf")
-	row.DPCompute = bf.Timer().Get("dp-compute")
-	row.DPForward = bf.Timer().Get("dp-forward")
-	row.Total = bf.Timer().Total()
+	row.setStageTimes(bf.Stages(), wallTime)
 	row.PeakBytes = bf.PeakBytes()
 	return row
 }

@@ -42,9 +42,7 @@ func runBatfishSinglePair(k int, cfg Config) (Row, error) {
 		return finishErr(row, err), nil
 	}
 	row.OK = col.Arrived(dst) != 0
-	row.CPTime = bf.Timer().Get("cp-bgp")
-	row.DPCompute = bf.Timer().Get("dp-compute")
-	row.DPForward = bf.Timer().Get("dp-forward")
+	row.setStageTimes(bf.Stages(), wallTime)
 	row.Total = row.DPCompute + row.DPForward // §5.8 reports DPV time only
 	row.PeakBytes = bf.PeakBytes()
 	return row, nil
@@ -86,10 +84,7 @@ func runS2SinglePair(texts map[string]string, k int, cfg Config) (Row, error) {
 		return finishErr(row, err), nil
 	}
 	row.OK = col.Arrived(dst) != 0
-	crit := ctrl.CriticalPath()
-	row.CPTime = crit["cp"]
-	row.DPCompute = crit["dp-compute"]
-	row.DPForward = crit["dp-forward"]
+	row.setStageTimes(ctrl.Stages(), criticalPath)
 	row.Total = row.DPCompute + row.DPForward
 	stats, err := ctrl.Stats()
 	if err == nil {

@@ -224,55 +224,90 @@ func (f *FaultCounters) String() string {
 	return b.String()
 }
 
-// PhaseTimer accumulates wall-clock time per named phase (parse, partition,
-// control plane, data plane). It keeps one running total per name, so a
-// resident daemon that times every delta and query pass holds one entry per
-// phase name however long it runs.
-type PhaseTimer struct {
-	mu     sync.Mutex
-	totals map[string]time.Duration
+// The pipeline stages, named once: the stage clock, the progress view, the
+// attribution report and the per-delta stage seconds all use these names.
+const (
+	StageSetup     = "setup"
+	StageCPOSPF    = "cp-ospf"
+	StageCPBGP     = "cp-bgp"
+	StageDPCompute = "dp-compute"
+	StageDPForward = "dp-forward"
+)
+
+// Stages lists the pipeline stages in the order a cold run enters them.
+var Stages = []string{StageSetup, StageCPOSPF, StageCPBGP, StageDPCompute, StageDPForward}
+
+// StageTime is one stage's entry on a StageClock: the summed wall time of
+// its runs, its run count, and its critical path — the sum, over the rounds
+// run inside it, of the slowest worker's time: the elapsed time a fully
+// parallel deployment would observe. Critical is zero where no round is
+// charged (setup, and every stage of the single-process baseline).
+type StageTime struct {
+	Wall, Critical time.Duration
+	Runs           int
 }
 
-// NewPhaseTimer returns an empty timer.
-func NewPhaseTimer() *PhaseTimer { return &PhaseTimer{totals: map[string]time.Duration{}} }
+// StageClock is the one time record of a pipeline: Time times each run of
+// a stage, and ChargeRound charges a round's slowest worker to the stage
+// open. It holds one entry per stage name however long a resident daemon
+// runs. The zero value is ready to use and safe for concurrent use.
+//
+// Stages neither nest nor overlap: the verifier serializes query passes
+// through the query-plane leader, and deltas and cold stages hold its write
+// lock, so the open stage is well defined. Were two Time calls to overlap,
+// each would still add its own wall time, and none stays open after both.
+type StageClock struct {
+	mu     sync.Mutex
+	open   string
+	stages map[string]StageTime
+}
 
-// Time runs fn and adds its duration to name's total. Safe for concurrent
-// use: overlapping Time calls each add their own duration.
-func (pt *PhaseTimer) Time(name string, fn func() error) error {
+// Time runs fn as one run of stage name, adds its wall time to the stage,
+// and returns fn's error.
+func (sc *StageClock) Time(name string, fn func() error) error {
+	sc.mu.Lock()
+	if sc.stages == nil {
+		sc.stages = map[string]StageTime{}
+	}
+	sc.open = name
+	sc.mu.Unlock()
 	start := time.Now()
 	err := fn()
 	d := time.Since(start)
-	pt.mu.Lock()
-	pt.totals[name] += d
-	pt.mu.Unlock()
+	sc.mu.Lock()
+	st := sc.stages[name]
+	st.Wall += d
+	st.Runs++
+	sc.stages[name] = st
+	if sc.open == name {
+		sc.open = ""
+	}
+	sc.mu.Unlock()
 	return err
 }
 
-// Get returns the total duration recorded under name.
-func (pt *PhaseTimer) Get(name string) time.Duration {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	return pt.totals[name]
-}
-
-// Total returns the sum of all phase durations.
-func (pt *PhaseTimer) Total() time.Duration {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	var d time.Duration
-	for _, t := range pt.totals {
-		d += t
+// ChargeRound adds one round's slowest-worker time to the critical path of
+// the open stage and returns that stage's name ("" and nothing charged
+// outside every stage).
+func (sc *StageClock) ChargeRound(slowest time.Duration) string {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if sc.open == "" {
+		return ""
 	}
-	return d
+	st := sc.stages[sc.open]
+	st.Critical += slowest
+	sc.stages[sc.open] = st
+	return sc.open
 }
 
-// Totals returns a copy of the running total per phase name.
-func (pt *PhaseTimer) Totals() map[string]time.Duration {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	out := make(map[string]time.Duration, len(pt.totals))
-	for name, d := range pt.totals {
-		out[name] = d
+// Snapshot returns a copy of every stage's entry.
+func (sc *StageClock) Snapshot() map[string]StageTime {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	out := make(map[string]StageTime, len(sc.stages))
+	for name, st := range sc.stages {
+		out[name] = st
 	}
 	return out
 }

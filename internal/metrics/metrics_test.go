@@ -208,71 +208,87 @@ func TestFaultCountersConcurrent(t *testing.T) {
 	}
 }
 
-func TestPhaseTimer(t *testing.T) {
-	pt := NewPhaseTimer()
-	err := pt.Time("cp", func() error { time.Sleep(time.Millisecond); return nil })
+func TestStageClock(t *testing.T) {
+	var sc StageClock
+	if stage := sc.ChargeRound(time.Second); stage != "" {
+		t.Fatalf("a round outside every stage was charged to %q", stage)
+	}
+	err := sc.Time("cp", func() error {
+		time.Sleep(time.Millisecond)
+		if stage := sc.ChargeRound(time.Microsecond); stage != "cp" {
+			t.Errorf("round charged to %q, want the open stage cp", stage)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sentinel := errors.New("boom")
-	if err := pt.Time("dp", func() error { return sentinel }); !errors.Is(err, sentinel) {
+	if err := sc.Time("dp", func() error { return sentinel }); !errors.Is(err, sentinel) {
 		t.Fatal("Time must propagate errors")
 	}
-	if pt.Get("cp") <= 0 {
-		t.Fatal("cp phase not recorded")
+	stages := sc.Snapshot()
+	if len(stages) != 2 {
+		t.Fatalf("stage count %d, want 2", len(stages))
 	}
-	if len(pt.Totals()) != 2 {
-		t.Fatal("phase count")
+	if cp := stages["cp"]; cp.Wall < time.Millisecond || cp.Critical != time.Microsecond || cp.Runs != 1 {
+		t.Fatalf("cp recorded %+v", cp)
 	}
-	if pt.Total() < pt.Get("cp") {
-		t.Fatal("total must include all phases")
+	if dp := stages["dp"]; dp.Critical != 0 || dp.Runs != 1 {
+		t.Fatalf("dp recorded %+v", dp)
 	}
-	// Repeated names accumulate.
-	pt.Time("cp", func() error { time.Sleep(time.Millisecond); return nil })
-	if pt.Get("cp") < 2*time.Millisecond {
-		t.Fatal("repeated phases should accumulate")
+	// Repeated runs accumulate.
+	sc.Time("cp", func() error { time.Sleep(time.Millisecond); return nil })
+	if cp := sc.Snapshot()["cp"]; cp.Wall < 2*time.Millisecond || cp.Runs != 2 {
+		t.Fatalf("repeated runs should accumulate: %+v", cp)
 	}
 }
 
-func TestPhaseTimerConcurrent(t *testing.T) {
-	pt := NewPhaseTimer()
+func TestStageClockConcurrent(t *testing.T) {
+	var sc StageClock
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			pt.Time(fmt.Sprintf("p%d", n%4), func() error {
+			sc.Time(fmt.Sprintf("p%d", n%4), func() error {
 				time.Sleep(time.Duration(n%3) * time.Millisecond)
+				sc.ChargeRound(time.Microsecond)
 				return nil
 			})
 		}(i)
 	}
 	wg.Wait()
-	totals := pt.Totals()
-	if len(totals) != 4 {
-		t.Fatalf("16 calls under 4 names left %d totals", len(totals))
+	stages := sc.Snapshot()
+	if len(stages) != 4 {
+		t.Fatalf("16 calls under 4 names left %d stages", len(stages))
 	}
 	var sum time.Duration
-	for name, d := range totals {
-		if d < 0 {
-			t.Errorf("corrupt total %s = %v", name, d)
+	runs := 0
+	for name, st := range stages {
+		if st.Wall < 0 {
+			t.Errorf("corrupt total %s = %v", name, st.Wall)
 		}
-		sum += d
+		sum += st.Wall
+		runs += st.Runs
 	}
-	if pt.Total() != sum || sum <= 0 {
-		t.Fatalf("total %v, sum of totals %v", pt.Total(), sum)
+	if runs != 16 || sum <= 0 {
+		t.Fatalf("%d runs totalling %v, want 16 runs", runs, sum)
+	}
+	if stage := sc.ChargeRound(time.Second); stage != "" {
+		t.Fatalf("stage %q left open after every run returned", stage)
 	}
 }
 
-// TestPhaseTimerBounded: a resident daemon times every delta and query
-// pass; the timer must hold one entry per phase name, not one per call.
-func TestPhaseTimerBounded(t *testing.T) {
-	pt := NewPhaseTimer()
-	names := []string{"delta", "dp-compute", "dp-forward"}
+// TestStageClockBounded: a resident daemon times every delta and query
+// pass; the clock must hold one entry per stage name, not one per call.
+func TestStageClockBounded(t *testing.T) {
+	var sc StageClock
+	names := []string{StageCPBGP, StageDPCompute, StageDPForward}
 	for i := 0; i < 10000; i++ {
-		pt.Time(names[i%len(names)], func() error { return nil })
+		sc.Time(names[i%len(names)], func() error { return nil })
 	}
-	if n := len(pt.Totals()); n != len(names) {
+	if n := len(sc.Snapshot()); n != len(names) {
 		t.Fatalf("10000 calls under %d names left %d entries", len(names), n)
 	}
 }

@@ -382,11 +382,15 @@ const (
 )
 
 // decodeBody decodes r's JSON body, at most limit bytes, into v. A
-// non-zero status is the error response: 413 oversized, 400 malformed.
-// The reader gets no ResponseWriter: the server itself closes a
-// connection whose body was left unread.
+// non-zero status is the error response: 413 oversized, 400 malformed or
+// carrying a key v does not have (a misspelled key would otherwise be
+// dropped, and a query silently widened). The reader gets no
+// ResponseWriter: the server itself closes a connection whose body was
+// left unread.
 func decodeBody(r *http.Request, limit int64, v any) (int, any) {
-	err := json.NewDecoder(http.MaxBytesReader(nil, r.Body, limit)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		return errBody(http.StatusRequestEntityTooLarge, "body exceeds %d bytes", limit)

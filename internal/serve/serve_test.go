@@ -226,8 +226,9 @@ func TestServeRejectsBadRequests(t *testing.T) {
 }
 
 // TestServeStatusAndContentType is the table-driven handler audit: every
-// endpoint answers with an explicit JSON Content-Type, malformed bodies are
-// client errors (400, never 500), and wrong methods are 405.
+// endpoint answers with an explicit JSON Content-Type, malformed bodies and
+// bodies with a key the endpoint does not take are client errors (400,
+// never 500), and wrong methods are 405.
 func TestServeStatusAndContentType(t *testing.T) {
 	ts, _ := bootServer(t)
 
@@ -248,6 +249,9 @@ func TestServeStatusAndContentType(t *testing.T) {
 		{"configs malformed body", "POST", "/v1/configs", "{not json", 400},
 		{"configs snapshot plus set", "POST", "/v1/configs",
 			`{"snapshot": {"a": "hostname a"}, "remove": ["b"]}`, 400},
+		{"configs misspelled key", "POST", "/v1/configs", `{"remvoe": ["edge-0-0"]}`, 400},
+		{"queries misspelled key", "POST", "/v1/queries",
+			`{"queries": [{"dst_prefix": "10.128.128.0/24", "dest": ["edge-1-1"]}]}`, 400},
 		{"verify empty body ok", "POST", "/v1/verify", "", 200},
 		{"verify object body ok", "POST", "/v1/verify", "{}", 200},
 		{"verify malformed body", "POST", "/v1/verify", "{oops", 400},

@@ -507,8 +507,8 @@ type DeltaReport struct {
 	// runtime dependency merge repeats the absorbing shard's id) — the
 	// audit trail behind every skipped shard's soundness claim.
 	DirtyShardIDs []int
-	// StageSeconds maps pipeline stage names to the wall seconds this
-	// delta spent in them.
+	// StageSeconds maps the pipeline stages this delta ran (setup, cp-ospf,
+	// cp-bgp, dp-compute, dp-forward) to the wall seconds it spent in them.
 	StageSeconds map[string]float64
 	// Epoch is the verified-state epoch after the delta.
 	Epoch uint64
@@ -624,16 +624,21 @@ func (v *Verifier) PullWorkerProfile(worker int, kind string, seconds int) (*obs
 	return v.ctrl.PullWorkerProfile(worker, kind, seconds)
 }
 
-// AttributionReport distills the merged trace and worker stats into a
-// per-worker × per-stage accounting table (wall time, RPCs, bytes, BDD
-// nodes, GC pauses). Render with String() or JSON().
+// AttributionReport distills the stage clock, the merged trace and worker
+// stats into a per-worker × per-stage accounting table (wall time, RPCs,
+// bytes, BDD nodes, GC pauses). Render with String() or JSON().
 func (v *Verifier) AttributionReport() *core.AttributionReport {
 	return v.ctrl.AttributionReport()
 }
 
-// PhaseDurations reports wall-clock per pipeline phase.
+// PhaseDurations reports the wall time spent in each pipeline stage that
+// has run (the stage names of DeltaReport.StageSeconds).
 func (v *Verifier) PhaseDurations() map[string]time.Duration {
-	return v.ctrl.Timer().Totals()
+	out := map[string]time.Duration{}
+	for name, st := range v.ctrl.Stages() {
+		out[name] = st.Wall
+	}
+	return out
 }
 
 // readDirTexts loads *.cfg files keyed by hostname (filename stem).
@@ -654,14 +659,6 @@ func readDirTexts(dir string) (map[string]string, error) {
 		out[strings.TrimSuffix(e.Name(), ".cfg")] = string(data)
 	}
 	return out, nil
-}
-
-// SimulatedParallelDurations reports per-phase critical-path durations:
-// the sum over orchestration rounds of the slowest worker's round time —
-// what an actually-parallel deployment would observe as elapsed time.
-// Keys: "cp", "dp-compute", "dp-forward".
-func (v *Verifier) SimulatedParallelDurations() map[string]time.Duration {
-	return v.ctrl.CriticalPath()
 }
 
 // ShardMerges reports runtime shard merges performed during control plane
