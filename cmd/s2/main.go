@@ -20,10 +20,12 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"sort"
@@ -37,13 +39,25 @@ import (
 
 func main() { exit(run()) }
 
-// writeFlightLog writes the -flight-log file once the verifier exists.
-var writeFlightLog = func() {}
+// flight is the recorder -flight-log writes: a standalone one until the
+// verifier exists, so a run that fails before it (a missing -configs
+// directory, a malformed -query) still leaves the error's record.
+var (
+	flight        = obs.NewFlightRecorder()
+	flightLogPath string
+)
 
 // exit is the command's one way out: a failed run, a failed verdict and a
 // passed one all write the flight log first.
 func exit(code int) {
-	writeFlightLog()
+	if flightLogPath != "" {
+		if f, err := os.Create(flightLogPath); err != nil {
+			fmt.Fprintln(os.Stderr, "s2: flight-log:", err)
+		} else {
+			flight.WriteTo(f)
+			f.Close()
+		}
+	}
 	os.Exit(code)
 }
 
@@ -67,6 +81,7 @@ func run() int {
 		verbose    = flag.Bool("v", false, "print phase timings and per-worker stats")
 	)
 	flag.Parse()
+	flightLogPath = *flightLog
 	if *configs == "" {
 		flag.Usage()
 		return 2
@@ -117,7 +132,7 @@ func run() int {
 
 	// SIGQUIT dumps the flight recorder to stderr and keeps running — the
 	// in-flight verification is not disturbed.
-	flight := v.FlightRecorder()
+	flight = v.FlightRecorder()
 	quit := make(chan os.Signal, 1)
 	signal.Notify(quit, syscall.SIGQUIT)
 	go func() {
@@ -126,18 +141,6 @@ func run() int {
 			flight.WriteTo(os.Stderr)
 		}
 	}()
-	if *flightLog != "" {
-		writeFlightLog = func() {
-			f, err := os.Create(*flightLog)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "s2: flight-log:", err)
-				return
-			}
-			flight.WriteTo(f)
-			f.Close()
-		}
-	}
-
 	if *obsAddr != "" {
 		isrv, err := obs.ServeIntrospection(*obsAddr, obs.ServerOptions{
 			Registry: reg,
@@ -208,7 +211,7 @@ func run() int {
 	if *verbose {
 		phases := v.PhaseDurations()
 		for _, name := range sortedKeys(phases) {
-			fmt.Printf("phase %-18s %v\n", name, phases[name].Round(time.Millisecond))
+			fmt.Printf("phase %-18s %v\n", name, phases[name].Round(time.Microsecond))
 		}
 		stats, err := v.Stats()
 		fatal(err)
@@ -264,9 +267,12 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
+// fatal exits 1 on err, recording it in the flight recorder first.
 func fatal(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "s2:", err)
+		flight.Logger(nil).LogAttrs(context.Background(), slog.LevelError, "run failed", obs.Kind("error"),
+			slog.String("err", err.Error()))
 		exit(1)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -134,7 +135,8 @@ func TestQueryTransitsSetWaypointBits(t *testing.T) {
 }
 
 // TestVerbosePhasesSorted checks -v prints the phase timings in phase-name
-// order, not in map order.
+// order, not in map order, at a resolution that shows even the briefest
+// stage: setup takes well under a millisecond on a k=4 fat-tree.
 func TestVerbosePhasesSorted(t *testing.T) {
 	dir := fatTree4(t)
 	out, stderr, code := runS2(t, "-configs", dir, "-workers", "2", "-v")
@@ -144,11 +146,15 @@ func TestVerbosePhasesSorted(t *testing.T) {
 	var phases []string
 	for _, line := range strings.Split(out, "\n") {
 		if name, ok := strings.CutPrefix(line, "phase "); ok {
-			phases = append(phases, strings.Fields(name)[0])
+			f := strings.Fields(name)
+			phases = append(phases, f[0])
+			if f[0] == "setup" && f[1] == "0s" {
+				t.Fatalf("setup rounded to zero: %q", line)
+			}
 		}
 	}
-	if len(phases) < 2 || !sort.StringsAreSorted(phases) {
-		t.Fatalf("phases %v, want at least two in sorted order", phases)
+	if len(phases) < 2 || !sort.StringsAreSorted(phases) || !slices.Contains(phases, "setup") {
+		t.Fatalf("phases %v, want at least two in sorted order, setup among them", phases)
 	}
 }
 
@@ -167,27 +173,33 @@ func TestFailedQueryExitsOne(t *testing.T) {
 }
 
 // TestFlightLogOnFailedRun checks -flight-log is written when the run
-// fails, not only when it succeeds.
+// fails, not only when it succeeds — also when it fails before the
+// verifier exists, and then it holds the error.
 func TestFlightLogOnFailedRun(t *testing.T) {
 	dir := fatTree4(t)
 	for _, tc := range []struct {
 		name string
 		args []string
 		code int
+		want string
 	}{
-		{"fails", []string{"-budget", "1000"}, 1},
-		{"passes", nil, 0},
+		{"fails", []string{"-configs", dir, "-workers", "2", "-budget", "1000"}, 1, "run failed"},
+		{"passes", []string{"-configs", dir, "-workers", "2"}, 0, ""},
+		{"no-configs", []string{"-configs", filepath.Join(dir, "missing")}, 1, "missing"},
+		{"bad-query", []string{"-configs", dir, "-query", `{"dst_prefix":`}, 1, "-query"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			log := filepath.Join(t.TempDir(), "flight.log")
-			args := append([]string{"-configs", dir, "-workers", "2", "-flight-log", log}, tc.args...)
-			_, stderr, code := runS2(t, args...)
+			_, stderr, code := runS2(t, append(tc.args, "-flight-log", log)...)
 			if code != tc.code {
 				t.Fatalf("exit %d, want %d: %s", code, tc.code, stderr)
 			}
 			data, err := os.ReadFile(log)
 			if err != nil || len(data) == 0 {
 				t.Fatalf("flight log %q: %v", data, err)
+			}
+			if !strings.Contains(string(data), tc.want) {
+				t.Fatalf("flight log lacks %q:\n%s", tc.want, data)
 			}
 		})
 	}

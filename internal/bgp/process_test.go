@@ -31,52 +31,12 @@ func buildProcs(t *testing.T, texts map[string]string) (map[string]*Process, *to
 	return procs, net
 }
 
-// runFixpoint executes the paper's Algorithm 1 in-process: rounds of
-// pull-exchange-decide until no node changes.
+// runFixpoint executes the paper's Algorithm 1 in-process: rounds in
+// which each node in turn pulls, imports and decides, until no node
+// changes. Every import runs the per-session delta oracle.
 func runFixpoint(t *testing.T, procs map[string]*Process) int {
 	t.Helper()
-	type pullState struct {
-		version uint64
-		seen    bool
-	}
-	pulls := map[[2]string]*pullState{}
-	names := make([]string, 0, len(procs))
-	for n := range procs {
-		names = append(names, n)
-	}
-	for round := 1; round <= 64; round++ {
-		changed := false
-		for _, name := range names {
-			p := procs[name]
-			for _, nb := range p.NeighborNames() {
-				exp, ok := procs[nb]
-				if !ok {
-					continue
-				}
-				key := [2]string{name, nb}
-				st := pulls[key]
-				if st == nil {
-					st = &pullState{}
-					pulls[key] = st
-				}
-				advs, ver, fresh := exp.ExportsTo(name, st.version, st.seen)
-				if fresh {
-					st.version, st.seen = ver, true
-					if p.ImportFrom(nb, advs) {
-						changed = true
-					}
-				}
-			}
-			if p.RunDecision() {
-				changed = true
-			}
-		}
-		if !changed {
-			return round
-		}
-	}
-	t.Fatal("fixpoint did not converge in 64 rounds")
-	return 0
+	return newFixpoint(procs, sortedProcNames(procs), false).converge(t)
 }
 
 // chainConfig builds a linear chain r1-r2-...-rn; r1 announces 10.8.0.0/24.

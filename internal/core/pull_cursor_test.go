@@ -9,6 +9,7 @@ import (
 	"s2/internal/bgp"
 	"s2/internal/config"
 	"s2/internal/ospf"
+	"s2/internal/route"
 	"s2/internal/sidecar"
 )
 
@@ -16,8 +17,9 @@ import (
 // BeginShard, then rounds until quiescent — WITHOUT the controller's
 // EndShard, which strips the full-attribute RIBs the exporters serve
 // from. The cursor tests probe exporters in their converged, still-live
-// state, exactly what a mid-iteration pull sees.
-func convergeCP(t *testing.T, c *Controller, gather func(*Worker) error, apply func(*Worker) (sidecar.ApplyReply, error)) {
+// state, exactly what a mid-iteration pull sees. round, if set, runs after
+// every round's apply.
+func convergeCP(t *testing.T, c *Controller, gather func(*Worker) error, apply func(*Worker) (sidecar.ApplyReply, error), round func()) {
 	t.Helper()
 	if err := c.Setup(); err != nil {
 		t.Fatal(err)
@@ -27,8 +29,8 @@ func convergeCP(t *testing.T, c *Controller, gather func(*Worker) error, apply f
 			t.Fatal(err)
 		}
 	}
-	for round := 0; ; round++ {
-		if round > 64 {
+	for n := 0; ; n++ {
+		if n > 64 {
 			t.Fatal("control plane did not converge in 64 rounds")
 		}
 		for _, w := range c.locals {
@@ -43,6 +45,9 @@ func convergeCP(t *testing.T, c *Controller, gather func(*Worker) error, apply f
 				t.Fatal(err)
 			}
 			changed = changed || reply.Changed
+		}
+		if round != nil {
+			round()
 		}
 		if !changed {
 			return
@@ -69,18 +74,44 @@ func pullLSAs(w *Worker, exporter, puller string, since uint64, seen bool) ([]*o
 	return replies[0].Items, replies[0].Version, replies[0].Fresh, nil
 }
 
+// exportHistory holds, per (exporter, puller) session, the full export —
+// an unseen pull — the exporter served at each version it reached.
+type exportHistory map[[2]string]map[uint64][]bgp.Advertisement
+
 // pullCursorWorker converges a 2-worker FatTree BGP control plane and
 // returns a local worker plus one (exporter, puller) pair that exports
 // at least one advertisement: the cursor tests need a real BGP session,
-// because ExportsTo only speaks to configured neighbors.
-func pullCursorWorker(t *testing.T) (*Worker, string, string) {
+// because ExportsTo only speaks to configured neighbors. The history
+// records every local session's full export after every round.
+func pullCursorWorker(t *testing.T) (*Worker, string, string, exportHistory) {
 	t.Helper()
 	snap, texts := fatTreeSnap(t, 4)
 	c := newS2(t, snap, texts, Options{Workers: 2, Seed: 1, Parallelism: 1})
 	t.Cleanup(func() { c.Close() })
+	hist := exportHistory{}
 	convergeCP(t, c,
 		func(w *Worker) error { return w.GatherBGP() },
-		func(w *Worker) (sidecar.ApplyReply, error) { return w.ApplyBGP() })
+		func(w *Worker) (sidecar.ApplyReply, error) { return w.ApplyBGP() },
+		func() {
+			for _, w := range c.locals {
+				if w == nil {
+					continue
+				}
+				for exporter := range w.bgpProcs {
+					for _, dest := range w.adjIndex[exporter] {
+						advs, ver, _, err := pullBGP(w, exporter, dest.Node, 0, false)
+						if err != nil {
+							t.Fatal(err)
+						}
+						key := [2]string{exporter, dest.Node}
+						if hist[key] == nil {
+							hist[key] = map[uint64][]bgp.Advertisement{}
+						}
+						hist[key][ver] = advs
+					}
+				}
+			}
+		})
 	for _, w := range c.locals {
 		if w == nil {
 			continue
@@ -92,20 +123,51 @@ func pullCursorWorker(t *testing.T) (*Worker, string, string) {
 					t.Fatal(err)
 				}
 				if fresh && len(advs) > 0 {
-					return w, exporter, dest.Node
+					return w, exporter, dest.Node, hist
 				}
 			}
 		}
 	}
 	t.Fatal("no exporting (exporter, puller) pair found")
-	return nil, "", ""
+	return nil, "", "", nil
+}
+
+// patchAdvs applies a delta to the routes of a full export, as ImportFrom
+// patches an Adj-RIB-In: a route replaces its prefix's entry and a
+// withdrawal removes it.
+func patchAdvs(full, delta []bgp.Advertisement) map[route.Prefix]*route.Route {
+	out := map[route.Prefix]*route.Route{}
+	for _, advs := range [][]bgp.Advertisement{full, delta} {
+		for _, a := range advs {
+			if a.Withdrawn {
+				delete(out, a.Route.Prefix)
+			} else {
+				out[a.Route.Prefix] = a.Route
+			}
+		}
+	}
+	return out
+}
+
+func sameRoutes(a, b map[route.Prefix]*route.Route) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for pfx, r := range a {
+		if o, ok := b[pfx]; !ok || !r.Equal(o) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestPullBGPCursorSemantics pins the since/seen delta-pull contract the
-// gather phase relies on: a pull at the current version
-// with seen=true is a cheap no-op, any stale or unseen cursor re-exports.
+// gather phase relies on: a pull at the current version with seen=true is
+// a cheap no-op, an unseen cursor gets the full export, and a stale cursor
+// gets a delta that, applied to the full export at its version, rebuilds
+// the current one.
 func TestPullBGPCursorSemantics(t *testing.T) {
-	w, exporter, puller := pullCursorWorker(t)
+	w, exporter, puller, hist := pullCursorWorker(t)
 
 	advs, ver, fresh, err := pullBGP(w, exporter, puller, 0, false)
 	if err != nil {
@@ -130,17 +192,29 @@ func TestPullBGPCursorSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fresh3 || len(got) != len(advs) {
+	if !fresh3 || !reflect.DeepEqual(got, advs) {
 		t.Fatalf("seen=false pull: fresh=%v advs=%d, want full re-export of %d", fresh3, len(got), len(advs))
 	}
 
-	// A stale cursor (older version) re-exports too.
-	got, _, fresh4, err := pullBGP(w, exporter, puller, ver-1, true)
-	if err != nil {
-		t.Fatal(err)
+	// A stale cursor (older version) gets the delta since that version.
+	past := hist[[2]string{exporter, puller}]
+	if len(past) < 2 {
+		t.Fatalf("exporter %s reached %d versions, want an older one to pull from", exporter, len(past))
 	}
-	if !fresh4 || len(got) != len(advs) {
-		t.Fatalf("stale-cursor pull: fresh=%v advs=%d, want full re-export of %d", fresh4, len(got), len(advs))
+	for since, old := range past {
+		if since == ver {
+			continue
+		}
+		delta, _, fresh4, err := pullBGP(w, exporter, puller, since, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fresh4 || len(delta) == 0 {
+			t.Fatalf("stale-cursor pull since %d: fresh=%v advs=%d, want a delta", since, fresh4, len(delta))
+		}
+		if !sameRoutes(patchAdvs(old, delta), patchAdvs(advs, nil)) {
+			t.Fatalf("stale-cursor pull since %d: the delta applied to that version's export is not the full export", since)
+		}
 	}
 
 	if _, _, _, err := pullBGP(w, "no-such-node", puller, 0, false); err == nil {
@@ -152,8 +226,12 @@ func TestPullBGPCursorSemantics(t *testing.T) {
 // entry is served exactly like the equivalent batch of one, in request
 // order, including the cursor semantics.
 func TestPullBGPBatchMatchesSingles(t *testing.T) {
-	w, exporter, puller := pullCursorWorker(t)
+	w, exporter, puller, _ := pullCursorWorker(t)
 	advs, ver, _, err := pullBGP(w, exporter, puller, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, _, _, err := pullBGP(w, exporter, puller, ver-1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +253,8 @@ func TestPullBGPBatchMatchesSingles(t *testing.T) {
 	if replies[1].Fresh || replies[1].Items != nil || replies[1].Version != ver {
 		t.Fatalf("batch[1] should be a stale no-op, got fresh=%v ver=%d", replies[1].Fresh, replies[1].Version)
 	}
-	if !replies[2].Fresh || len(replies[2].Items) != len(advs) {
-		t.Fatalf("batch[2] should re-export for the stale cursor")
+	if !replies[2].Fresh || !reflect.DeepEqual(replies[2].Items, delta) {
+		t.Fatalf("batch[2] should match the single stale-cursor pull's delta")
 	}
 	if _, err := w.PullBGPBatch([]sidecar.PullRequest{{Exporter: "no-such-node", Puller: puller}}); err == nil {
 		t.Fatal("batch with a non-hosted exporter must error")
@@ -190,7 +268,7 @@ func TestPullBGPBatchMatchesSingles(t *testing.T) {
 // exporter eventually answers every cursor with a stale no-op. Run under
 // -race this also proves the exporter-side locking.
 func TestPullBGPConcurrentPullers(t *testing.T) {
-	w, exporter, _ := pullCursorWorker(t)
+	w, exporter, _, _ := pullCursorWorker(t)
 	pullers := make([]string, 0, 4)
 	for _, dest := range w.adjIndex[exporter] {
 		pullers = append(pullers, dest.Node)
@@ -309,7 +387,7 @@ func TestPullLSACursorSemantics(t *testing.T) {
 	defer c.Close()
 	convergeCP(t, c,
 		func(w *Worker) error { return w.GatherOSPF() },
-		func(w *Worker) (sidecar.ApplyReply, error) { return w.ApplyOSPF() })
+		func(w *Worker) (sidecar.ApplyReply, error) { return w.ApplyOSPF() }, nil)
 
 	var w *Worker
 	for _, lw := range c.locals {

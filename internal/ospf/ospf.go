@@ -148,13 +148,6 @@ func (p *Process) buildSelfLSA() *LSA {
 	return lsa
 }
 
-// Version returns the LSDB version.
-func (p *Process) Version() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.version
-}
-
 // Routes returns the computed OSPF RIB.
 func (p *Process) Routes() *route.RIB {
 	p.mu.Lock()

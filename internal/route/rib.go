@@ -13,18 +13,12 @@ type RIB struct {
 	entries map[Prefix][]*Route
 	// bytes is the modelled memory footprint of all held routes.
 	bytes int64
-	// version increments on every mutation, supporting cheap convergence
-	// and delta-export checks.
-	version uint64
 }
 
 // NewRIB returns an empty RIB.
 func NewRIB() *RIB {
 	return &RIB{entries: make(map[Prefix][]*Route)}
 }
-
-// Version returns the mutation counter.
-func (r *RIB) Version() uint64 { return r.version }
 
 // ModelBytes returns the modelled memory footprint of the RIB contents.
 func (r *RIB) ModelBytes() int64 { return r.bytes }
@@ -69,7 +63,6 @@ func (r *RIB) SetRoutes(p Prefix, routes []*Route) bool {
 			r.bytes -= o.ModelBytes()
 		}
 		delete(r.entries, p)
-		r.version++
 		return true
 	}
 	rs := append([]*Route(nil), routes...)
@@ -84,7 +77,6 @@ func (r *RIB) SetRoutes(p Prefix, routes []*Route) bool {
 		r.bytes += n.ModelBytes()
 	}
 	r.entries[p] = rs
-	r.version++
 	return true
 }
 
@@ -115,7 +107,6 @@ func (r *RIB) Clear() {
 	}
 	r.entries = make(map[Prefix][]*Route)
 	r.bytes = 0
-	r.version++
 }
 
 func routeSetsEqual(a, b []*Route) bool {

@@ -38,7 +38,8 @@ import (
 // ProtocolVersion names the sidecar protocol this tree speaks: the request
 // and reply shapes below and the method set of WorkerAPI. Bump it with any
 // change to either; Setup rejects a controller that sends another value.
-const ProtocolVersion = 2
+// Version 3 made BGP pull replies deltas, with withdrawals on the wire.
+const ProtocolVersion = 3
 
 // TraceContext is the cross-process span identity carried on every sidecar
 // request (see obs.TraceContext): the caller's in-flight span, under which

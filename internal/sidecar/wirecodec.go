@@ -226,11 +226,35 @@ func (d *wireDec) route() (*route.Route, error) {
 	return r, nil
 }
 
-func (e *wireEnc) adv(a bgp.Advertisement) { e.route(a.Route) }
+// advWithdrawn is the presence byte of a withdrawal: the advertisement
+// carries only its prefix. 0 and 1 are route's absent and present.
+const advWithdrawn = 2
+
+func (e *wireEnc) adv(a bgp.Advertisement) {
+	if !a.Withdrawn {
+		e.route(a.Route)
+		return
+	}
+	e.byte(advWithdrawn)
+	e.uvarint(uint64(a.Route.Prefix.Addr))
+	e.byte(a.Route.Prefix.Len)
+}
 
 func (d *wireDec) adv() (bgp.Advertisement, error) {
-	r, err := d.route()
-	return bgp.Advertisement{Route: r}, err
+	if len(d.buf) == 0 || d.buf[0] != advWithdrawn {
+		r, err := d.route()
+		return bgp.Advertisement{Route: r}, err
+	}
+	d.buf = d.buf[1:]
+	addr, err := d.uvarint()
+	if err != nil {
+		return bgp.Advertisement{}, err
+	}
+	plen, err := d.byte()
+	if err != nil {
+		return bgp.Advertisement{}, err
+	}
+	return bgp.Advertisement{Route: &route.Route{Prefix: route.Prefix{Addr: uint32(addr), Len: plen}}, Withdrawn: true}, nil
 }
 
 func (e *wireEnc) lsa(lsa *ospf.LSA) {

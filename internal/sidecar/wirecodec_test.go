@@ -24,6 +24,10 @@ func decodeLSA(b []byte) (lsaReplies, error) {
 	return decodeReplies(b, (*wireDec).lsa)
 }
 
+func withdrawal(addr uint32, plen uint8) bgp.Advertisement {
+	return bgp.Advertisement{Route: &route.Route{Prefix: route.MakePrefix(addr, plen)}, Withdrawn: true}
+}
+
 func wireRoute(addr uint32, nhNode string, path []uint32, comms []route.Community) *route.Route {
 	return &route.Route{
 		Prefix:       route.MakePrefix(addr, 24),
@@ -54,8 +58,10 @@ func TestBGPWireCodecRoundTrip(t *testing.T) {
 					{Route: wireRoute(0x0a800000, "edge-0-0", []uint32{65001, 65002}, comm)},
 					{Route: wireRoute(0x0a800100, "edge-0-0", []uint32{65001}, comm)},
 					{Route: wireRoute(0x0a800200, "agg-1-1", nil, comm)},
+					withdrawal(0x0a800400, 24),
 				},
 			},
+			{Version: 8, Fresh: true, Items: []bgp.Advertisement{withdrawal(0x0a000000, 8), withdrawal(0, 0)}},
 			{Version: 7, Fresh: true, Items: []bgp.Advertisement{{Route: wireRoute(0x0a800300, "edge-0-0", nil, comm)}}},
 			{Version: 9, Fresh: false},
 		},
@@ -118,8 +124,9 @@ func TestLSAWireCodecRoundTrip(t *testing.T) {
 }
 
 // TestPullReplyWireBytesPinned pins the pull reply payloads byte for byte
-// (unchanged since protocol version 1): a change to them is a wire change
-// and needs a new ProtocolVersion.
+// (protocol version 3 added the withdrawal; everything else is unchanged
+// since version 1): a change to them is a wire change and needs a new
+// ProtocolVersion.
 func TestPullReplyWireBytesPinned(t *testing.T) {
 	bgpSet := bgpReplies{
 		{Version: 42, Fresh: true, Items: []bgp.Advertisement{
@@ -127,6 +134,7 @@ func TestPullReplyWireBytesPinned(t *testing.T) {
 			{Route: wireRoute(0x0a800100, "edge-0-0", []uint32{65001}, nil)},
 			{Route: nil},
 			{Route: wireRoute(0x0a800200, "agg-1-1", nil, nil)},
+			withdrawal(0x0a800500, 24),
 		}},
 		{Version: 7, Fresh: false},
 		{Version: 9, Fresh: true, Items: []bgp.Advertisement{}},
@@ -148,9 +156,10 @@ func TestPullReplyWireBytesPinned(t *testing.T) {
 		name, want string
 		got        []byte
 	}{
-		{"bgp", "042a010401808080541803818080500008656467652d302d300502e9fb03eafb036400018780a0ef0f82808008eafb03" +
+		{"bgp", "042a010501808080541803818080500008656467652d302d300502e9fb03eafb036400018780a0ef0f82808008eafb03" +
 			"0180828054180381808050010501e9fb0364000082808008eafb0300018084805418038180805000076167672d312d3105" +
-			"0064000082808008eafb030700000901000301010180868054180381808050020501e0a71264000082808008eafb03",
+			"0064000082808008eafb0302808a8054180700000901000301010180868054180381808050020501e0a71264000082808008" +
+			"eafb03",
 			encodeBGP(bgpSet)},
 		{"lsa", "030b010401000272318180800802000272320a0002723314018080805418010001028280800801010a00010383808008" +
 			"00000c00000d01020001010001030100",
@@ -176,6 +185,8 @@ func TestWireCodecRejectsGarbage(t *testing.T) {
 		{"huge reply count", []byte{0xff, 0xff, 0xff, 0xff, 0x0f}},
 		{"huge item count", []byte{0x01, 0x01, 0x01, 0xff, 0xff, 0xff, 0xff, 0x0f}},
 		{"huge as-path", []byte{0x01, 0x01, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f}},
+		{"truncated withdrawal", []byte{0x01, 0x01, 0x01, 0x01, 0x02, 0x80}},
+		{"withdrawal without length", []byte{0x01, 0x01, 0x01, 0x01, 0x02, 0x0a}},
 	} {
 		if _, err := decodeBGP(tc.data); err == nil {
 			t.Errorf("bgp %s: expected an error", tc.name)
@@ -200,6 +211,9 @@ func FuzzDecodePullReplies(f *testing.F) {
 	comm := []route.Community{route.MakeCommunity(65000, 7)}
 	f.Add(encodeBGP(bgpReplies{{Version: 4, Fresh: true, Items: []bgp.Advertisement{
 		{Route: wireRoute(0x0a800000, "edge-0-0", []uint32{65001}, comm)}, {Route: nil}}}}))
+	f.Add(encodeBGP(bgpReplies{{Version: 5, Fresh: true, Items: []bgp.Advertisement{
+		withdrawal(0x0a800000, 24), {Route: wireRoute(0x0a800100, "edge-0-0", nil, nil)}, withdrawal(0, 0)}}}))
+	f.Add(encodeBGP(bgpReplies{{Version: 6, Fresh: true, Items: []bgp.Advertisement{withdrawal(0xffffffff, 32)}}, {Version: 7}}))
 	f.Add(encodeLSA(lsaReplies{{Version: 2, Fresh: true, Items: []*ospf.LSA{
 		{Router: "r1", Links: []ospf.LSALink{{Neighbor: "r2", Cost: 1}}}, nil}}, {Version: 3}}))
 	f.Add([]byte{})

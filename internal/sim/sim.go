@@ -2,7 +2,11 @@
 // paper's Algorithm 1, lines 11–15): every node pulls route updates from
 // each neighbor — a local process, or through the sidecar a "shadow" of a
 // node on another worker — and a cursor per (puller, exporter) pair turns
-// each pull into a delta since the last one.
+// each pull into a delta since the last one: a BGP exporter sends only the
+// prefixes that changed after the cursor, and the puller patches its
+// Adj-RIB-In with them. That is sound only while the puller's Adj-RIB-In
+// is the one its earlier pulls built, so whoever resets a puller's
+// protocol state resets its cursors with it.
 package sim
 
 import "sync"
