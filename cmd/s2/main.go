@@ -124,7 +124,6 @@ func run() int {
 	if *obsAddr != "" {
 		reg = obs.NewRegistry()
 		opts.Metrics = reg
-		opts.FleetPlane = true
 	}
 	v, err := s2.NewVerifier(net, opts)
 	fatal(err)
@@ -149,14 +148,6 @@ func run() int {
 			},
 			Progress: func() any { return v.Progress() },
 			Flight:   flight,
-			Dashboard: &obs.Dashboard{
-				Health:  func() any { return v.FleetHealth() },
-				History: v.History(),
-			},
-			Profiles: v.Profiles(),
-			ProfilePull: func(worker int, kind string, seconds int) (*obs.Profile, error) {
-				return v.PullWorkerProfile(worker, kind, seconds)
-			},
 		})
 		fatal(err)
 		defer isrv.Close()

@@ -22,9 +22,8 @@
 // takes, defined once in s2.Options.RegisterFlags.
 //
 // Its telemetry has fixed sizes: 512 request traces with the 16 slowest
-// kept, 1024 audit entries in memory, and the fleet health plane (512
-// points per series sampled every -heartbeat-interval or else every 5s,
-// 32 worker profiles with a heap harvest every 60s).
+// kept and 1024 audit entries in memory. Worker vitals are sampled into
+// the s2_worker_* gauges every -heartbeat-interval, or else every 5s.
 package main
 
 import (
@@ -75,7 +74,6 @@ func main() {
 	opts.Metrics = reg
 	opts.Tracer = tracer
 	opts.Logger = logger
-	opts.FleetPlane = true
 	if *slowWorker >= 0 {
 		opts.SlowWorker = *slowWorker
 		opts.SlowWorkerDelay = slowWorkerDelay

@@ -36,7 +36,7 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "TCP address for the worker's sidecar")
 	grace := flag.Duration("grace", 10*time.Second, "max time to finish in-flight RPCs on SIGINT/SIGTERM")
-	obsAddr := flag.String("obs-addr", "", "serve /metrics, /healthz, /progress, /debug/flightrecorder, /debug/dashboard, and /debug/pprof for this worker on this address")
+	obsAddr := flag.String("obs-addr", "", "serve /metrics, /healthz, /progress, /debug/flightrecorder, and /debug/pprof for this worker on this address")
 	flightLog := flag.String("flight-log", "", "also write flight-recorder dumps (SIGQUIT) to this file")
 	newLogger := obs.LogFlags("info")
 	flag.Parse()
@@ -74,12 +74,6 @@ func main() {
 		bytesTotal.SetFunc(func() float64 { return float64(srv.BytesRead()) }, "server", "in")
 		bytesTotal.SetFunc(func() float64 { return float64(srv.BytesWritten()) }, "server", "out")
 		obs.RegisterProcessVitals(reg)
-		// Local history ring: the worker samples its own registry so its
-		// /debug/dashboard sparklines work even without a controller
-		// harvesting it.
-		hist := obs.NewHistory()
-		stop := hist.Start(5*time.Second, func() map[string]float64 { return reg.Snapshot() })
-		defer stop()
 		isrv, err := obs.ServeIntrospection(*obsAddr, obs.ServerOptions{
 			Registry: reg,
 			Health: func() any {
@@ -92,12 +86,6 @@ func main() {
 				}
 			},
 			Flight: w.FlightRecorder(),
-			Dashboard: &obs.Dashboard{
-				Health: func() any {
-					return map[string]any{"role": "worker", "listen": lis.Addr().String()}
-				},
-				History: hist,
-			},
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "s2worker:", err)

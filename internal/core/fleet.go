@@ -1,12 +1,14 @@
-// Fleet health plane: the controller samples every registry metric plus
-// per-worker vitals (shard/round progress, BDD nodes, GC pause p99, RSS,
-// goroutines) into a bounded time-series ring on the heartbeat cadence,
-// scores per-round progress skew to flag stragglers — the sensor the
-// ROADMAP's work-stealing item will act on — and harvests pprof profiles
-// from workers into a TraceStore-style bounded ring, periodically and on
-// demand. Everything here is gated on the observability options
-// (FleetPlane, Metrics): with both off no goroutine starts, no RPC is
-// issued, and no allocation happens.
+// Fleet health: the one signal an operator reads is "which worker is
+// slow". Every orchestration round scores each worker's duration against
+// the round median into a per-worker EWMA (the straggler score — the
+// sensor the ROADMAP's parked work-stealing item would act on), and a
+// sampler pulls every worker's vitals (shard/round progress, BDD nodes, GC
+// pause p99, RSS, heap, goroutines) on the heartbeat cadence. Both write
+// only the registry's gauges, so both are gated on Options.Metrics: with no
+// registry no goroutine starts and no probe RPC is issued. History lives
+// in whatever scrapes /metrics; per-worker profiles come from each TCP
+// worker's own /debug/pprof (s2worker -obs-addr), and in-process workers
+// share the controller's.
 
 package core
 
@@ -21,9 +23,6 @@ import (
 	"s2/internal/sidecar"
 )
 
-// profileHarvestInterval is the cadence of the periodic heap harvest.
-const profileHarvestInterval = time.Minute
-
 // stragglerAlpha is the EWMA weight of the newest round's skew sample in
 // a worker's straggler score.
 const stragglerAlpha = 0.3
@@ -32,86 +31,6 @@ const stragglerAlpha = 0.3
 // where the slowest worker is under 2x the median, or the absolute skew
 // is under this floor, are normal jitter and not worth an event.
 const stragglerLogThreshold = 10 * time.Millisecond
-
-// fleetVital is the latest vitals snapshot for one directory slot.
-type fleetVital struct {
-	v  sidecar.WorkerVitals
-	at time.Time
-}
-
-// FleetWorker is one worker's row in the fleet health snapshot.
-type FleetWorker struct {
-	Worker           int     `json:"worker"`
-	Shard            int     `json:"shard"`
-	Round            int     `json:"round"`
-	QueueLen         int     `json:"queue"`
-	BDDNodes         int64   `json:"bdd_nodes"`
-	GCPauseP99Micros int64   `json:"gc_pause_p99_us"`
-	RSSBytes         int64   `json:"rss_bytes"`
-	HeapBytes        int64   `json:"heap_bytes"`
-	Goroutines       int     `json:"goroutines"`
-	StragglerScore   float64 `json:"straggler_score"`
-	// AgeMillis is how stale this row is (time since the vitals pull).
-	AgeMillis int64 `json:"age_ms"`
-}
-
-// FleetHealth is the controller's live fleet snapshot: the dashboard's
-// fleet table and the /healthz detail of serving mode.
-type FleetHealth struct {
-	Epoch            uint64             `json:"epoch"`
-	EpochAgeSeconds  float64            `json:"epoch_age_seconds"`
-	Workers          []FleetWorker      `json:"workers"`
-	RoundSkewSeconds map[string]float64 `json:"round_skew_seconds,omitempty"`
-	HistoryRounds    uint64             `json:"history_rounds"`
-}
-
-// History exposes the fleet health time-series ring (nil unless
-// FleetPlane is set).
-func (c *Controller) History() *obs.History { return c.history }
-
-// Profiles exposes the harvested-profile store (nil unless FleetPlane is
-// set).
-func (c *Controller) Profiles() *obs.ProfileStore { return c.profiles }
-
-// FleetHealth assembles the live fleet snapshot from the latest sampled
-// vitals and straggler scores. Cheap and safe from any goroutine.
-func (c *Controller) FleetHealth() FleetHealth {
-	h := FleetHealth{Epoch: c.epoch.Load(), HistoryRounds: c.history.Rounds()}
-	if at := c.epochAt.Load(); at != 0 {
-		h.EpochAgeSeconds = time.Since(time.Unix(0, at)).Seconds()
-	}
-	now := time.Now()
-	c.fleetMu.Lock()
-	ids := make([]int, 0, len(c.fleetVitals))
-	for id := range c.fleetVitals {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		fv := c.fleetVitals[id]
-		h.Workers = append(h.Workers, FleetWorker{
-			Worker:           id,
-			Shard:            fv.v.Shard,
-			Round:            fv.v.Round,
-			QueueLen:         fv.v.QueueLen,
-			BDDNodes:         fv.v.BDDNodes,
-			GCPauseP99Micros: fv.v.GCPauseP99Micros,
-			RSSBytes:         fv.v.RSSBytes,
-			HeapBytes:        fv.v.HeapBytes,
-			Goroutines:       fv.v.Goroutines,
-			StragglerScore:   c.stragglers[id],
-			AgeMillis:        now.Sub(fv.at).Milliseconds(),
-		})
-	}
-	if len(c.lastSkew) > 0 {
-		h.RoundSkewSeconds = make(map[string]float64, len(c.lastSkew))
-		for phase, skew := range c.lastSkew {
-			h.RoundSkewSeconds[phase] = skew
-		}
-	}
-	c.fleetMu.Unlock()
-	return h
-}
 
 // StragglerScores returns the per-worker straggler EWMA (directory index →
 // score; 0 = keeping pace with the round median).
@@ -125,18 +44,16 @@ func (c *Controller) StragglerScores() map[int]float64 {
 	return out
 }
 
-// startStatsSampler launches the background vitals loop when the fleet
-// plane is on. It rides the heartbeat cadence (else every 5s) and drives
-// the periodic heap-profile harvest every profileHarvestInterval.
+// startStatsSampler launches the background vitals loop when a registry
+// is wired. It rides the heartbeat cadence (else every 5s).
 func (c *Controller) startStatsSampler() {
-	if c.history == nil || c.statsStop != nil || c.closed.Load() {
+	if c.reg == nil || c.statsStop != nil || c.closed.Load() {
 		return
 	}
 	interval := c.opts.HeartbeatInterval
 	if interval <= 0 {
 		interval = harvestInterval
 	}
-	profEvery := max(int(profileHarvestInterval/interval), 1)
 	c.statsStop = make(chan struct{})
 	stop := c.statsStop
 	c.statsWG.Add(1)
@@ -145,17 +62,12 @@ func (c *Controller) startStatsSampler() {
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		c.sampleFleet()
-		ticks := 0
 		for {
 			select {
 			case <-stop:
 				return
 			case <-t.C:
 				c.sampleFleet()
-				ticks++
-				if ticks%profEvery == 0 {
-					c.harvestHeapProfiles()
-				}
 			}
 		}
 	}()
@@ -170,49 +82,51 @@ func (c *Controller) stopStatsSampler() {
 	c.statsStop = nil
 }
 
-// sampleFleet pulls vitals from every worker, refreshes the per-worker
-// gauges, and records one history round spanning the whole registry (or
-// just the vitals when no registry is wired). Errors are swallowed —
-// sampling is telemetry, never a run failure.
+// vitalsSample is one worker's PullStats reply with the local send and
+// receive times its clock-offset sample needs.
+type vitalsSample struct {
+	id         int
+	sent, recv time.Time
+	v          sidecar.WorkerVitals
+}
+
+// sampleFleet pulls vitals from every worker and refreshes the per-worker
+// gauges and clock-offset estimators. Errors are swallowed — sampling is
+// telemetry, never a run failure. The results land only if the directory
+// still has the length the sweep saw: eviction only ever shrinks it, and a
+// sweep that raced one would write a vanished slot, or a moved worker's
+// vitals under its old slot, after evict cleared them.
 func (c *Controller) sampleFleet() {
 	c.wmu.RLock()
 	workers := append([]sidecar.WorkerAPI(nil), c.workers...)
 	clients := append([]*sidecar.RemoteWorker(nil), c.clients...)
 	c.wmu.RUnlock()
-	now := time.Now()
-	fresh := make(map[int]fleetVital, len(workers))
+	samples := make([]vitalsSample, 0, len(workers))
 	for i, w := range workers {
 		if w == nil {
 			continue
-		}
-		var client *sidecar.RemoteWorker
-		if i < len(clients) {
-			client = clients[i]
 		}
 		sent := time.Now()
 		reply, err := w.PullStats(sidecar.PullStatsRequest{})
 		if err != nil {
 			continue
 		}
-		if client != nil {
-			c.skewFor(client).Observe(sent, time.Now(), reply.Vitals.NowUnixMicro)
+		samples = append(samples, vitalsSample{id: i, sent: sent, recv: time.Now(), v: reply.Vitals})
+	}
+	c.wmu.RLock()
+	defer c.wmu.RUnlock()
+	if len(c.workers) != len(workers) {
+		return
+	}
+	for _, s := range samples {
+		if s.id < len(clients) && clients[s.id] != nil {
+			c.skewFor(clients[s.id]).Observe(s.sent, s.recv, s.v.NowUnixMicro)
 		}
-		fresh[i] = fleetVital{v: reply.Vitals, at: now}
-		c.setWorkerGauges(i, reply.Vitals)
+		c.setWorkerGauges(s.id, s.v)
 	}
-	c.fleetMu.Lock()
-	if c.fleetVitals == nil {
-		c.fleetVitals = make(map[int]fleetVital, len(fresh))
-	}
-	for id, fv := range fresh {
-		c.fleetVitals[id] = fv
-	}
-	c.fleetMu.Unlock()
-	c.history.Record(now, c.historySample(fresh))
 }
 
-// setWorkerGauges mirrors one worker's vitals into the registry so they
-// ride /metrics and the registry-wide history snapshot alike.
+// setWorkerGauges mirrors one worker's vitals into the registry.
 func (c *Controller) setWorkerGauges(id int, v sidecar.WorkerVitals) {
 	if c.reg == nil {
 		return
@@ -229,31 +143,37 @@ func (c *Controller) setWorkerGauges(id int, v sidecar.WorkerVitals) {
 	c.reg.Gauge(MetricWorkerGoroutines, "Goroutines per worker process (fleet sampler).", "worker").Set(float64(v.Goroutines), lbl)
 }
 
-// historySample builds one history round. With a registry wired the whole
-// Snapshot (which already includes the per-worker gauges) is recorded;
-// otherwise a minimal vitals-only map keeps the ring useful.
-func (c *Controller) historySample(fresh map[int]fleetVital) map[string]float64 {
-	if c.reg != nil {
-		return c.reg.Snapshot()
+// stragglerGauge is the per-worker straggler score family.
+func (c *Controller) stragglerGauge() *obs.Gauge {
+	return c.reg.Gauge(MetricStragglerScore,
+		"EWMA of each worker's round-duration excess over the round median (0 = keeping pace).",
+		"worker")
+}
+
+// forgetSlots drops the per-slot telemetry of a directory that eviction
+// just compacted from before slots to after. The straggler scores restart
+// (a slot now names another worker, which must not inherit its
+// predecessor's score), the vanished slots' series read 0, and the closed
+// clients' clock-offset estimators go.
+func (c *Controller) forgetSlots(before, after int, closed []*sidecar.RemoteWorker) {
+	c.skewMu.Lock()
+	for _, cl := range closed {
+		delete(c.skews, cl)
 	}
-	out := make(map[string]float64, len(fresh)*8)
-	for id, fv := range fresh {
-		suffix := fmt.Sprintf(`{worker="%d"}`, id)
-		out[MetricWorkerShard+suffix] = float64(fv.v.Shard)
-		out[MetricWorkerRound+suffix] = float64(fv.v.Round)
-		out[MetricWorkerQueueLen+suffix] = float64(fv.v.QueueLen)
-		out[MetricBDDNodes+suffix] = float64(fv.v.BDDNodes)
-		out[MetricWorkerGCPauseP99+suffix] = float64(fv.v.GCPauseP99Micros) / 1e6
-		out[MetricWorkerRSS+suffix] = float64(fv.v.RSSBytes)
-		out[MetricWorkerHeap+suffix] = float64(fv.v.HeapBytes)
-		out[MetricWorkerGoroutines+suffix] = float64(fv.v.Goroutines)
-	}
+	c.skewMu.Unlock()
 	c.fleetMu.Lock()
-	for id, s := range c.stragglers {
-		out[fmt.Sprintf(`%s{worker="%d"}`, MetricStragglerScore, id)] = s
-	}
+	c.stragglers = nil
 	c.fleetMu.Unlock()
-	return out
+	if c.reg == nil {
+		return
+	}
+	g := c.stragglerGauge()
+	for id := 0; id < before; id++ {
+		g.Set(0, fmt.Sprint(id))
+		if id >= after {
+			c.setWorkerGauges(id, sidecar.WorkerVitals{})
+		}
+	}
 }
 
 // observeRoundSkew scores one orchestration round's progress skew: each
@@ -261,9 +181,9 @@ func (c *Controller) historySample(fresh map[int]fleetVital) map[string]float64 
 // (the straggler score), and the max-minus-median spread becomes the
 // per-phase round skew, labelled with the stage the round ran in. Called
 // from eachRound on every orchestration round; returns immediately when
-// the fleet plane is off so the hot loop pays one branch.
+// no registry is wired so the hot loop pays one branch.
 func (c *Controller) observeRoundSkew(phase string, ids []int, durs []time.Duration) {
-	if (c.reg == nil && c.history == nil) || len(durs) < 2 {
+	if c.reg == nil || len(durs) < 2 {
 		return
 	}
 	sorted := append([]time.Duration(nil), durs...)
@@ -274,6 +194,7 @@ func (c *Controller) observeRoundSkew(phase string, ids []int, durs []time.Durat
 
 	var worstID int
 	var worstScore float64
+	scores := make(map[int]float64, len(ids))
 	c.fleetMu.Lock()
 	if c.stragglers == nil {
 		c.stragglers = map[int]float64{}
@@ -289,94 +210,23 @@ func (c *Controller) observeRoundSkew(phase string, ids []int, durs []time.Durat
 		id := ids[i]
 		score := c.stragglers[id]*(1-stragglerAlpha) + inst*stragglerAlpha
 		c.stragglers[id] = score
+		scores[id] = score
 		if score > worstScore {
 			worstScore, worstID = score, id
 		}
 	}
-	if c.lastSkew == nil {
-		c.lastSkew = map[string]float64{}
-	}
-	c.lastSkew[phase] = skew.Seconds()
-	scores := make(map[int]float64, len(ids))
-	for _, id := range ids {
-		scores[id] = c.stragglers[id]
-	}
 	c.fleetMu.Unlock()
 
-	if c.reg != nil {
-		c.reg.Gauge(MetricRoundSkew,
-			"Per-phase progress skew of the last orchestration round (slowest minus median worker).",
-			"phase").Set(skew.Seconds(), phase)
-		g := c.reg.Gauge(MetricStragglerScore,
-			"EWMA of each worker's round-duration excess over the round median (0 = keeping pace).",
-			"worker")
-		for id, score := range scores {
-			g.Set(score, fmt.Sprint(id))
-		}
+	c.reg.Gauge(MetricRoundSkew,
+		"Per-phase progress skew of the last orchestration round (slowest minus median worker).",
+		"phase").Set(skew.Seconds(), phase)
+	g := c.stragglerGauge()
+	for id, score := range scores {
+		g.Set(score, fmt.Sprint(id))
 	}
 	if med > 0 && max > 2*med && skew > stragglerLogThreshold {
 		c.log.LogAttrs(context.Background(), slog.LevelWarn, "straggler detected", obs.Kind("straggler"),
 			slog.String("phase", phase), slog.Int("worker", worstID), slog.Duration("skew", skew),
 			slog.Float64("ratio", float64(max)/float64(med)), slog.Float64("score", worstScore))
 	}
-}
-
-// harvestHeapProfiles is the periodic arm of continuous profiling: one
-// cheap heap capture per worker into the bounded store.
-func (c *Controller) harvestHeapProfiles() {
-	c.wmu.RLock()
-	n := len(c.workers)
-	c.wmu.RUnlock()
-	for i := 0; i < n; i++ {
-		_, _ = c.PullWorkerProfile(i, "heap", 0)
-	}
-}
-
-// PullWorkerProfile captures one pprof profile from the given worker over
-// the PullProfile RPC and stores it in the bounded profile ring. The call
-// uses the raw transport, bypassing the fault policy's per-RPC deadline —
-// a CPU capture legitimately blocks for its whole sampling window.
-func (c *Controller) PullWorkerProfile(worker int, kind string, seconds int) (*obs.Profile, error) {
-	if c.profiles == nil {
-		return nil, fmt.Errorf("core: profile store disabled (FleetPlane is off)")
-	}
-	if c.closed.Load() {
-		return nil, fmt.Errorf("core: controller is closed")
-	}
-	c.wmu.RLock()
-	var local *Worker
-	var client *sidecar.RemoteWorker
-	ok := worker >= 0 && worker < len(c.workers)
-	if ok {
-		if worker < len(c.locals) {
-			local = c.locals[worker]
-		}
-		if worker < len(c.clients) {
-			client = c.clients[worker]
-		}
-	}
-	c.wmu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("core: no worker %d", worker)
-	}
-	req := sidecar.PullProfileRequest{Kind: kind, Seconds: seconds}
-	var reply sidecar.PullProfileReply
-	var err error
-	switch {
-	case local != nil:
-		reply, err = local.PullProfile(req)
-	case client != nil:
-		reply, err = client.PullProfile(req)
-	default:
-		return nil, fmt.Errorf("core: worker %d has no transport", worker)
-	}
-	if err != nil {
-		return nil, err
-	}
-	p := &obs.Profile{Worker: worker, Kind: reply.Kind, Taken: time.Now(), Data: reply.Profile}
-	c.profiles.Add(p)
-	c.log.LogAttrs(context.Background(), slog.LevelDebug, "profile harvested", obs.Kind("profile"),
-		slog.String("profile", reply.Kind), slog.Int("worker", worker), slog.String("id", p.ID),
-		slog.Int("bytes", len(p.Data)))
-	return p, nil
 }

@@ -1,12 +1,12 @@
-// Fleet health plane tests: straggler analytics must flag exactly the
-// slowed worker, the vitals sampler must fill the history ring and the
-// fleet snapshot, profile harvest must round-trip a parseable pprof proto,
-// and a run with the plane disabled must issue no probe RPC and start no
-// sampler.
+// Fleet health tests: straggler analytics must flag exactly the slowed
+// worker, the vitals sampler must fill the per-worker gauges in process and
+// over TCP and stop at Close, and a run without a registry must issue no
+// probe RPC and start no sampler.
 
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -45,8 +45,7 @@ func TestStragglerAnalyticsFlagsSlowWorker(t *testing.T) {
 	snap, texts := fatTreeSnap(t, 4)
 	c := newS2(t, snap, texts, Options{
 		Workers: 3, Shards: 2, Seed: 5,
-		Metrics:    reg,
-		FleetPlane: true,
+		Metrics: reg,
 		// Long interval: this test exercises the per-round skew scoring,
 		// not the sampler cadence.
 		HeartbeatInterval: time.Hour,
@@ -76,7 +75,7 @@ func TestStragglerAnalyticsFlagsSlowWorker(t *testing.T) {
 		}
 	}
 
-	// The scores ride the registry and the fleet snapshot.
+	// The scores and the round skew ride the registry.
 	snapMetrics := reg.Snapshot()
 	if v := snapMetrics[`s2_straggler_score{worker="1"}`]; v <= 0 {
 		t.Errorf(`s2_straggler_score{worker="1"} = %v, want > 0`, v)
@@ -90,10 +89,6 @@ func TestStragglerAnalyticsFlagsSlowWorker(t *testing.T) {
 	if !foundSkew {
 		t.Error("no positive s2_round_skew_seconds series in the registry")
 	}
-	health := c.FleetHealth()
-	if len(health.RoundSkewSeconds) == 0 {
-		t.Error("FleetHealth.RoundSkewSeconds empty after a skewed run")
-	}
 
 	// The -report table carries the score on the straggler's row only.
 	rep := c.AttributionReport()
@@ -104,107 +99,73 @@ func TestStragglerAnalyticsFlagsSlowWorker(t *testing.T) {
 	}
 }
 
+// waitVitals polls reg until every worker in [0, n) has positive
+// goroutine and heap gauges, and returns the last snapshot.
+func waitVitals(t *testing.T, reg *obs.Registry, n int) map[string]float64 {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		snap := reg.Snapshot()
+		missing := ""
+		for id := 0; id < n && missing == ""; id++ {
+			for _, m := range []string{MetricWorkerGoroutines, MetricWorkerHeap} {
+				if key := fmt.Sprintf(`%s{worker="%d"}`, m, id); snap[key] <= 0 {
+					missing = key
+					break
+				}
+			}
+		}
+		if missing == "" {
+			return snap
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s not positive after 5s", missing)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func TestFleetSamplerHistoryAndHealth(t *testing.T) {
+	var stats atomic.Int64
 	reg := obs.NewRegistry()
 	snap, texts := fatTreeSnap(t, 4)
 	c := newS2(t, snap, texts, Options{
 		Workers: 3, Seed: 6,
 		Metrics:           reg,
-		FleetPlane:        true,
 		HeartbeatInterval: 10 * time.Millisecond,
+		WrapWorker: func(_ int, w sidecar.WorkerAPI) sidecar.WorkerAPI {
+			return countingWorker{WorkerAPI: w, statsPulls: &stats}
+		},
 	})
 	defer c.Close()
 	runFull(t, c)
 
-	h := c.History()
-	if h == nil {
-		t.Fatal("History() = nil with FleetPlane set")
+	// Per-worker vitals land in the registry, one series per worker.
+	vitals := waitVitals(t, reg, 3)
+	if v, ok := vitals[`s2_worker_goroutines{worker="3"}`]; ok {
+		t.Errorf("vitals for a fourth worker: %v", v)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for h.Rounds() < 5 && time.Now().Before(deadline) {
+	for stats.Load() < 5*3 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if h.Rounds() < 5 {
-		t.Fatalf("history rounds = %d after 5s, want >= 5", h.Rounds())
-	}
-	// Per-worker vitals gauges land in the registry snapshot, and from
-	// there in the history ring.
-	if pts := h.Series(`s2_worker_goroutines{worker="0"}`, 0); len(pts) == 0 {
-		t.Errorf("no worker-0 goroutines series; have %v", h.Names()[:min(len(h.Names()), 10)])
+	if n := stats.Load(); n < 5*3 {
+		t.Fatalf("sampler issued %d PullStats after 5s, want >= 15 (5 sweeps of 3 workers)", n)
 	}
 
-	health := c.FleetHealth()
-	if len(health.Workers) != 3 {
-		t.Fatalf("fleet health has %d workers, want 3: %+v", len(health.Workers), health)
-	}
-	for _, w := range health.Workers {
-		if w.Goroutines <= 0 {
-			t.Errorf("worker %d goroutines = %d, want > 0", w.Worker, w.Goroutines)
-		}
-		if w.HeapBytes <= 0 {
-			t.Errorf("worker %d heap = %d, want > 0", w.Worker, w.HeapBytes)
-		}
-	}
-	if health.Epoch == 0 || health.HistoryRounds < 5 {
-		t.Errorf("health epoch=%d rounds=%d, want epoch>0 rounds>=5", health.Epoch, health.HistoryRounds)
-	}
-
-	// Close stops the sampler; the ring must go quiet.
+	// Close stops the sampler; the probes must go quiet.
 	c.Close()
-	rounds := h.Rounds()
+	pulls := stats.Load()
 	time.Sleep(50 * time.Millisecond)
-	if h.Rounds() != rounds {
-		t.Error("sampler kept recording after Close")
+	if stats.Load() != pulls {
+		t.Error("sampler kept pulling vitals after Close")
 	}
 }
 
-func TestPullWorkerProfile(t *testing.T) {
-	snap, texts := fatTreeSnap(t, 4)
-	c := newS2(t, snap, texts, Options{
-		Workers: 2, Seed: 7,
-		FleetPlane: true,
-	})
-	defer c.Close()
-	runCP(t, c)
-
-	p, err := c.PullWorkerProfile(0, "heap", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Worker != 0 || p.Kind != "heap" || p.ID == "" {
-		t.Fatalf("profile = %+v", p)
-	}
-	// runtime/pprof writes gzip-framed protos; the magic is the cheap
-	// "go tool pprof can read this" check.
-	if len(p.Data) < 2 || p.Data[0] != 0x1f || p.Data[1] != 0x8b {
-		t.Fatalf("profile data not gzip-framed: % x...", p.Data[:min(len(p.Data), 4)])
-	}
-	if c.Profiles().Len() != 1 || c.Profiles().Get(p.ID) == nil {
-		t.Error("profile not stored in the ring")
-	}
-
-	if _, err := c.PullWorkerProfile(0, "bogus", 0); err == nil {
-		t.Error("unknown kind must error")
-	}
-	if _, err := c.PullWorkerProfile(99, "heap", 0); err == nil {
-		t.Error("out-of-range worker must error")
-	}
-
-	// CPU capture blocks for the sampling window and still lands.
-	cp, err := c.PullWorkerProfile(1, "cpu", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Kind != "cpu" || len(cp.Data) == 0 {
-		t.Fatalf("cpu profile = %+v", cp)
-	}
-}
-
-// countingWorker counts probe-class RPCs that reach the transport.
+// countingWorker counts the PullStats probes that reach the transport.
 type countingWorker struct {
 	sidecar.WorkerAPI
-	statsPulls   *atomic.Int64
-	profilePulls *atomic.Int64
+	statsPulls *atomic.Int64
 }
 
 func (w countingWorker) PullStats(req sidecar.PullStatsRequest) (sidecar.PullStatsReply, error) {
@@ -212,81 +173,57 @@ func (w countingWorker) PullStats(req sidecar.PullStatsRequest) (sidecar.PullSta
 	return w.WorkerAPI.PullStats(req)
 }
 
-func (w countingWorker) PullProfile(req sidecar.PullProfileRequest) (sidecar.PullProfileReply, error) {
-	w.profilePulls.Add(1)
-	return w.WorkerAPI.PullProfile(req)
-}
-
+// TestFleetPlaneZeroOverheadWhenDisabled: without a registry no sampler
+// starts, no probe RPC is issued and no straggler score accumulates; a
+// registry alone starts the sampler.
 func TestFleetPlaneZeroOverheadWhenDisabled(t *testing.T) {
-	var stats, profiles atomic.Int64
-	snap, texts := fatTreeSnap(t, 4)
-	c := newS2(t, snap, texts, Options{
-		Workers: 2, Seed: 8,
-		WrapWorker: func(_ int, w sidecar.WorkerAPI) sidecar.WorkerAPI {
-			return countingWorker{WorkerAPI: w, statsPulls: &stats, profilePulls: &profiles}
-		},
-	})
-	defer c.Close()
-	runFull(t, c)
+	run := func(reg *obs.Registry) (*Controller, int64) {
+		var stats atomic.Int64
+		snap, texts := fatTreeSnap(t, 4)
+		c := newS2(t, snap, texts, Options{
+			Workers: 2, Seed: 8,
+			Metrics: reg,
+			WrapWorker: func(_ int, w sidecar.WorkerAPI) sidecar.WorkerAPI {
+				return countingWorker{WorkerAPI: w, statsPulls: &stats}
+			},
+		})
+		t.Cleanup(func() { c.Close() })
+		runFull(t, c)
+		return c, stats.Load()
+	}
 
-	if c.History() != nil || c.Profiles() != nil {
-		t.Error("disabled plane must expose nil history and profile store")
-	}
+	c, pulls := run(nil)
 	if c.statsStop != nil {
-		t.Error("disabled plane must not start the sampler goroutine")
+		t.Error("no registry: the sampler goroutine must not start")
 	}
-	if n := stats.Load(); n != 0 {
-		t.Errorf("disabled plane issued %d PullStats RPCs, want 0", n)
-	}
-	if n := profiles.Load(); n != 0 {
-		t.Errorf("disabled plane issued %d PullProfile RPCs, want 0", n)
+	if pulls != 0 {
+		t.Errorf("no registry: %d PullStats RPCs, want 0", pulls)
 	}
 	if len(c.StragglerScores()) != 0 {
-		t.Error("disabled plane must not accumulate straggler scores")
+		t.Error("no registry: straggler scores must not accumulate")
 	}
-	if _, err := c.PullWorkerProfile(0, "heap", 0); err == nil {
-		t.Error("PullWorkerProfile must error when the store is disabled")
+
+	c, pulls = run(obs.NewRegistry())
+	if c.statsStop == nil {
+		t.Error("a registry must start the sampler")
 	}
-	if h := c.FleetHealth(); len(h.Workers) != 0 || h.HistoryRounds != 0 {
-		t.Errorf("disabled plane fleet health = %+v, want empty", h)
+	if pulls == 0 {
+		t.Error("a registry must start the sampler: no PullStats RPC issued")
 	}
 }
 
 // TestFleetSamplerTCP covers the remote path: PullStats over the sidecar
-// wire feeds the fleet snapshot for TCP workers too.
+// wire feeds the per-worker gauges for TCP workers too.
 func TestFleetSamplerTCP(t *testing.T) {
+	reg := obs.NewRegistry()
 	snap, texts := fatTreeSnap(t, 4)
 	addrs, _, _ := startTracedRemoteWorkers(t, 2)
 	c := newS2(t, snap, texts, Options{
 		WorkerAddrs: addrs, Seed: 9,
-		FleetPlane:        true,
+		Metrics:           reg,
 		HeartbeatInterval: 10 * time.Millisecond,
 	})
 	defer c.Close()
 	runCP(t, c)
-
-	deadline := time.Now().Add(5 * time.Second)
-	for len(c.FleetHealth().Workers) < 2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	health := c.FleetHealth()
-	if len(health.Workers) != 2 {
-		t.Fatalf("fleet health has %d workers, want 2", len(health.Workers))
-	}
-	for _, w := range health.Workers {
-		if w.RSSBytes <= 0 && w.HeapBytes <= 0 {
-			t.Errorf("worker %d reported no memory vitals: %+v", w.Worker, w)
-		}
-	}
-	// Without a registry the history falls back to vitals-only series.
-	if pts := c.History().Series(`s2_worker_heap_bytes{worker="0"}`, 0); len(pts) == 0 {
-		t.Errorf("no fallback heap series; have %v", c.History().Names())
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	waitVitals(t, reg, 2)
 }

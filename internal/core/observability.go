@@ -64,7 +64,6 @@ const (
 	MetricWorkerHeap       = "s2_worker_heap_bytes"
 	MetricWorkerGoroutines = "s2_worker_goroutines"
 	MetricWorkerGCPauseP99 = "s2_worker_gc_pause_p99_seconds"
-	MetricProfilesStored   = "s2_profiles_stored"
 )
 
 // faultEventKeys are the metrics.FaultCounters keys bridged to
@@ -162,10 +161,6 @@ func (c *Controller) initObs() {
 	bytes.SetFunc(func() float64 { return float64(c.clientBytes(false)) }, "client", "in")
 	bytes.SetFunc(func() float64 { return float64(c.clientBytes(true)) }, "client", "out")
 	obs.RegisterProcessVitals(c.reg)
-	if c.profiles != nil {
-		c.reg.Gauge(MetricProfilesStored, "Harvested pprof profiles currently held in the store.").
-			SetFunc(func() float64 { return float64(c.profiles.Len()) })
-	}
 }
 
 // clientBytes sums transport bytes across the live remote clients.

@@ -63,8 +63,8 @@ type WorkerAttribution struct {
 	GCSweepMicros    int64 `json:"gc_sweep_micros,omitempty"`
 	GCRelocateMicros int64 `json:"gc_relocate_micros,omitempty"`
 	GCRelocated      int64 `json:"gc_cache_relocated,omitempty"`
-	// StragglerScore is the fleet plane's per-worker progress-skew EWMA
-	// (fleet.go); zero when the worker kept pace or the plane was off.
+	// StragglerScore is the per-worker progress-skew EWMA (fleet.go);
+	// zero when the worker kept pace or no metrics registry was wired.
 	StragglerScore float64 `json:"straggler_score,omitempty"`
 }
 

@@ -266,7 +266,7 @@ func TestPhaseClass(t *testing.T) {
 		}
 	}
 	for _, m := range []string{"Ping", "HasWork", "Stats", "PullSpans",
-		"PullStats", "PullProfile",
+		"PullStats",
 		"PullBGPBatch", "PullLSABatch", "DeliverBatch", "CollectRIBs",
 		"BeginQuery", "Bogus"} {
 		if sidecar.PhaseClass(m) {

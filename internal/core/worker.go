@@ -10,7 +10,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"encoding/gob"
 	"fmt"
@@ -19,7 +18,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"slices"
 	"sort"
 	"sync"
@@ -141,9 +139,6 @@ type Worker struct {
 	// it at phase boundaries (Setup, BeginShard, ComputeDP, GC) while
 	// holding phaseMu; PullStats reads it lock-free.
 	vitals workerVitals
-	// profileMu single-flights CPU captures — runtime/pprof allows one
-	// active CPU profile per process.
-	profileMu sync.Mutex
 	// pacer schedules BDD collections from measured GCStats (gcpacer.go);
 	// gcPauses windows recent pause durations for WorkerStats percentiles.
 	pacer    gcPacer
@@ -1661,43 +1656,4 @@ func (w *Worker) PullStats(_ sidecar.PullStatsRequest) (sidecar.PullStatsReply, 
 		Goroutines:       runtime.NumGoroutine(),
 		NowUnixMicro:     time.Now().UnixMicro(),
 	}}, nil
-}
-
-// PullProfile implements sidecar.WorkerAPI: capture one pprof profile for
-// the centralized harvest. No phaseMu — profiling a wedged phase is the
-// whole point. A cpu capture blocks the caller for the capture window and
-// single-flights per process (runtime/pprof allows one active CPU
-// profile); in-process fleets therefore profile the whole process, not
-// one worker goroutine set.
-func (w *Worker) PullProfile(req sidecar.PullProfileRequest) (sidecar.PullProfileReply, error) {
-	reply := sidecar.PullProfileReply{WorkerID: int(w.vitals.id.Load()), Kind: req.Kind}
-	var buf bytes.Buffer
-	switch req.Kind {
-	case "cpu":
-		secs := req.Seconds
-		if secs <= 0 {
-			secs = 2
-		}
-		if secs > 30 {
-			secs = 30
-		}
-		w.profileMu.Lock()
-		defer w.profileMu.Unlock()
-		if err := pprof.StartCPUProfile(&buf); err != nil {
-			return reply, fmt.Errorf("core: worker %d cpu profile: %w", reply.WorkerID, err)
-		}
-		time.Sleep(time.Duration(secs) * time.Second)
-		pprof.StopCPUProfile()
-	case "heap":
-		runtime.GC() // settle the heap so the profile shows retained memory
-		if err := pprof.Lookup("heap").WriteTo(&buf, 0); err != nil {
-			return reply, fmt.Errorf("core: worker %d heap profile: %w", reply.WorkerID, err)
-		}
-	default:
-		return reply, fmt.Errorf("core: unknown profile kind %q (want cpu or heap)", req.Kind)
-	}
-	w.log.LogAttrs(context.Background(), slog.LevelDebug, "profile captured", obs.Kind("profile"),
-		slog.String("profile", req.Kind), slog.Int("bytes", buf.Len()))
-	reply.Profile = buf.Bytes()
-	return reply, nil
 }

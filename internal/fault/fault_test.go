@@ -339,9 +339,6 @@ func (n *nullWorker) PullSpans(sidecar.PullSpansRequest) (sidecar.PullSpansReply
 func (n *nullWorker) PullStats(sidecar.PullStatsRequest) (sidecar.PullStatsReply, error) {
 	return sidecar.PullStatsReply{}, nil
 }
-func (n *nullWorker) PullProfile(sidecar.PullProfileRequest) (sidecar.PullProfileReply, error) {
-	return sidecar.PullProfileReply{}, nil
-}
 func (n *nullWorker) ApplyDelta(sidecar.DeltaRequest) (sidecar.DeltaReply, error) {
 	return sidecar.DeltaReply{}, nil
 }

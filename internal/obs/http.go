@@ -2,12 +2,9 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -26,19 +23,7 @@ type ServerOptions struct {
 	// Flight backs GET /debug/flightrecorder: the process's always-on
 	// event ring, newest last. Nil serves an empty list.
 	Flight *FlightRecorder
-	// Dashboard backs GET /debug/dashboard (live HTML + SSE fleet view).
-	Dashboard *Dashboard
-	// Profiles backs GET /debug/profiles and /debug/profiles/<id>: the
-	// bounded ring of harvested pprof protos.
-	Profiles *ProfileStore
-	// ProfilePull backs POST /debug/profile?worker=N&kind=cpu|heap — the
-	// on-demand harvest trigger. Nil answers 501.
-	ProfilePull ProfilePullFunc
 }
-
-// ProfilePullFunc harvests one profile from worker and stores it,
-// returning the stored record.
-type ProfilePullFunc func(worker int, kind string, seconds int) (*Profile, error)
 
 // HTTPServer is a live introspection listener.
 type HTTPServer struct {
@@ -98,66 +83,10 @@ func ServeIntrospection(addr string, opts ServerOptions) (*HTTPServer, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	RegisterFleetHandlers(mux, opts.Dashboard, opts.Profiles, opts.ProfilePull)
 
 	s := &HTTPServer{srv: &http.Server{Handler: mux}, lis: lis}
 	go s.srv.Serve(lis)
 	return s, nil
-}
-
-// RegisterFleetHandlers wires the fleet-health debug routes — the live
-// dashboard, the on-demand profile harvest trigger, and the stored-profile
-// ring — onto mux. Shared by the -obs-addr introspection server and
-// s2serve's API mux so both debug surfaces behave identically. All
-// arguments may be nil; disabled routes answer 404/501, never panic.
-func RegisterFleetHandlers(mux *http.ServeMux, dash *Dashboard, store *ProfileStore, pull ProfilePullFunc) {
-	mux.Handle("/debug/dashboard", dash)
-	mux.HandleFunc("/debug/profile", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST /debug/profile?worker=N&kind=cpu|heap&seconds=S", http.StatusMethodNotAllowed)
-			return
-		}
-		if pull == nil {
-			http.Error(w, "profile harvest disabled", http.StatusNotImplemented)
-			return
-		}
-		q := r.URL.Query()
-		worker, err := strconv.Atoi(q.Get("worker"))
-		if err != nil || worker < 0 {
-			http.Error(w, "worker: non-negative integer required", http.StatusBadRequest)
-			return
-		}
-		kind := q.Get("kind")
-		if kind == "" {
-			kind = "cpu"
-		}
-		seconds, _ := strconv.Atoi(q.Get("seconds"))
-		p, err := pull(worker, kind, seconds)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		writeJSON(w, p)
-	})
-	mux.HandleFunc("/debug/profiles", func(w http.ResponseWriter, _ *http.Request) {
-		list := store.Profiles()
-		if list == nil {
-			list = []*Profile{}
-		}
-		writeJSON(w, map[string]any{"profiles": list})
-	})
-	mux.HandleFunc("/debug/profiles/", func(w http.ResponseWriter, r *http.Request) {
-		id := strings.TrimPrefix(r.URL.Path, "/debug/profiles/")
-		p := store.Get(id)
-		if p == nil {
-			http.Error(w, "no such profile", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Disposition",
-			fmt.Sprintf("attachment; filename=%s-worker%d-%s.pb.gz", p.ID, p.Worker, p.Kind))
-		_, _ = w.Write(p.Data)
-	})
 }
 
 func writeJSON(w http.ResponseWriter, body any) {

@@ -5,7 +5,7 @@ package obs
 // ring is full, so memory stays bounded however long a process runs.
 //
 // A Ring has no lock of its own: its owner's mutex guards it, so one lock
-// can cover many rings (History keeps one per series).
+// can cover many rings.
 type Ring[T any] struct {
 	buf            []T
 	head, n        int

@@ -76,14 +76,6 @@ func newTraceStore(capacity, keepSlowest int) *TraceStore {
 	return &TraceStore{slowN: keepSlowest, ring: NewRing[*RequestTrace](capacity)}
 }
 
-func newHistory(capacity int) *History {
-	return &History{cap: capacity, series: make(map[string]*Ring[HistPoint])}
-}
-
-func newProfileStore(capacity int) *ProfileStore {
-	return &ProfileStore{ring: NewRing[*Profile](capacity)}
-}
-
 func (t *Tracer) startExport(size int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -29,12 +29,6 @@
 //	                        first).
 //	GET  /debug/traces/<id> one request's span tree as Chrome trace JSON
 //	                        (chrome://tracing, ui.perfetto.dev).
-//	GET  /debug/dashboard   live fleet health dashboard (HTML; ?stream=1
-//	                        for the raw SSE frame feed).
-//	POST /debug/profile     pull a pprof profile from one worker:
-//	                        ?worker=N&kind=cpu|heap[&seconds=S].
-//	GET  /debug/profiles    stored worker profiles (JSON index;
-//	                        /debug/profiles/<id> downloads the proto).
 //	GET  /debug/pprof/      controller-process pprof handlers.
 //	GET  /metrics           Prometheus text exposition (when wired with a
 //	                        registry).
@@ -245,17 +239,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	// Fleet health plane: live dashboard, worker profile pulls, stored
-	// profiles. All handlers are nil-safe — with the history/profile planes
-	// disabled these routes answer 404/501 and cost nothing otherwise.
-	dash := &obs.Dashboard{
-		Health:  func() any { return s.v.FleetHealth() },
-		History: s.v.History(),
-	}
-	obs.RegisterFleetHandlers(mux, dash, s.v.Profiles(),
-		func(worker int, kind string, seconds int) (*obs.Profile, error) {
-			return s.v.PullWorkerProfile(worker, kind, seconds)
-		})
 	return mux
 }
 

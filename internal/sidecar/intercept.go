@@ -26,7 +26,7 @@ type methodClass struct {
 	phase bool
 	// telemetry calls drain the worker's own telemetry. The RPC hook skips
 	// them: recording the span drain would mint a span per harvest that the
-	// harvest then ships, and the health plane would pollute what it reads.
+	// harvest then ships, and the vitals sampler would pollute what it reads.
 	telemetry bool
 }
 
@@ -54,7 +54,6 @@ var methods = map[string]methodClass{
 	"Stats":           {idempotent: true},
 	"PullSpans":       {idempotent: true, telemetry: true},
 	"PullStats":       {idempotent: true, telemetry: true},
-	"PullProfile":     {idempotent: true, telemetry: true},
 }
 
 // Idempotent reports whether method is safe to retry.
@@ -170,10 +169,6 @@ func (x *intercepted) PullSpans(req PullSpansRequest) (PullSpansReply, error) {
 
 func (x *intercepted) PullStats(req PullStatsRequest) (PullStatsReply, error) {
 	return result(x.ic, "PullStats", func() (PullStatsReply, error) { return x.api.PullStats(req) })
-}
-
-func (x *intercepted) PullProfile(req PullProfileRequest) (PullProfileReply, error) {
-	return result(x.ic, "PullProfile", func() (PullProfileReply, error) { return x.api.PullProfile(req) })
 }
 
 // ObserveTraced runs every call on api through hook, except the telemetry

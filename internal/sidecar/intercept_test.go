@@ -46,7 +46,7 @@ func TestIdempotent(t *testing.T) {
 		"PullBGPBatch": true, "PullLSABatch": true, "ApplyDelta": true,
 		"ComputeDP": true, "BeginQueryBatch": true, "HasWork": true,
 		"CollectRIBs": true, "Stats": true,
-		"PullSpans": true, "PullStats": true, "PullProfile": true,
+		"PullSpans": true, "PullStats": true,
 		"GatherBGP": false, "ApplyBGP": false, "GatherOSPF": false,
 		"ApplyOSPF": false, "EndShard": false,
 		"DPRound": false, "DeliverBatch": false, "FinishQuery": false,
@@ -82,7 +82,6 @@ func TestObserveTracedSkipsTelemetry(t *testing.T) {
 	api.DeliverBatch(DeliverBatchRequest{})
 	api.PullSpans(PullSpansRequest{})
 	api.PullStats(PullStatsRequest{})
-	api.PullProfile(PullProfileRequest{})
 	if want := []string{"Ping", "GatherBGP", "DeliverBatch"}; !reflect.DeepEqual(hooked, want) {
 		t.Errorf("hooked %v, want %v", hooked, want)
 	}

@@ -38,8 +38,9 @@ import (
 // ProtocolVersion names the sidecar protocol this tree speaks: the request
 // and reply shapes below and the method set of WorkerAPI. Bump it with any
 // change to either; Setup rejects a controller that sends another value.
-// Version 3 made BGP pull replies deltas, with withdrawals on the wire.
-const ProtocolVersion = 3
+// Version 3 made BGP pull replies deltas, with withdrawals on the wire;
+// version 4 dropped the PullProfile RPC.
+const ProtocolVersion = 4
 
 // TraceContext is the cross-process span identity carried on every sidecar
 // request (see obs.TraceContext): the caller's in-flight span, under which
@@ -367,25 +368,6 @@ type PullStatsReply struct {
 	Vitals WorkerVitals
 }
 
-// PullProfileRequest asks a worker to capture one pprof profile for the
-// centralized continuous-profiling harvest.
-type PullProfileRequest struct {
-	// Kind selects the profile: "cpu" or "heap".
-	Kind string
-	// Seconds bounds a cpu capture (default 2, clamped to [1, 30]);
-	// ignored for heap.
-	Seconds int
-	TC      TraceContext
-}
-
-// PullProfileReply carries the captured profile.
-type PullProfileReply struct {
-	WorkerID int
-	Kind     string
-	// Profile is the gzip-framed pprof proto as written by runtime/pprof.
-	Profile []byte
-}
-
 // WorkerAPI is the Go-level surface of a worker. The in-process
 // core.Worker implements it directly; RemoteWorker implements it over RPC.
 // Every method has a row in the method table (intercept.go) that says
@@ -437,10 +419,6 @@ type WorkerAPI interface {
 	// plane. Probe-class like Ping/Stats/PullSpans: it must not block on
 	// phase state.
 	PullStats(req PullStatsRequest) (PullStatsReply, error)
-	// PullProfile captures and returns one pprof profile. Probe-class (no
-	// phase lock), though a cpu capture blocks its caller for the capture
-	// window — callers bypass short per-RPC deadlines for it.
-	PullProfile(req PullProfileRequest) (PullProfileReply, error)
 }
 
 // Empty is the placeholder for void RPC arguments/replies.
@@ -664,15 +642,6 @@ func (s *Service) PullSpans(req PullSpansRequest, reply *PullSpansReply) error {
 func (s *Service) PullStats(req PullStatsRequest, reply *PullStatsReply) error {
 	return s.do("PullStats", req.TC, func() error {
 		r, err := s.api.PullStats(req)
-		*reply = r
-		return err
-	})
-}
-
-// PullProfile RPC.
-func (s *Service) PullProfile(req PullProfileRequest, reply *PullProfileReply) error {
-	return s.do("PullProfile", req.TC, func() error {
-		r, err := s.api.PullProfile(req)
 		*reply = r
 		return err
 	})
@@ -1062,9 +1031,4 @@ func (r *RemoteWorker) PullSpans(req PullSpansRequest) (PullSpansReply, error) {
 // PullStats implements WorkerAPI.
 func (r *RemoteWorker) PullStats(req PullStatsRequest) (PullStatsReply, error) {
 	return rcall[PullStatsReply](r, "PullStats", req)
-}
-
-// PullProfile implements WorkerAPI.
-func (r *RemoteWorker) PullProfile(req PullProfileRequest) (PullProfileReply, error) {
-	return rcall[PullProfileReply](r, "PullProfile", req)
 }

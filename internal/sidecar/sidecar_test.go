@@ -113,12 +113,6 @@ func (s *stubWorker) PullSpans(PullSpansRequest) (PullSpansReply, error) {
 func (s *stubWorker) PullStats(PullStatsRequest) (PullStatsReply, error) {
 	return PullStatsReply{Vitals: WorkerVitals{WorkerID: 3, Shard: 2, Round: 7, BDDNodes: 100, NowUnixMicro: time.Now().UnixMicro()}}, nil
 }
-func (s *stubWorker) PullProfile(req PullProfileRequest) (PullProfileReply, error) {
-	if req.Kind != "cpu" && req.Kind != "heap" {
-		return PullProfileReply{}, fmt.Errorf("unknown kind %q", req.Kind)
-	}
-	return PullProfileReply{WorkerID: 3, Kind: req.Kind, Profile: []byte{0x1f, 0x8b}}, nil
-}
 
 func dialStub(t *testing.T) (*RemoteWorker, *stubWorker) {
 	t.Helper()
@@ -247,13 +241,6 @@ func TestRPCRoundTripAllMethods(t *testing.T) {
 	if err != nil || vit.Vitals.WorkerID != 3 || vit.Vitals.Shard != 2 ||
 		vit.Vitals.Round != 7 || vit.Vitals.BDDNodes != 100 || vit.Vitals.NowUnixMicro == 0 {
 		t.Fatalf("PullStats: %+v %v", vit, err)
-	}
-	prof, err := client.PullProfile(PullProfileRequest{Kind: "heap"})
-	if err != nil || prof.WorkerID != 3 || prof.Kind != "heap" || len(prof.Profile) != 2 {
-		t.Fatalf("PullProfile: %+v %v", prof, err)
-	}
-	if _, err := client.PullProfile(PullProfileRequest{Kind: "bogus"}); err == nil {
-		t.Fatal("PullProfile error must propagate")
 	}
 }
 
