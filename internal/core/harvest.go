@@ -52,6 +52,20 @@ func (c *Controller) skewFor(client *sidecar.RemoteWorker) *obs.SkewEstimator {
 	return e
 }
 
+// liveSkew is skewFor for a client still in the directory, else nil. The
+// check and the creation happen under the directory lock, so a harvest
+// that raced evict cannot bring back an estimator forgetSlots deleted.
+func (c *Controller) liveSkew(client *sidecar.RemoteWorker) *obs.SkewEstimator {
+	c.wmu.RLock()
+	defer c.wmu.RUnlock()
+	for _, cl := range c.clients {
+		if cl == client {
+			return c.skewFor(client)
+		}
+	}
+	return nil
+}
+
 // HarvestSpans drains every remote worker's span export ring into the
 // controller's tracer now. Safe to call at any time (the exporter ring and
 // the worker-side PullSpans handler are lock-cheap and phase-independent);
@@ -77,7 +91,7 @@ func (c *Controller) harvestAll() {
 // estimator from every round trip and ingesting with the best offset so
 // far. Errors are swallowed: harvesting is telemetry, never a run failure.
 func (c *Controller) harvestWorker(w sidecar.WorkerAPI, client *sidecar.RemoteWorker) {
-	est := c.skewFor(client)
+	var est *obs.SkewEstimator
 	for {
 		sent := time.Now()
 		reply, err := w.PullSpans(sidecar.PullSpansRequest{Max: harvestBatch})
@@ -85,7 +99,10 @@ func (c *Controller) harvestWorker(w sidecar.WorkerAPI, client *sidecar.RemoteWo
 		if err != nil {
 			return
 		}
-		est.Observe(sent, received, reply.NowUnixMicro)
+		if e := c.liveSkew(client); e != nil {
+			est = e
+			est.Observe(sent, received, reply.NowUnixMicro)
+		}
 		if reply.Dropped > 0 {
 			c.log.LogAttrs(context.Background(), slog.LevelDebug, "worker export ring dropped spans",
 				obs.Kind("harvest"), slog.Uint64("dropped", reply.Dropped), slog.String("addr", client.Addr()))

@@ -55,6 +55,7 @@ func TestTraceThreeWorkerRun(t *testing.T) {
 		Workers: 3, Shards: 2, Seed: 1,
 		Tracer: tracer, Metrics: reg,
 	})
+	defer c.Close()
 	res := runFull(t, c)
 	if len(res.Unreached) != 0 || len(res.Violations) != 0 {
 		t.Fatalf("traced run must still verify: unreached=%v violations=%v", res.Unreached, res.Violations)

@@ -279,6 +279,10 @@ func runS2(texts map[string]string, p s2Params) (row Row) {
 		row.Err = err.Error()
 		return row
 	}
+	// A registry starts the vitals sampler, which holds the controller and
+	// its in-process workers until Close; deferred first, Close runs after
+	// the telemetry snapshot below.
+	defer ctrl.Close()
 	start := time.Now()
 	defer func() {
 		row.WallTime = time.Since(start)
@@ -336,6 +340,10 @@ func runS2CP(texts map[string]string, p s2Params) (row Row) {
 		row.Err = err.Error()
 		return row
 	}
+	// A registry starts the vitals sampler, which holds the controller and
+	// its in-process workers until Close; deferred first, Close runs after
+	// the telemetry snapshot below.
+	defer ctrl.Close()
 	start := time.Now()
 	defer func() {
 		row.WallTime = time.Since(start)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -221,5 +222,37 @@ func TestSortRows(t *testing.T) {
 	sortRows(rows)
 	if rows[0].Network != "a" || rows[0].Variant != "1" || rows[3].Network != "b" {
 		t.Errorf("sort order: %+v", rows)
+	}
+}
+
+// The runners wire a registry, which starts the controller's vitals
+// sampler; a runner that does not Close its controller leaves that
+// goroutine holding the controller and its workers, probing them forever.
+func TestRunnersLeaveNoSampler(t *testing.T) {
+	_, texts, err := fatTreeSnap(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := s2Params{workers: 2, shards: 2, seed: 1, procs: 1}
+	for name, run := range map[string]func(map[string]string, s2Params) Row{"runS2": runS2, "runS2CP": runS2CP} {
+		if r := run(texts, p); !r.OK {
+			t.Fatalf("%s: %+v", name, r)
+		}
+		if n := samplerGoroutines(); n != 0 {
+			t.Errorf("%s left %d vitals sampler goroutines running", name, n)
+		}
+	}
+}
+
+// samplerGoroutines counts the live goroutines running the controller's
+// vitals sampler loop.
+func samplerGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "(*Controller).startStatsSampler.func")
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }
